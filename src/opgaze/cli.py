@@ -24,6 +24,7 @@ import io
 import json
 import logging
 import sys
+import traceback
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -58,7 +59,10 @@ NON_SESSION_NAMES = frozenset({
 
 CLUSTER_KEYS = ("spatial_eps", "temporal_gap_max", "min_points")
 SEGMENTATION_KEYS = ("touch_merge_gap", "min_operating", "hand_presence_debounce")
-FEATURE_KEYS = ("sign_deadband", "lag_threshold", "search_freq_min", "early_shift_min")
+FEATURE_KEYS = (
+    "sign_deadband", "lag_threshold", "search_freq_min", "early_shift_min",
+    "min_operating_for_early_shift",
+)
 
 FEATURES_HEADER = (
     ("session_id", "ou_index", "hotspot_id", "step_id")
@@ -354,6 +358,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             except (ParseError, ValueError, OSError) as exc:
                 failures[path] = str(exc)
                 print(f"{path}: {exc}", file=sys.stderr)
+            except Exception as exc:
+                # a fault in the pipeline fails this session, not the run
+                failures[path] = f"{type(exc).__name__}: {exc}"
+                print(f"{path}: {failures[path]}", file=sys.stderr)
+                traceback.print_exception(exc, file=sys.stderr)
 
     combined_rows: list[list[object]] = []
     summary_sessions = []

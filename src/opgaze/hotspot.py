@@ -5,6 +5,16 @@ AND within ``temporal_gap_max`` seconds of each other; hotspots are the
 connected components of that neighbor graph with at least ``min_points``
 members.  Touches in smaller components are noise but stay countable.
 
+Clustering is array code.  Touches are put in a canonical (t, x, y, input
+index) order; a binary search on the sorted times gives each touch the
+window of earlier touches that can be its neighbors.  The candidate pairs
+of all windows are walked in fixed-size chunks, so memory does not grow
+with touch density, and each pair is kept only if it passes both neighbor
+tests.  A union-find over canonical indices merges each chunk's kept
+pairs: every root is hooked to the smaller root it is paired with, then
+labels are pointer-jumped until each names its root, which is always the
+smallest canonical index of its component.
+
 Also computes the accumulated touch distribution (centroid, bias relative
 to the attention point, covariance) across sessions.
 """
@@ -82,22 +92,35 @@ def extract_touches(s: Session) -> list[Touch]:
     return [(f.t, f.hand) for f in s.frames if f.touching]
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+# Candidate pairs examined per step; bounds the working arrays.
+_PAIR_CHUNK = 1 << 14
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _settle(label: np.ndarray, lo: int = 0, hi: Optional[int] = None) -> None:
+    """Pointer-jump ``label[lo:hi]`` in place until every entry names a root."""
+    view = label[lo:hi]
+    while True:
+        jumped = label[view]
+        if np.array_equal(jumped, view):
+            return
+        view[:] = jumped
+
+
+def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> None:
+    """Merge the components of the pairs ``(a[k], b[k])``.
+
+    Every index in ``a`` and ``b`` lies in ``[lo, hi)``, and on entry each
+    label there names a root.  A root only ever points to a smaller index,
+    so the root of a component is its smallest index.
+    """
+    while True:
+        ra, rb = label[a], label[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        _settle(label, lo, hi)
 
 
 def cluster_touches(touches: Sequence[Touch], params: ClusterParams) -> list[Hotspot]:
@@ -115,44 +138,53 @@ def cluster_touches(touches: Sequence[Touch], params: ClusterParams) -> list[Hot
     if n == 0:
         return []
 
-    order = sorted(range(n), key=lambda i: (touches[i][0], touches[i][1].x, touches[i][1].y, i))
-    times = np.array([touches[i][0] for i in order], dtype=float)
-    xs = np.array([touches[i][1].x for i in order], dtype=float)
-    ys = np.array([touches[i][1].y for i in order], dtype=float)
+    raw = np.array([(t, p.x, p.y) for t, p in touches], dtype=float).T
+    # lexsort is stable, so ties on (t, x, y) keep input order
+    order = np.lexsort(raw[::-1])
+    times, xs, ys = np.ascontiguousarray(raw[:, order])
 
-    uf = _UnionFind(n)
+    gap = params.temporal_gap_max
     eps_sq = params.spatial_eps ** 2
-    lo = 0
-    for i in range(n):
-        # only earlier touches within the temporal window can be neighbors
-        while times[i] - times[lo] > params.temporal_gap_max:
-            lo += 1
-        if lo == i:
-            continue
-        dx = xs[lo:i] - xs[i]
-        dy = ys[lo:i] - ys[i]
-        close = np.nonzero(dx * dx + dy * dy <= eps_sq)[0]
-        for j in close:
-            uf.union(i, int(lo + j))
+    # Window start of each touch: its first earlier touch within ``gap``.
+    # The reach is wider than ``gap`` by far more than the rounding of
+    # ``t - gap``, and the exact temporal test below drops the extra pairs.
+    reach = gap + 1e-9 * (gap + float(np.abs(times).max()))
+    start = np.searchsorted(times, times - reach, side="left")
+    counts = np.arange(n) - start
+    first = np.cumsum(counts) - counts  # flat index of each touch's first pair
+    total = int(first[-1] + counts[-1])
 
-    components: dict[int, list[int]] = {}
-    for i in range(n):
-        components.setdefault(uf.find(i), []).append(i)
+    label = np.arange(n)
+    for p0 in range(0, total, _PAIR_CHUNK):
+        p1 = min(p0 + _PAIR_CHUNK, total)
+        # the touches whose pairs fall in [p0, p1), and how many each has there
+        rows = np.arange(np.searchsorted(first, p0, side="right") - 1,
+                         np.searchsorted(first, p1 - 1, side="right"))
+        per_row = np.minimum(first[rows] + counts[rows], p1) - np.maximum(first[rows], p0)
+        i = np.repeat(rows, per_row)
+        j = start[i] + (np.arange(p0, p1) - first[i])
+        dx = xs[j] - xs[i]
+        dy = ys[j] - ys[i]
+        keep = (times[i] - times[j] <= gap) & (dx * dx + dy * dy <= eps_sq)
+        _join(label, i[keep], j[keep], int(start[i[0]]), int(i[-1]) + 1)
+    _settle(label)
 
+    sizes = np.bincount(label, minlength=n)
+    # roots in ascending order are the components in first-touch order
+    roots = np.flatnonzero(sizes >= params.min_points)
+    members = np.flatnonzero(sizes[label] >= params.min_points)
+    grouped = members[np.argsort(label[members], kind="stable")]
+    ends = np.cumsum(sizes[roots])
     hotspots: list[Hotspot] = []
-    kept = [sorted(m) for m in components.values() if len(m) >= params.min_points]
-    kept.sort(key=lambda m: float(times[m[0]]))
-    for cluster_id, members in enumerate(kept):
-        cx = float(np.mean(xs[members]))
-        cy = float(np.mean(ys[members]))
-        member_input_indices = tuple(sorted(order[i] for i in members))
+    for cluster_id, (lo, hi) in enumerate(zip(ends - sizes[roots], ends)):
+        m = grouped[lo:hi]
         hotspots.append(Hotspot(
             id=cluster_id,
-            centroid=Point2(cx, cy),
-            touch_count=len(members),
-            first_t=float(times[members[0]]),
-            last_t=float(times[members[-1]]),
-            member_touch_indices=member_input_indices,
+            centroid=Point2(float(np.mean(xs[m])), float(np.mean(ys[m]))),
+            touch_count=len(m),
+            first_t=float(times[m[0]]),
+            last_t=float(times[m[-1]]),
+            member_touch_indices=tuple(np.sort(order[m]).tolist()),
         ))
     return hotspots
 

@@ -125,8 +125,13 @@ def _parse_header(obj: dict, lineno: int, src: str) -> dict:
     rate = _finite(obj["rate_hz"], "rate_hz", lineno, src)
     if rate <= 0:
         raise ParseError(f"rate_hz must be positive, got {rate}", line=lineno, source=src)
+    session_id = str(obj["id"])
+    # the id names the session's output directory, which must stay under --out
+    if session_id in ("", ".", "..") or any(c in session_id for c in "/\\\0"):
+        raise ParseError(f"session id {session_id!r} is not a valid file name",
+                         line=lineno, source=src)
     return {
-        "id": str(obj["id"]),
+        "id": session_id,
         "operator": str(obj["operator"]),
         "ordinal": str(obj["ordinal"]),
         "rate_hz": rate,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from opgaze import write_session, write_step_labels
+from opgaze import cli, write_session, write_step_labels
 from opgaze.cli import main
 
 from conftest import frame, make_session
@@ -135,6 +135,43 @@ class TestAnalyze:
         assert run(["analyze", corpus / "sessions", "--out", out, "--config", cfg]) == 0
         used = json.loads((out / "config_used.json").read_text())
         assert used["cluster"]["spatial_eps"] == 4.0
+
+    def test_config_used_feeds_back_as_config(self, corpus, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run(["analyze", corpus / "sessions", "--out", first]) == 0
+        assert run(["analyze", corpus / "sessions", "--out", second,
+                    "--config", first / "config_used.json"]) == 0
+        assert (second / "config_used.json").read_bytes() == (first / "config_used.json").read_bytes()
+
+    def test_unexpected_worker_error_is_a_session_failure(self, corpus, tmp_path, monkeypatch, capsys):
+        real = cli.analyze_session
+
+        def flaky(s, config):
+            if s.id == "op1_later":
+                raise RuntimeError("boom")
+            return real(s, config)
+
+        monkeypatch.setattr(cli, "analyze_session", flaky)
+        out = tmp_path / "out"
+        assert run(["analyze", corpus / "sessions", "--out", out]) == 3
+        assert "boom" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_sessions_ok"] == 1
+        assert [f["error"] for f in summary["failures"]] == ["RuntimeError: boom"]
+        assert "op1_later.jsonl" in summary["failures"][0]["source"]
+        assert (out / "sessions" / "op1_earlier" / "features.csv").is_file()
+
+    def test_session_id_cannot_escape_out(self, tmp_path, capsys):
+        d = tmp_path / "d"
+        d.mkdir()
+        s = make_session([frame(i / 10.0, hx=1.0, hy=1.0, touch=True) for i in range(20)],
+                         session_id="../../escaped")
+        write_session(s, d / "evil.jsonl")
+        out = tmp_path / "a" / "b" / "out"
+        assert run(["analyze", d, "--out", out]) == 1
+        assert "evil.jsonl:1" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "escaped").exists()
+        assert not (tmp_path / "escaped").exists()
 
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

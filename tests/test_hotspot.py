@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opgaze import ClusterParams, Point2, cluster_touches, extract_touches, touch_distribution
+from opgaze import ClusterParams, Hotspot, Point2, cluster_touches, extract_touches, touch_distribution
+from opgaze import hotspot
 from opgaze.hotspot import assign_operating_hotspot, noise_indices
 
 from conftest import frame, make_session
@@ -47,6 +50,46 @@ def brute_force_clusters(touches, eps, gap, min_points):
             components.append(sorted(members))
     components.sort(key=lambda m: min(touches[i][0] for i in m))
     return components
+
+
+def matrix_oracle(touches, params):
+    """Independent oracle for the exact result: the full n x n neighbor
+    matrix with cluster_touches' own predicates (|dt| <= gap, dx^2 + dy^2 <=
+    eps^2), components by graph search, members in (t, x, y, index) order."""
+    n = len(touches)
+    t = np.array([tt for tt, _ in touches], dtype=float)
+    x = np.array([p.x for _, p in touches], dtype=float)
+    y = np.array([p.y for _, p in touches], dtype=float)
+    eps_sq = params.spatial_eps ** 2
+    adj = np.zeros((n, n), dtype=bool)
+    for lo in range(0, n, 256):  # row blocks keep the float temporaries small
+        rows = slice(lo, lo + 256)
+        dx = x[rows, None] - x[None, :]
+        dy = y[rows, None] - y[None, :]
+        adj[rows] = ((np.abs(t[rows, None] - t[None, :]) <= params.temporal_gap_max)
+                     & (dx * dx + dy * dy <= eps_sq))
+    seen = np.zeros(n, dtype=bool)
+    components = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack, members = [root], []
+        while stack:
+            k = stack.pop()
+            members.append(k)
+            fresh = np.flatnonzero(adj[k] & ~seen)
+            seen[fresh] = True
+            stack.extend(fresh.tolist())
+        if len(members) >= params.min_points:
+            components.append(sorted(members, key=lambda k: (t[k], x[k], y[k], k)))
+    components.sort(key=lambda m: (t[m[0]], x[m[0]], y[m[0]], m[0]))
+    return [
+        Hotspot(id=cid, centroid=Point2(float(np.mean(x[m])), float(np.mean(y[m]))),
+                touch_count=len(m), first_t=float(t[m[0]]), last_t=float(t[m[-1]]),
+                member_touch_indices=tuple(sorted(m)))
+        for cid, m in enumerate(components)
+    ]
 
 
 def assert_matches_oracle(touches, params):
@@ -145,6 +188,57 @@ class TestClusterTouches:
                 assert a is b or not (a & b)
         covered = set().union(*member_sets) if member_sets else set()
         assert covered | set(noise_indices(touches, got)) == set(range(60))
+
+
+class TestMultiChunk:
+    """Inputs whose candidate pairs span several pair chunks, on grids that
+    put ties, coincident points, pairs exactly ``spatial_eps`` apart and time
+    gaps of exactly ``temporal_gap_max`` on every chunk boundary."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.integers(0, 16), st.integers(0, 8), st.integers(0, 8)),
+                       min_size=30, max_size=300),
+        t_step=st.sampled_from([0.25, 0.1]),
+        s_step=st.sampled_from([0.5, 0.1, 1.0]),
+        gap_steps=st.integers(1, 8),
+        eps_steps=st.integers(1, 3),
+        min_points=st.integers(1, 4),
+        chunk=st.sampled_from([13, 257, hotspot._PAIR_CHUNK]),
+    )
+    def test_matches_matrix_oracle(self, cells, t_step, s_step, gap_steps, eps_steps,
+                                   min_points, chunk):
+        # drawn lists are in no particular order, so input order is shuffled
+        touches = [(k * t_step, Point2(i * s_step, j * s_step)) for k, i, j in cells]
+        params = ClusterParams(spatial_eps=eps_steps * s_step,
+                               temporal_gap_max=gap_steps * t_step, min_points=min_points)
+        with mock.patch.object(hotspot, "_PAIR_CHUNK", chunk):
+            got = cluster_touches(touches, params)
+        assert got == matrix_oracle(touches, params)
+
+    def test_pair_that_rounds_onto_the_gap_is_kept(self):
+        # 1.0411663480752398 - 0.34116634807523977 rounds to <= 0.7, although
+        # 0.34116634807523977 < 1.0411663480752398 - 0.7: the window must not
+        # cut this pair before the exact test sees it
+        touches = [(0.34116634807523977, Point2(0.0, 0.0)), (1.0411663480752398, Point2(0.0, 0.0))]
+        params = ClusterParams(spatial_eps=1.0, temporal_gap_max=0.7, min_points=2)
+        got = cluster_touches(touches, params)
+        assert [h.member_touch_indices for h in got] == [(0, 1)]
+        assert got == matrix_oracle(touches, params)
+
+    def test_dense_window_at_real_chunk_size(self):
+        rng = np.random.default_rng(2)
+        n = 3000
+        times = rng.integers(0, 25, n) * 0.25  # 6 s: ties and gaps of exactly 3.0
+        cells = rng.integers(0, 70, (n, 2)) * 0.5  # neighbors exactly eps apart
+        touches = [(float(t), Point2(float(x), float(y))) for t, (x, y) in zip(times, cells)]
+        params = ClusterParams(spatial_eps=0.5, temporal_gap_max=3.0, min_points=3)
+        ts = np.sort(times)
+        candidate_pairs = int((np.arange(n) - np.searchsorted(ts, ts - 3.0)).sum())
+        assert candidate_pairs > 100 * hotspot._PAIR_CHUNK
+        got = cluster_touches(touches, params)
+        assert len(got) > 10 and noise_indices(touches, got)
+        assert got == matrix_oracle(touches, params)
 
 
 class TestResolve:

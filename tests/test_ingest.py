@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -96,6 +97,15 @@ class TestRoundTrip:
         write_session(s, path, format=fmt)
         back = parse_session(path, format=fmt)
         assert back == s
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("bad_id", ["", ".", "..", "../../escaped", "a/b", "/abs", "a\\b", "a\0b"])
+    def test_id_that_is_no_file_name_rejected_at_line_1(self, tmp_path, fmt, bad_id):
+        path = tmp_path / f"s1.{fmt}"
+        write_session(dataclasses.replace(self._session(), id=bad_id), path, format=fmt)
+        with pytest.raises(ParseError, match="session id") as exc:
+            parse_session(path, format=fmt)
+        assert exc.value.line == 1
 
     def test_detect_format(self):
         assert detect_format("a/b.csv") == "csv"

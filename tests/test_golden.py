@@ -1,0 +1,59 @@
+"""Golden output digest: the bytes of a seeded end-to-end run must not change.
+
+A refactor keeps every output byte.  This runs ``synth`` (two pairs, seed
+7), ``analyze`` at ``--jobs 1`` and ``--jobs 2``, then ``compare`` and
+``correlate``, all in-process through ``main``, once per input format.
+The digest covers every file written, inputs included.  A change that
+alters outputs on purpose updates the digests here and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from opgaze.cli import main
+
+GOLDEN = {
+    "jsonl": "502638885348d3fb9a837135d57613a1ce4d37f39d38425c96de87b98e0829b9",
+    "csv": "b223b80c8c6a84f41bbbf9c0f774bbff2dfa72191828bf3b3fd72c2f3ecb3381",
+}
+
+
+def tree_digest(root: Path, inputs: Path) -> str:
+    """sha256 over the sorted (relative path, bytes) pairs under ``root``.
+
+    ``summary.json`` names each source by its absolute path, so the input
+    directory there reads ``<inputs>``.
+    """
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        rel = path.relative_to(root).as_posix()
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            data = data.replace(str(inputs.resolve()).encode(), b"<inputs>")
+        for part in (rel.encode(), data):
+            h.update(len(part).to_bytes(8, "big"))
+            h.update(part)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN))
+def test_seeded_run_digest(tmp_path, fmt):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_pairs": 2}))
+    root = tmp_path / "run"
+    data = root / "data"
+    assert main(["synth", "--config", str(spec), "--seed", "7", "--format", fmt,
+                 "--out", str(data)]) == 0
+    for jobs in ("1", "2"):
+        out = root / f"analyze_j{jobs}"
+        assert main(["analyze", str(data / "sessions"), "--out", str(out), "--jobs", jobs]) == 0
+    out = root / "analyze_j1"
+    assert main(["compare", str(out), str(data / "pairs.json"), "--out", str(root / "compare")]) == 0
+    assert main(["correlate", str(out), str(data / "ratings.csv"),
+                 "--out", str(root / "correlate")]) == 0
+    assert tree_digest(root, data / "sessions") == GOLDEN[fmt]

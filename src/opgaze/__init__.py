@@ -85,72 +85,3 @@ from .synth import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArchetypeSpec",
-    "CATEGORICAL_FEATURES",
-    "ClusterParams",
-    "Cohort",
-    "CohortSpec",
-    "ComparisonReport",
-    "CorrelationReport",
-    "DifficultyRatings",
-    "DistanceSeries",
-    "FeatureParams",
-    "FeatureVector",
-    "FrameRecord",
-    "GeneratedSession",
-    "Hotspot",
-    "Interval",
-    "KinematicsSummary",
-    "OperationUnit",
-    "ParseError",
-    "Point2",
-    "Rating",
-    "SCALAR_FEATURES",
-    "SegmentationParams",
-    "Session",
-    "SessionPair",
-    "SessionSummary",
-    "StepLabel",
-    "TouchDistribution",
-    "ValidationReport",
-    "attention_hand_correlation",
-    "attention_lead_lag",
-    "build_distance_series",
-    "classify_gaze_pattern",
-    "classify_shift_kind",
-    "cluster_touches",
-    "compensate_offset",
-    "count_sign_changes",
-    "difficulty_correlation",
-    "early_shift_ratio",
-    "extract_touches",
-    "feature_vector",
-    "generate_classification_set",
-    "generate_cohort",
-    "generate_ou_trace",
-    "generate_session",
-    "kinematics",
-    "load_ratings",
-    "load_step_labels",
-    "pairwise_comparison",
-    "parse_session",
-    "pearson",
-    "period_durations",
-    "scalar_features",
-    "scene_diagonal",
-    "segment_units",
-    "session_feature_summary",
-    "step_feature_means",
-    "summarize_rows",
-    "sign_series",
-    "touch_distribution",
-    "trailing_positive_run",
-    "unit_row",
-    "validate_session",
-    "write_cohort",
-    "write_ratings",
-    "write_session",
-    "write_step_labels",
-]

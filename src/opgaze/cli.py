@@ -364,6 +364,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 print(f"{path}: {failures[path]}", file=sys.stderr)
                 traceback.print_exception(exc, file=sys.stderr)
 
+    # a session id names an output directory and keys features.csv rows
+    holders: dict[str, list[Path]] = {}
+    for path in sorted(results):
+        holders.setdefault(results[path].session.id, []).append(path)
+    for sid, paths in holders.items():
+        if len(paths) == 1:
+            continue
+        for path in paths:
+            others = ", ".join(str(p) for p in paths if p != path)
+            failures[path] = f"duplicate session id {sid!r}: also in {others}"
+            print(f"{path}: {failures[path]}", file=sys.stderr)
+            del results[path]
+
     combined_rows: list[list[object]] = []
     summary_sessions = []
     for path in files:
@@ -380,7 +393,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "source": str(path),
             "operator": result.session.operator,
             "ordinal": result.session.ordinal,
-            "n_frames": len(result.session.frames),
+            "n_frames": len(result.session),
             "n_units": len(result.units),
             "n_hotspots": len(result.hotspots),
             "resolved_spatial_eps": result.resolved_eps,
@@ -390,8 +403,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _write_json(out / "config_used.json", config.echo())
 
     ok_sessions = [results[p].session for p in files if p in results]
-    touching = sum(1 for s in ok_sessions for f in s.frames if f.touching)
-    if touching:
+    if any(s.touching_mask.any() for s in ok_sessions):
         dist = touch_distribution(ok_sessions)
         _write_json(out / "touchdist.json", touch_distribution_plot_data(dist, ok_sessions))
     else:

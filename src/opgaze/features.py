@@ -106,7 +106,7 @@ def build_distance_series(
     }[period]
 
     lo, hi = bounds
-    t = s.times()
+    t = s.times
     touching = s.touching_mask
     if period in ("O", "OU"):  # these end at the last operating frame
         sel = (t >= lo) & (t <= hi)

@@ -22,7 +22,7 @@ to the attention point, covariance) across sessions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +33,8 @@ DEFAULT_TEMPORAL_GAP_MAX = 3.0
 DEFAULT_MIN_POINTS = 3
 
 Touch = tuple[float, Point2]
+# Touches as (t, x, y) array rows, or as (t, position) pairs at the API edge.
+Touches = Union[np.ndarray, Sequence[Touch]]
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,15 @@ class TouchDistribution:
             raise ValueError("covariance must be positive semi-definite")
 
 
-def extract_touches(s: Session) -> list[Touch]:
-    """All (t, hand position) pairs for frames with physical contact."""
-    return [(f.t, f.hand) for f in s.frames if f.touching]
+def extract_touches(s: Session) -> np.ndarray:
+    """(t, hand x, hand y) rows, one per frame with physical contact."""
+    return np.column_stack((s.times, s.hand_xy))[s.touching_mask]
+
+
+def _touch_rows(touches: Touches) -> np.ndarray:
+    if isinstance(touches, np.ndarray):
+        return touches
+    return np.array([(t, p.x, p.y) for t, p in touches], dtype=float).reshape(-1, 3)
 
 
 # Candidate pairs examined per step; bounds the working arrays.
@@ -123,7 +131,7 @@ def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> 
         _settle(label, lo, hi)
 
 
-def cluster_touches(touches: Sequence[Touch], params: ClusterParams) -> list[Hotspot]:
+def cluster_touches(touches: Touches, params: ClusterParams) -> list[Hotspot]:
     """Cluster touches into hotspots.
 
     Input touches are expected time-ordered (as produced by
@@ -138,7 +146,7 @@ def cluster_touches(touches: Sequence[Touch], params: ClusterParams) -> list[Hot
     if n == 0:
         return []
 
-    raw = np.array([(t, p.x, p.y) for t, p in touches], dtype=float).T
+    raw = _touch_rows(touches).T
     # lexsort is stable, so ties on (t, x, y) keep input order
     order = np.lexsort(raw[::-1])
     times, xs, ys = np.ascontiguousarray(raw[:, order])
@@ -189,7 +197,7 @@ def cluster_touches(touches: Sequence[Touch], params: ClusterParams) -> list[Hot
     return hotspots
 
 
-def noise_indices(touches: Sequence[Touch], hotspots: Sequence[Hotspot]) -> list[int]:
+def noise_indices(touches: Touches, hotspots: Sequence[Hotspot]) -> list[int]:
     """Input indices of touches that belong to no hotspot."""
     member = set()
     for h in hotspots:
@@ -197,19 +205,17 @@ def noise_indices(touches: Sequence[Touch], hotspots: Sequence[Hotspot]) -> list
     return [i for i in range(len(touches)) if i not in member]
 
 
-def assign_operating_hotspot(
-    ou_touches: Sequence[Touch], hotspots: Sequence[Hotspot]
-) -> Optional[int]:
+def assign_operating_hotspot(ou_touches: Touches, hotspots: Sequence[Hotspot]) -> Optional[int]:
     """Hotspot whose centroid is nearest the mean of a unit's touch
     positions; ties break toward the lower id.  None when there are no
     hotspots to assign (flagged on the unit)."""
     if not hotspots:
         return None
-    if not ou_touches:
+    rows = _touch_rows(ou_touches)
+    if not len(rows):
         raise ValueError("ou_touches must be nonempty")
-    mx = sum(p.x for _, p in ou_touches) / len(ou_touches)
-    my = sum(p.y for _, p in ou_touches) / len(ou_touches)
-    mean = Point2(mx, my)
+    # the builtin sum, in touch order, keeps the last bit of the mean stable
+    mean = Point2(sum(rows[:, 1].tolist()) / len(rows), sum(rows[:, 2].tolist()) / len(rows))
     best_id = None
     best_dist = None
     for h in sorted(hotspots, key=lambda h: h.id):
@@ -219,6 +225,14 @@ def assign_operating_hotspot(
     return best_id
 
 
+def _touching_points(sessions: Session | Sequence[Session]) -> np.ndarray:
+    """(hand x, hand y, attention x, attention y) of every touching frame."""
+    if isinstance(sessions, Session):
+        sessions = [sessions]
+    rows = [np.hstack((s.hand_xy, s.attention_xy))[s.touching_mask] for s in sessions]
+    return np.concatenate(rows or [np.empty((0, 4))])
+
+
 def touch_distribution(sessions: Session | Sequence[Session]) -> TouchDistribution:
     """Accumulated touch centroid, bias, and covariance across sessions.
 
@@ -226,23 +240,9 @@ def touch_distribution(sessions: Session | Sequence[Session]) -> TouchDistributi
     over the same (touching) frames: how far contact sits from where the
     operator is looking when touching.
     """
-    if isinstance(sessions, Session):
-        sessions = [sessions]
-    px: list[float] = []
-    py: list[float] = []
-    att_x: list[float] = []
-    att_y: list[float] = []
-    for s in sessions:
-        for f in s.frames:
-            if f.touching:
-                px.append(f.hand.x)
-                py.append(f.hand.y)
-                att_x.append(f.attention.x)
-                att_y.append(f.attention.y)
-    if not px:
+    xs, ys, att_x, att_y = _touching_points(sessions).T
+    if not len(xs):
         raise ValueError("no touches across sessions")
-    xs = np.array(px)
-    ys = np.array(py)
     cx, cy = float(np.mean(xs)), float(np.mean(ys))
     bias = Point2(cx - float(np.mean(att_x)), cy - float(np.mean(att_y)))
     dx = xs - cx
@@ -263,9 +263,7 @@ def touch_distribution_plot_data(
     dist: TouchDistribution, sessions: Session | Sequence[Session]
 ) -> dict:
     """Plot-ready payload: the distribution plus the raw touch points."""
-    if isinstance(sessions, Session):
-        sessions = [sessions]
-    points = [[f.hand.x, f.hand.y] for s in sessions for f in s.frames if f.touching]
+    points = _touching_points(sessions)[:, :2].tolist()
     return {
         "centroid": [dist.centroid.x, dist.centroid.y],
         "bias": [dist.bias_vector.x, dist.bias_vector.y],

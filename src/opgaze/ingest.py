@@ -14,32 +14,30 @@ explicit null / empty cell, never (0, 0).
 Sidecars: step labels as ``start_t,end_t,step_id`` CSV and difficulty
 ratings as ``step_id,rater_id,role,score`` CSV.
 
-Rejected inputs never produce a Session: any malformed line, duplicate or
-non-monotonic timestamp, contact-without-hand frame, or non-finite
-coordinate raises :class:`ParseError` with the offending line number.
+Frames are parsed straight into the Session's columns.  Rejected inputs
+never produce a Session: any malformed line, duplicate or non-monotonic
+timestamp, contact-without-hand frame, or non-finite value (an integer too
+large for a float included) raises :class:`ParseError` with the number of
+the earliest offending line, as a line-by-line check would.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
-from .session import (
-    ORDINALS,
-    DifficultyRatings,
-    FrameRecord,
-    Point2,
-    Rating,
-    Session,
-    StepLabel,
-)
+import numpy as np
+
+from .session import ORDINALS, DifficultyRatings, Rating, Session, StepLabel
 
 JSONL = "jsonl"
 CSV = "csv"
@@ -102,14 +100,37 @@ def _open_text(source: Source) -> tuple[IO[str], str, bool]:
     return io.StringIO(text), str(name), True
 
 
-def _finite(value: float, what: str, lineno: int, src: str) -> float:
+def _as_float(value: object) -> Optional[float]:
+    """``float(value)``; None when it is not a number, inf when it overflows."""
     try:
-        out = float(value)
+        return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        raise ParseError(f"{what} is not a number: {value!r}", line=lineno, source=src)
-    if not math.isfinite(out):
-        raise ParseError(f"{what} is not finite: {value!r}", line=lineno, source=src)
+        return None
+    except OverflowError:  # an int too large for a float
+        return math.inf
+
+
+def _not_finite(value: object, what: str) -> str:
+    return f"{what} is not {'a number' if _as_float(value) is None else 'finite'}: {value!r}"
+
+
+def _finite(value: object, what: str, lineno: int, src: str) -> float:
+    out = _as_float(value)
+    if out is None or not math.isfinite(out):
+        raise ParseError(_not_finite(value, what), line=lineno, source=src)
     return out
+
+
+def _floats(values: Sequence[object], absent: Optional[np.ndarray] = None) -> np.ndarray:
+    """``float()`` of each value as an array; NaN where it is absent or not a number."""
+    if absent is not None and absent.any():
+        out = np.full(len(values), np.nan)
+        out[~absent] = _floats(list(itertools.compress(values, (~absent).tolist())))
+        return out
+    try:
+        return np.fromiter(map(float, values), dtype=float, count=len(values))
+    except (TypeError, ValueError, OverflowError):
+        return np.array([_as_float(v) for v in values], dtype=float)  # None -> NaN
 
 
 def _parse_header(obj: dict, lineno: int, src: str) -> dict:
@@ -139,35 +160,59 @@ def _parse_header(obj: dict, lineno: int, src: str) -> dict:
     }
 
 
-def _frame_from_fields(row: dict, lineno: int, src: str) -> FrameRecord:
-    t = _finite(row["t"], "t", lineno, src)
-    if t < 0:
-        raise ParseError(f"t must be >= 0, got {t}", line=lineno, source=src)
-    ax = _finite(row["ax"], "ax", lineno, src)
-    ay = _finite(row["ay"], "ay", lineno, src)
-    hx, hy = row["hx"], row["hy"]
-    if (hx is None) != (hy is None):
-        raise ParseError("hx and hy must be null together", line=lineno, source=src)
-    hand = None
-    if hx is not None:
-        hand = Point2(_finite(hx, "hx", lineno, src), _finite(hy, "hy", lineno, src))
-    touch = row["touch"]
-    if not isinstance(touch, bool):
-        raise ParseError(f"touch must be a boolean, got {touch!r}", line=lineno, source=src)
-    if touch and hand is None:
-        raise ParseError("contact without hand: touch=true but hand is null", line=lineno, source=src)
-    return FrameRecord(t=t, attention=Point2(ax, ay), hand=hand, touching=touch)
+Check = tuple[np.ndarray, Callable[[int], str]]
 
 
-def _check_monotonic(frames: list[FrameRecord], lineno: int, src: str) -> None:
-    if len(frames) >= 2 and frames[-1].t <= frames[-2].t:
-        if frames[-1].t == frames[-2].t:
-            raise ParseError(f"duplicate timestamp t={frames[-1].t}", line=lineno, source=src)
-        raise ParseError(
-            f"non-monotonic timestamp: t={frames[-1].t} after t={frames[-2].t}",
-            line=lineno,
-            source=src,
-        )
+def _columns(rows: Sequence[Sequence[object]]) -> Sequence[Sequence[object]]:
+    return tuple(zip(*rows)) or ((),) * len(FRAME_FIELDS)
+
+
+def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: str,
+                   *checks_before: Check) -> dict[str, np.ndarray]:
+    """Check raw frame values column by column and convert them.
+
+    ``raw`` holds the ``FRAME_FIELDS`` columns as read, with None for an
+    absent hand; ``lines`` the line of each frame.  A check is a mask over
+    all frames and the error message for one frame; each line is checked in
+    list order.  Returns the Session columns.
+    """
+    t_raw, ax_raw, ay_raw, hx_raw, hy_raw, touch_raw = raw
+    hx_none, hy_none = (np.array([v is None for v in col], dtype=bool) for col in (hx_raw, hy_raw))
+    t, ax, ay = (_floats(col) for col in raw[:3])
+    hx, hy = _floats(hx_raw, hx_none), _floats(hy_raw, hy_none)
+    touch_bool = np.array([type(v) is bool for v in touch_raw], dtype=bool)
+    touching = np.array([v is True for v in touch_raw], dtype=bool)
+    out_of_order = np.zeros(len(t), dtype=bool)
+    out_of_order[1:] = t[1:] <= t[:-1]
+
+    def finite(values: np.ndarray, raw_col: Sequence[object], what: str, present=True) -> Check:
+        return ~np.isfinite(values) & present, lambda i: _not_finite(raw_col[i], what)
+
+    def order_message(i: int) -> str:
+        cur, prev = float(t[i]), float(t[i - 1])
+        return (f"duplicate timestamp t={cur}" if cur == prev
+                else f"non-monotonic timestamp: t={cur} after t={prev}")
+
+    checks = [
+        *checks_before,
+        finite(t, t_raw, "t"),
+        (t < 0, lambda i: f"t must be >= 0, got {float(t[i])}"),
+        finite(ax, ax_raw, "ax"),
+        finite(ay, ay_raw, "ay"),
+        (hx_none != hy_none, lambda i: "hx and hy must be null together"),
+        finite(hx, hx_raw, "hx", ~hx_none),
+        finite(hy, hy_raw, "hy", ~hy_none),
+        (~touch_bool, lambda i: f"touch must be a boolean, got {touch_raw[i]!r}"),
+        (touching & hx_none, lambda i: "contact without hand: touch=true but hand is null"),
+        (out_of_order, order_message),
+    ]
+    bad = [int(np.argmax(mask)) for mask, _ in checks if mask.any()]
+    if bad:
+        i = min(bad)
+        message = next(message for mask, message in checks if mask[i])
+        raise ParseError(message(i), line=lines[i], source=src)
+    return {"times": t, "attention_xy": np.column_stack((ax, ay)),
+            "hand_xy": np.column_stack((hx, hy)), "touching_mask": touching}
 
 
 def parse_session(
@@ -180,55 +225,71 @@ def parse_session(
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     stream, src, close = _open_text(source)
     try:
-        if format == JSONL:
-            header, frames = _parse_jsonl(stream, src)
-        else:
-            header, frames = _parse_csv(stream, src)
+        parse = _parse_jsonl if format == JSONL else _parse_csv
+        header, columns = parse(stream, src)
     finally:
         if close:
             stream.close()
-    if not frames:
+    if not len(columns["times"]):
         raise ParseError("no frames in session", source=src)
-    return Session(
-        id=header["id"],
-        operator=header["operator"],
-        ordinal=header["ordinal"],
-        frames=tuple(frames),
-        sample_rate_hz=header["rate_hz"],
-        coord_frame=header["coord_frame"],
-        step_labels=step_labels,
-    )
+    return Session(header["id"], header["operator"], header["ordinal"],
+                   sample_rate_hz=header["rate_hz"], coord_frame=header["coord_frame"],
+                   step_labels=step_labels, **columns)
 
 
-def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, list[FrameRecord]]:
+_FRAME_VALUES = operator.itemgetter(*FRAME_FIELDS)
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str) -> object:
+    """``json.loads`` of a stripped line, without its whitespace scans (about
+    half of its time on a frame line); the same value or the same error."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    try:
+        obj, end = _scan_json(line, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return obj
+
+
+def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
     header = None
-    frames: list[FrameRecord] = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc.msg}", line=lineno, source=src)
-        if header is None:
-            header = _parse_header(obj, lineno, src)
-            continue
-        if not isinstance(obj, dict):
-            raise ParseError("frame must be an object", line=lineno, source=src)
-        missing = [k for k in FRAME_FIELDS if k not in obj]
-        if missing:
-            raise ParseError(f"frame missing fields: {missing}", line=lineno, source=src)
-        frames.append(_frame_from_fields(obj, lineno, src))
-        _check_monotonic(frames, lineno, src)
+    rows: list[tuple] = []
+    lines: list[int] = []
+    try:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = _decode_line(line)
+            except ValueError as exc:  # also an integer past Python's digit limit
+                raise ParseError(f"malformed JSON: {getattr(exc, 'msg', exc)}",
+                                 line=lineno, source=src)
+            if header is None:
+                header = _parse_header(obj, lineno, src)
+                continue
+            if not isinstance(obj, dict):
+                raise ParseError("frame must be an object", line=lineno, source=src)
+            try:
+                rows.append(_FRAME_VALUES(obj))
+            except KeyError:
+                missing = [k for k in FRAME_FIELDS if k not in obj]
+                raise ParseError(f"frame missing fields: {missing}", line=lineno, source=src)
+            lines.append(lineno)
+    except ParseError:
+        _frame_columns(_columns(rows), lines, src)  # an earlier frame's error comes first
+        raise
     if header is None:
         raise ParseError("empty file: missing session header", source=src)
-    return header, frames
+    return header, _frame_columns(_columns(rows), lines, src)
 
 
-def _parse_csv(stream: IO[str], src: str) -> tuple[dict, list[FrameRecord]]:
+def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
     first = stream.readline()
-    lineno = 1
     if not first:
         raise ParseError("empty file: missing session header", source=src)
     if not first.lstrip().startswith("#"):
@@ -236,8 +297,8 @@ def _parse_csv(stream: IO[str], src: str) -> tuple[dict, list[FrameRecord]]:
                          line=1, source=src)
     try:
         header_obj = json.loads(first.lstrip()[1:])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed header JSON: {exc.msg}", line=1, source=src)
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise ParseError(f"malformed header JSON: {getattr(exc, 'msg', exc)}", line=1, source=src)
     header = _parse_header(header_obj, 1, src)
 
     reader = csv.reader(stream)
@@ -245,33 +306,32 @@ def _parse_csv(stream: IO[str], src: str) -> tuple[dict, list[FrameRecord]]:
         columns = next(reader)
     except StopIteration:
         raise ParseError("missing column header", source=src)
-    lineno += 1
     if [c.strip() for c in columns] != list(FRAME_FIELDS):
-        raise ParseError(f"column header must be {','.join(FRAME_FIELDS)}", line=lineno, source=src)
+        raise ParseError(f"column header must be {','.join(FRAME_FIELDS)}", line=2, source=src)
 
-    frames: list[FrameRecord] = []
-    for row in reader:
-        lineno += 1
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(FRAME_FIELDS):
-            raise ParseError(f"expected {len(FRAME_FIELDS)} cells, got {len(row)}",
-                             line=lineno, source=src)
-        t, ax, ay, hx, hy, touch = (cell.strip() for cell in row)
-        if touch not in ("true", "false"):
-            raise ParseError(f"touch must be 'true' or 'false', got {touch!r}",
-                             line=lineno, source=src)
-        fields = {
-            "t": t,
-            "ax": ax,
-            "ay": ay,
-            "hx": hx if hx else None,
-            "hy": hy if hy else None,
-            "touch": touch == "true",
-        }
-        frames.append(_frame_from_fields(fields, lineno, src))
-        _check_monotonic(frames, lineno, src)
-    return header, frames
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    try:
+        for lineno, row in enumerate(reader, start=3):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != len(FRAME_FIELDS):
+                raise ParseError(f"expected {len(FRAME_FIELDS)} cells, got {len(row)}",
+                                 line=lineno, source=src)
+            rows.append(row)
+            lines.append(lineno)
+    except ParseError:
+        _csv_frame_columns(rows, lines, src)  # an earlier frame's error comes first
+        raise
+    return header, _csv_frame_columns(rows, lines, src)
+
+
+def _csv_frame_columns(rows: list[list[str]], lines: list[int], src: str) -> dict[str, np.ndarray]:
+    t, ax, ay, hx, hy, touch = ([cell.strip() for cell in col] for col in _columns(rows))
+    touch_word = (np.array([c not in ("true", "false") for c in touch], dtype=bool),
+                  lambda i: f"touch must be 'true' or 'false', got {touch[i]!r}")
+    raw = (t, ax, ay, [c or None for c in hx], [c or None for c in hy], [c == "true" for c in touch])
+    return _frame_columns(raw, lines, src, touch_word)
 
 
 def detect_format(path: Union[str, Path]) -> str:
@@ -290,15 +350,13 @@ def _header_obj(s: Session) -> dict:
     }
 
 
-def _frame_obj(f: FrameRecord) -> dict:
-    return {
-        "t": f.t,
-        "ax": f.attention.x,
-        "ay": f.attention.y,
-        "hx": None if f.hand is None else f.hand.x,
-        "hy": None if f.hand is None else f.hand.y,
-        "touch": f.touching,
-    }
+def _frame_values(s: Session) -> Iterable[tuple]:
+    """Per-frame ``FRAME_FIELDS`` values as plain Python objects; the hand
+    is None, None while out of sight."""
+    seen = s.hand_visible_mask.tolist()
+    hx, hy = ([v if v_seen else None for v, v_seen in zip(col, seen)] for col in s.hand_xy.T.tolist())
+    ax, ay = s.attention_xy.T.tolist()
+    return zip(s.times.tolist(), ax, ay, hx, hy, s.touching_mask.tolist())
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
@@ -327,7 +385,7 @@ def write_session(s: Session, path: Union[str, Path], format: Optional[str] = No
     fmt = format or detect_format(path)
     if fmt == JSONL:
         lines = [json.dumps(_header_obj(s))]
-        lines.extend(json.dumps(_frame_obj(f)) for f in s.frames)
+        lines.extend(json.dumps(dict(zip(FRAME_FIELDS, row))) for row in _frame_values(s))
         atomic_write_text(path, "\n".join(lines) + "\n")
         return
     if fmt != CSV:
@@ -336,15 +394,11 @@ def write_session(s: Session, path: Union[str, Path], format: Optional[str] = No
     buf.write("#" + json.dumps(_header_obj(s)) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FRAME_FIELDS)
-    for f in s.frames:
-        writer.writerow([
-            repr(f.t),
-            repr(f.attention.x),
-            repr(f.attention.y),
-            "" if f.hand is None else repr(f.hand.x),
-            "" if f.hand is None else repr(f.hand.y),
-            "true" if f.touching else "false",
-        ])
+    writer.writerows(
+        [repr(t), repr(ax), repr(ay), "" if hx is None else repr(hx), "" if hy is None else repr(hy),
+         "true" if touch else "false"]
+        for t, ax, ay, hx, hy, touch in _frame_values(s)
+    )
     atomic_write_text(path, buf.getvalue())
 
 
@@ -432,29 +486,27 @@ def validate_session(s: Session, expected_rate: Optional[float] = None) -> Valid
 
     nominal = 1.0 / rate
     gap_threshold = 2.0 * nominal
-    irregular = 0
-    times = s.times()
-    for i in range(1, len(times)):
-        dt = float(times[i] - times[i - 1])
-        if dt > gap_threshold:
-            report.warnings.append(
-                f"sampling gap of {dt:.4f}s at t={times[i - 1]!r} (threshold {gap_threshold:.4f}s)"
-            )
-        elif not (0.8 * nominal <= dt <= 1.2 * nominal):
-            irregular += 1
+    times = s.times
+    dt = np.diff(times)
+    gap = dt > gap_threshold
+    for i in np.flatnonzero(gap).tolist():
+        report.warnings.append(
+            f"sampling gap of {float(dt[i]):.4f}s at t={times[i]!r} (threshold {gap_threshold:.4f}s)"
+        )
+    irregular = int(np.count_nonzero(~gap & ~((0.8 * nominal <= dt) & (dt <= 1.2 * nominal))))
     if irregular:
         report.warnings.append(
             f"{irregular} sample intervals deviate more than 20% from 1/{rate} s"
         )
 
-    touch_count = sum(1 for f in s.frames if f.touching)
-    hand_frames = sum(1 for f in s.frames if f.hand is not None)
+    touch_count = int(np.count_nonzero(s.touching_mask))
+    hand_frames = int(np.count_nonzero(s.hand_visible_mask))
     if hand_frames == 0:
         report.warnings.append("no hand frames: hand never visible in this session")
     report.stats = {
-        "frame_count": len(s.frames),
+        "frame_count": len(s),
         "touch_count": touch_count,
-        "hand_visible_fraction": hand_frames / len(s.frames),
+        "hand_visible_fraction": hand_frames / len(s),
         "duration_s": float(times[-1] - times[0]),
         "sample_rate_hz": s.sample_rate_hz,
     }

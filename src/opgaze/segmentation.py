@@ -16,6 +16,8 @@ import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .session import Hotspot, Interval, OperationUnit, Session
 from .hotspot import assign_operating_hotspot
 
@@ -37,53 +39,28 @@ class SegmentationParams:
             raise ValueError("segmentation parameters must be >= 0")
 
 
-def _touch_bouts(s: Session) -> list[tuple[int, int]]:
-    """Maximal runs of touching frames, as (first, last) frame indices."""
-    bouts = []
-    start = None
-    for i, f in enumerate(s.frames):
-        if f.touching:
-            if start is None:
-                start = i
-        elif start is not None:
-            bouts.append((start, i - 1))
-            start = None
-    if start is not None:
-        bouts.append((start, len(s.frames) - 1))
-    return bouts
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of True in ``mask``."""
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
 
-def _merge_bouts(s: Session, bouts: list[tuple[int, int]], gap: float) -> list[tuple[int, int]]:
-    if not bouts:
-        return []
-    merged = [bouts[0]]
-    for first, last in bouts[1:]:
-        prev_first, prev_last = merged[-1]
-        if s.frames[first].t - s.frames[prev_last].t < gap:
-            merged[-1] = (prev_first, last)
-        else:
-            merged.append((first, last))
-    return merged
+def _merge_bouts(t: np.ndarray, first: np.ndarray, last: np.ndarray,
+                 gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Join each bout to the previous one when the pause between is below ``gap``."""
+    split = ~(t[first[1:]] - t[last[:-1]] < gap)
+    return first[np.r_[True, split]], last[np.r_[split, True]]
 
 
-def _visible_flags(s: Session, debounce: int) -> list[bool]:
+def _visible_flags(s: Session, debounce: int) -> np.ndarray:
     """Per-frame flag: hand in sight, counting only presence runs of at
     least ``debounce`` frames."""
-    n = len(s.frames)
-    visible = [False] * n
-    i = 0
-    while i < n:
-        if s.frames[i].hand is None:
-            i += 1
-            continue
-        j = i
-        while j < n and s.frames[j].hand is not None:
-            j += 1
-        if j - i >= max(debounce, 1):
-            for k in range(i, j):
-                visible[k] = True
-        i = j
-    return visible
+    first, last = _runs(s.hand_visible_mask)
+    keep = last - first + 1 >= max(debounce, 1)
+    edges = np.zeros(len(s) + 1, dtype=np.int8)
+    edges[first[keep]] = 1
+    edges[last[keep] + 1] = -1
+    return np.cumsum(edges[:-1]) > 0
 
 
 def _majority_step(s: Session, o_start: float, o_end: float) -> Optional[str]:
@@ -117,44 +94,43 @@ def segment_units(
     step labels each unit gets the step covering the majority of its
     operating period.
     """
-    raw = _touch_bouts(s)
-    if not raw:
+    t = s.times
+    first, last = _runs(s.touching_mask)
+    if not len(first):
         logger.warning("session %s: no touches, nothing to segment", s.id)
         return []
-    merged = _merge_bouts(s, raw, params.touch_merge_gap)
+    first, last = _merge_bouts(t, first, last, params.touch_merge_gap)
 
-    kept: list[tuple[int, int]] = []
-    for first, last in merged:
-        duration = s.frames[last].t - s.frames[first].t
-        if duration < params.min_operating:
-            logger.warning(
-                "session %s: dropped operating bout [%s, %s] shorter than %ss",
-                s.id, s.frames[first].t, s.frames[last].t, params.min_operating,
-            )
-        else:
-            kept.append((first, last))
+    short = t[last] - t[first] < params.min_operating
+    for i in np.flatnonzero(short).tolist():
+        logger.warning(
+            "session %s: dropped operating bout [%s, %s] shorter than %ss",
+            s.id, float(t[first[i]]), float(t[last[i]]), params.min_operating,
+        )
+    kept = list(zip(first[~short].tolist(), last[~short].tolist()))
     if not kept:
         logger.warning("session %s: all operating bouts below min_operating", s.id)
         return []
 
-    visible = _visible_flags(s, params.hand_presence_debounce)
+    visible = np.flatnonzero(_visible_flags(s, params.hand_presence_debounce))
     units: list[OperationUnit] = []
     prev_end_t = s.start_t
     prev_end_i = -1
     for index, (ob, oe) in enumerate(kept):
-        o_start, o_end = s.frames[ob].t, s.frames[oe].t
+        o_start, o_end = float(t[ob]), float(t[oe])
         appearance = o_start
-        for j in range(prev_end_i + 1, ob + 1):
-            if visible[j]:
-                # hand still in sight right after the previous contact
-                # means it never left: approaching starts at the boundary
-                appearance = prev_end_t if j == prev_end_i + 1 else s.frames[j].t
-                break
+        k = np.searchsorted(visible, prev_end_i + 1)  # first hand-in-sight frame after it
+        if k < len(visible) and visible[k] <= ob:
+            # hand still in sight right after the previous contact
+            # means it never left: approaching starts at the boundary
+            j = int(visible[k])
+            appearance = prev_end_t if j == prev_end_i + 1 else float(t[j])
         appearance = min(max(appearance, prev_end_t), o_start)
 
-        touches = [(f.t, f.hand) for f in s.frames[ob:oe + 1] if f.touching]
         hotspot_id = None
         if hotspots is not None:
+            span = slice(ob, oe + 1)
+            touches = np.column_stack((t[span], s.hand_xy[span]))[s.touching_mask[span]]
             hotspot_id = assign_operating_hotspot(touches, hotspots)
             if hotspot_id is None:
                 logger.warning("session %s: unit %d has no hotspot to assign", s.id, index)

@@ -1,10 +1,12 @@
 """Core domain types for egocentric machine-operation recordings.
 
-A recording is a :class:`Session`: a time-ordered sequence of
-:class:`FrameRecord` samples, each carrying the operator's attention proxy
-(the projected view center), the tracked hand position when in sight, and a
-physical-contact flag.  Downstream stages derive hotspots, operation units,
-distance series, and per-unit behavioral features from these types.
+A recording is a :class:`Session`, stored as one array per frame field:
+time, the operator's attention proxy (the projected view center), the hand
+position (NaN while out of sight) and a physical-contact flag.  Every stage
+reads these columns; :class:`FrameRecord` samples serve only the API edge,
+as ``Session(frames=...)`` and the on-demand ``Session.frames`` view.
+Downstream stages derive hotspots, operation units, distance series, and
+per-unit behavioral features from these types.
 
 All types are immutable after construction and safe to share across threads.
 Positions live in one planar scene coordinate frame per session; the unit
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -83,37 +85,78 @@ class StepLabel:
             raise ValueError(f"step '{self.step_id}': end {self.end_t} not after start {self.start_t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Session:
-    """One recorded operation experience.
+    """One recorded operation experience, held as per-frame columns.
 
-    Frames are strictly increasing in time.  ``ordinal`` marks whether this
-    is the operator's earlier or later experience of the task; ``step_labels``
+    ``times`` is strictly increasing; ``attention_xy`` and ``hand_xy`` are
+    (n, 2) positions, ``hand_xy`` with NaN rows while the hand is out of
+    sight; ``touching_mask`` flags contact, which needs a hand in sight.
+    All four are read-only arrays.  ``ordinal`` marks whether this is the
+    operator's earlier or later experience of the task; ``step_labels``
     optionally annotate operation-step intervals (non-overlapping).
     """
 
     id: str
     operator: str
     ordinal: str
-    frames: tuple[FrameRecord, ...]
     sample_rate_hz: float
-    coord_frame: str = "scene"
-    step_labels: Optional[tuple[StepLabel, ...]] = None
+    coord_frame: str
+    step_labels: Optional[tuple[StepLabel, ...]]
+    times: np.ndarray = field(repr=False)
+    attention_xy: np.ndarray = field(repr=False)
+    hand_xy: np.ndarray = field(repr=False)
+    touching_mask: np.ndarray = field(repr=False)
+
+    # Written out so that ``frames`` stays an init-only argument beside the
+    # ``frames`` view; ``dataclasses.replace`` passes the columns by name.
+    def __init__(self, id: str, operator: str, ordinal: str,
+                 frames: Optional[Sequence[FrameRecord]] = None, *,
+                 sample_rate_hz: float, coord_frame: str = "scene",
+                 step_labels: Optional[Sequence[StepLabel]] = None,
+                 times=None, attention_xy=None, hand_xy=None, touching_mask=None) -> None:
+        if frames is not None:
+            frames = tuple(frames)
+            times, touching_mask = [f.t for f in frames], [f.touching for f in frames]
+            attention_xy = np.reshape([(f.attention.x, f.attention.y) for f in frames], (-1, 2))
+            hand_xy = np.reshape([(math.nan,) * 2 if f.hand is None else (f.hand.x, f.hand.y)
+                                  for f in frames], (-1, 2))
+        values = (id, operator, ordinal, sample_rate_hz, coord_frame, step_labels,
+                  times, attention_xy, hand_xy, touching_mask)
+        for name, value in zip(_SESSION_FIELDS, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.ordinal not in ORDINALS:
             raise ValueError(f"ordinal must be one of {ORDINALS}, got {self.ordinal!r}")
-        if not self.frames:
+        for name, dtype in (("times", float), ("attention_xy", float), ("hand_xy", float),
+                            ("touching_mask", bool)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        t, n = self.times, len(self.times)
+        if not n:
             raise ValueError(f"session {self.id!r}: frames must be nonempty")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ValueError(f"session {self.id!r}: sample_rate_hz must be positive")
-        object.__setattr__(self, "frames", tuple(self.frames))
-        prev = None
-        for rec in self.frames:
-            if prev is not None and rec.t <= prev:
-                kind = "duplicate timestamp" if rec.t == prev else "non-monotonic timestamp"
-                raise ValueError(f"session {self.id!r}: {kind} at t={rec.t}")
-            prev = rec.t
+        if (t.shape, self.attention_xy.shape, self.hand_xy.shape, self.touching_mask.shape) != (
+                (n,), (n, 2), (n, 2), (n,)):
+            raise ValueError(f"session {self.id!r}: columns must all hold {n} frames")
+        bad = t[~(np.isfinite(t) & (t >= 0))]
+        if len(bad):
+            raise ValueError(f"frame time must be finite and >= 0, got {float(bad[0])}")
+        hand_nan = np.isnan(self.hand_xy)
+        if not (np.isfinite(self.attention_xy).all()
+                and (np.isfinite(self.hand_xy) | hand_nan.all(axis=1, keepdims=True)).all()):
+            raise ValueError(f"session {self.id!r}: non-finite coordinates")
+        if (self.touching_mask & hand_nan[:, 0]).any():
+            raise ValueError("contact without hand: touching=true requires a hand position")
+        bad = np.flatnonzero(t[1:] <= t[:-1])
+        if len(bad):
+            prev, cur = float(t[bad[0]]), float(t[bad[0] + 1])
+            kind = "duplicate timestamp" if cur == prev else "non-monotonic timestamp"
+            raise ValueError(f"session {self.id!r}: {kind} at t={cur}")
         if self.step_labels is not None:
             labels = tuple(sorted(self.step_labels, key=lambda s: s.start_t))
             object.__setattr__(self, "step_labels", labels)
@@ -123,52 +166,39 @@ class Session:
                         f"session {self.id!r}: overlapping steps {a.step_id!r} and {b.step_id!r}"
                     )
 
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Session):
+            return NotImplemented
+        pairs = ((getattr(self, f), getattr(other, f)) for f in _SESSION_FIELDS)
+        return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
+    @property
+    def frames(self) -> tuple[FrameRecord, ...]:
+        """The frames as records, built anew on each access (API edge only)."""
+        hands = [None if math.isnan(x) else Point2(x, y) for x, y in self.hand_xy.tolist()]
+        columns = zip(self.times.tolist(), self.attention_xy.tolist(), hands, self.touching_mask.tolist())
+        return tuple(FrameRecord(t, Point2(*xy), hand, touch) for t, xy, hand, touch in columns)
+
     @property
     def start_t(self) -> float:
-        return self.frames[0].t
+        return float(self.times[0])
 
     @property
     def end_t(self) -> float:
-        return self.frames[-1].t
-
-    # The per-frame arrays below are derived once and cached on the
-    # instance (frames are immutable, so they can never go stale).
-
-    @functools.cached_property
-    def _times(self) -> np.ndarray:
-        return _readonly(np.array([f.t for f in self.frames], dtype=float))
-
-    def times(self) -> np.ndarray:
-        return self._times
-
-    @functools.cached_property
-    def attention_xy(self) -> np.ndarray:
-        arr = np.array([(f.attention.x, f.attention.y) for f in self.frames], dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @functools.cached_property
-    def hand_xy(self) -> np.ndarray:
-        """(n, 2) hand positions, NaN rows where the hand is out of sight."""
-        arr = np.full((len(self.frames), 2), np.nan, dtype=float)
-        for i, f in enumerate(self.frames):
-            if f.hand is not None:
-                arr[i, 0] = f.hand.x
-                arr[i, 1] = f.hand.y
-        arr.flags.writeable = False
-        return arr
-
-    @functools.cached_property
-    def touching_mask(self) -> np.ndarray:
-        arr = np.array([f.touching for f in self.frames], dtype=bool)
-        arr.flags.writeable = False
-        return arr
+        return float(self.times[-1])
 
     @functools.cached_property
     def hand_visible_mask(self) -> np.ndarray:
-        arr = np.array([f.hand is not None for f in self.frames], dtype=bool)
+        arr = ~np.isnan(self.hand_xy[:, 0])
         arr.flags.writeable = False
         return arr
+
+
+_SESSION_FIELDS = tuple(f.name for f in fields(Session))
 
 
 def scene_diagonal(sessions: Session | Sequence[Session]) -> float:
@@ -178,18 +208,11 @@ def scene_diagonal(sessions: Session | Sequence[Session]) -> float:
     """
     if isinstance(sessions, Session):
         sessions = [sessions]
-    xs: list[float] = []
-    ys: list[float] = []
-    for s in sessions:
-        for f in s.frames:
-            xs.append(f.attention.x)
-            ys.append(f.attention.y)
-            if f.hand is not None:
-                xs.append(f.hand.x)
-                ys.append(f.hand.y)
-    if not xs:
+    if not sessions:
         return 0.0
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    points = np.concatenate([xy for s in sessions for xy in (s.attention_xy, s.hand_xy)])
+    span = np.nanmax(points, axis=0) - np.nanmin(points, axis=0)
+    return math.hypot(*span.tolist())
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "broken.jsonl:4" in err
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_number_reported_with_line(self, corpus, tmp_path, capsys, digits):
+        bad = corpus / "sessions" / "huge.jsonl"
+        lines = (corpus / "sessions" / "op1_earlier.jsonl").read_text().splitlines()
+        lines[3] = lines[3].replace('"t": 0.2', '"t": 1' + "0" * digits)
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert run(["validate", corpus / "sessions", "--out", out]) == 1
+        assert "huge.jsonl:4" in capsys.readouterr().err
+        report = json.loads((out / "validation_report.json").read_text())
+        assert [e["errors"][0][0] for e in report if e["errors"]] == [4]
+
     def test_empty_directory_is_distinct_failure(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -172,6 +184,46 @@ class TestAnalyze:
         assert "evil.jsonl:1" in capsys.readouterr().err
         assert not (tmp_path / "a" / "escaped").exists()
         assert not (tmp_path / "escaped").exists()
+
+    def test_duplicate_session_ids_fail_every_holder(self, corpus, tmp_path, capsys):
+        sessions = corpus / "sessions"
+        (sessions / "zz_copy.jsonl").write_bytes((sessions / "op1_earlier.jsonl").read_bytes())
+        out = tmp_path / "out"
+        assert run(["analyze", sessions, "--out", out]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        errors = {Path(f["source"]).name: f["error"] for f in summary["failures"]}
+        assert sorted(errors) == ["op1_earlier.jsonl", "zz_copy.jsonl"]
+        assert "duplicate session id 'op1_earlier'" in errors["op1_earlier.jsonl"]
+        assert "zz_copy.jsonl" in errors["op1_earlier.jsonl"]
+        assert "op1_earlier.jsonl" in errors["zz_copy.jsonl"]
+        assert [s["id"] for s in summary["sessions"]] == ["op1_later"]
+        assert not (out / "sessions" / "op1_earlier").exists()
+        with (out / "features.csv").open() as fh:
+            assert {r["session_id"] for r in csv.DictReader(fh)} == {"op1_later"}
+        assert "zz_copy.jsonl" in capsys.readouterr().err
+
+    def test_only_duplicate_ids_is_input_error(self, corpus, tmp_path):
+        sessions = corpus / "sessions"
+        (sessions / "op1_later.jsonl").unlink()
+        (sessions / "again.jsonl").write_bytes((sessions / "op1_earlier.jsonl").read_bytes())
+        out = tmp_path / "out"
+        assert run(["analyze", sessions, "--out", out]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_sessions_ok"] == 0 and summary["n_sessions_failed"] == 2
+        assert not (out / "sessions").exists()
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_number_is_a_line_numbered_failure(self, corpus, tmp_path, capsys, digits):
+        sessions = corpus / "sessions"
+        lines = (sessions / "op1_earlier.jsonl").read_text().splitlines()
+        lines[2] = lines[2].replace('"t": 0.1', '"t": 1' + "0" * digits)
+        (sessions / "op1_earlier.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["analyze", sessions, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "op1_earlier.jsonl:3" in err and "Traceback" not in err
+        summary = json.loads((out / "summary.json").read_text())
+        assert "op1_earlier.jsonl:3: " in summary["failures"][0]["error"]
 
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

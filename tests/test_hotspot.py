@@ -264,10 +264,18 @@ class TestExtractTouches:
             frame(0.3, hx=4.0, hy=4.0, touch=True),
         ])
         got = extract_touches(s)
-        assert [(t, p.x) for t, p in got] == [(0.1, 2.0), (0.3, 4.0)]
+        assert got.tolist() == [[0.1, 2.0, 2.0], [0.3, 4.0, 4.0]]
 
     def test_no_touches(self):
-        assert extract_touches(make_session([frame(0.0)])) == []
+        assert extract_touches(make_session([frame(0.0)])).shape == (0, 3)
+
+    def test_rows_cluster_like_pairs(self):
+        touches = [(i * 0.1, Point2(float(i % 3), 0.0)) for i in range(12)]
+        rows = np.array([(t, p.x, p.y) for t, p in touches])
+        params = ClusterParams(spatial_eps=0.5, min_points=2)
+        assert cluster_touches(rows, params) == cluster_touches(touches, params)
+        hotspots = cluster_touches(rows, params)
+        assert assign_operating_hotspot(rows[:3], hotspots) == assign_operating_hotspot(touches[:3], hotspots)
 
 
 class TestAssignHotspot:

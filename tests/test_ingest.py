@@ -82,6 +82,36 @@ class TestParseJsonl:
             parse_session(io.StringIO(HEADER + "\n"))
 
 
+class TestHugeNumbers:
+    """A JSON integer too large for a float is a line-numbered ParseError.
+
+    400 digits overflow ``float()``; 5,000 digits exceed Python's int-digit
+    limit already while the line is decoded.
+    """
+
+    FRAME = '{{"t": {t}, "ax": 0, "ay": 0, "hx": null, "hy": null, "touch": false}}'
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_frame_time(self, digits):
+        with pytest.raises(ParseError) as exc:
+            parse_session(jsonl(self.FRAME.format(t=0.0), self.FRAME.format(t="1" + "0" * digits)))
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_header_rate(self, digits, fmt):
+        header = HEADER.replace("30.0", "1" + "0" * digits)
+        text = (header + "\n" + self.FRAME.format(t=0.0) + "\n" if fmt == "jsonl"
+                else "#" + header + "\nt,ax,ay,hx,hy,touch\n0.0,0,0,,,false\n")
+        with pytest.raises(ParseError) as exc:
+            parse_session(io.StringIO(text), format=fmt)
+        assert exc.value.line == 1
+
+    def test_400_digits_are_not_finite(self):
+        with pytest.raises(ParseError, match="t is not finite"):
+            parse_session(jsonl(self.FRAME.format(t="1" + "0" * 400)))
+
+
 class TestRoundTrip:
     def _session(self):
         return make_session([

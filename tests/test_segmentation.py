@@ -167,6 +167,41 @@ class TestInvariants:
                 in_kept = any(a <= f.t <= b for a, b in kept)
                 assert hits == (1 if in_kept else 0)
 
+    def test_approach_starts_match_frame_by_frame_rule(self):
+        """Approaching starts where a frame-by-frame walk puts them: at the
+        first frame of a debounced hand-presence run since the previous
+        contact, or at that contact's end if the hand never left."""
+        def visible_flags(frames, debounce):
+            flags = [False] * len(frames)
+            i = 0
+            while i < len(frames):
+                j = i
+                while j < len(frames) and frames[j].hand is not None:
+                    j += 1
+                if j - i >= max(debounce, 1):
+                    flags[i:j] = [True] * (j - i)
+                i = max(j, i + 1)
+            return flags
+
+        rng = np.random.default_rng(29)
+        for debounce in (0, 1, 2, 3, 5):
+            for _ in range(10):
+                s = self._random_session(rng)
+                frames = s.frames
+                ts = [f.t for f in frames]
+                visible = visible_flags(frames, debounce)
+                params = SegmentationParams(min_operating=0.2, hand_presence_debounce=debounce)
+                prev_t, prev_i = ts[0], -1
+                for u in segment_units(s, params):
+                    ob, oe = ts.index(u.operating.start), ts.index(u.operating.end)
+                    want = u.operating.start
+                    for j in range(prev_i + 1, ob + 1):
+                        if visible[j]:
+                            want = prev_t if j == prev_i + 1 else ts[j]
+                            break
+                    assert u.approaching.start == min(max(want, prev_t), u.operating.start)
+                    prev_t, prev_i = u.operating.end, oe
+
     def test_units_ordered_and_disjoint(self):
         rng = np.random.default_rng(23)
         for _ in range(10):

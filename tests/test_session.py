@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -70,13 +73,39 @@ class TestSession:
             frame(0.1, ax=3.0, ay=4.0, hx=5.0, hy=6.0),
             frame(0.2, ax=7.0, ay=8.0, hx=9.0, hy=10.0, touch=True),
         ])
-        assert np.array_equal(s.times(), [0.0, 0.1, 0.2])
+        assert np.array_equal(s.times, [0.0, 0.1, 0.2])
         assert np.array_equal(s.attention_xy, [[1, 2], [3, 4], [7, 8]])
         assert np.isnan(s.hand_xy[0]).all()
         assert np.array_equal(s.hand_xy[1:], [[5, 6], [9, 10]])
         assert list(s.touching_mask) == [False, False, True]
         assert list(s.hand_visible_mask) == [False, True, True]
-        assert not s.times().flags.writeable
+        assert not s.times.flags.writeable
+
+    def test_columns_are_storage_and_frames_a_view(self):
+        frames = [frame(0.0, ax=1.0), frame(0.1, hx=5.0, hy=6.0, touch=True), frame(0.2, ax=-0.0)]
+        s = make_session(frames)
+        assert len(s) == 3 and s.frames == tuple(frames)
+        assert s.frames is not s.frames  # built on demand, not cached
+        columns = Session(id="s1", operator="op1", ordinal="earlier", sample_rate_hz=10.0,
+                          times=s.times, attention_xy=s.attention_xy, hand_xy=s.hand_xy,
+                          touching_mask=s.touching_mask)
+        assert columns == s  # NaN hand rows compare equal
+        assert pickle.loads(pickle.dumps(s)) == s
+        assert dataclasses.replace(s, id="s2") != s
+        assert dataclasses.replace(s, id="s2").frames == s.frames
+
+    def test_column_invariants_checked(self):
+        s = make_session([frame(0.0), frame(0.1, hx=1.0, hy=1.0, touch=True)])
+        hand = s.hand_xy.copy()
+        hand[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(s, hand_xy=hand)
+        with pytest.raises(ValueError, match="contact without hand"):
+            dataclasses.replace(s, touching_mask=[True, True])
+        with pytest.raises(ValueError, match="duplicate timestamp at t=0.0"):
+            dataclasses.replace(s, times=[0.0, 0.0])
+        with pytest.raises(ValueError, match="2 frames"):
+            dataclasses.replace(s, touching_mask=[False])
 
     def test_invalid_ordinal(self):
         with pytest.raises(ValueError, match="ordinal"):

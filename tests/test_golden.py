@@ -1,9 +1,10 @@
 """Golden output digest: the bytes of a seeded end-to-end run must not change.
 
-A refactor keeps every output byte.  This runs ``synth`` (two pairs, seed
-7), ``analyze`` at ``--jobs 1`` and ``--jobs 2``, then ``compare`` and
-``correlate``, all in-process through ``main``, once per input format.
-The digest covers every file written, inputs included.  A change that
+A refactor keeps every output byte.  This runs ``synth`` (seed 7),
+``analyze`` at ``--jobs 1`` and ``--jobs 2``, then ``compare`` and
+``correlate``, all in-process through ``main``.  The cases are two pairs in
+each input format, and one CSV pair at 120 Hz, whose units have long
+traces.  The digest covers every file written, inputs included.  A change that
 alters outputs on purpose updates the digests here and says why.
 """
 
@@ -17,9 +18,14 @@ import pytest
 
 from opgaze.cli import main
 
+# case -> (synth spec, session format, digest)
 GOLDEN = {
-    "jsonl": "502638885348d3fb9a837135d57613a1ce4d37f39d38425c96de87b98e0829b9",
-    "csv": "b223b80c8c6a84f41bbbf9c0f774bbff2dfa72191828bf3b3fd72c2f3ecb3381",
+    "jsonl": ({"n_pairs": 2}, "jsonl",
+              "502638885348d3fb9a837135d57613a1ce4d37f39d38425c96de87b98e0829b9"),
+    "csv": ({"n_pairs": 2}, "csv",
+            "b223b80c8c6a84f41bbbf9c0f774bbff2dfa72191828bf3b3fd72c2f3ecb3381"),
+    "csv_120hz": ({"n_pairs": 1, "sample_rate_hz": 120.0}, "csv",
+                  "e4c8852d2c3de696430a6dbd309992bdd48929b61317efc1bc8e6b33a48b9ced"),
 }
 
 
@@ -41,10 +47,11 @@ def tree_digest(root: Path, inputs: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("fmt", sorted(GOLDEN))
-def test_seeded_run_digest(tmp_path, fmt):
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_seeded_run_digest(tmp_path, case):
+    synth_spec, fmt, digest = GOLDEN[case]
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"n_pairs": 2}))
+    spec.write_text(json.dumps(synth_spec))
     root = tmp_path / "run"
     data = root / "data"
     assert main(["synth", "--config", str(spec), "--seed", "7", "--format", fmt,
@@ -56,4 +63,4 @@ def test_seeded_run_digest(tmp_path, fmt):
     assert main(["compare", str(out), str(data / "pairs.json"), "--out", str(root / "compare")]) == 0
     assert main(["correlate", str(out), str(data / "ratings.csv"),
                  "--out", str(root / "correlate")]) == 0
-    assert tree_digest(root, data / "sessions") == GOLDEN[fmt]
+    assert tree_digest(root, data / "sessions") == digest

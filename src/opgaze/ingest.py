@@ -33,7 +33,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -90,14 +90,28 @@ def _open_text(source: Source) -> tuple[IO[str], str, bool]:
         return path.open("r", encoding="utf-8"), str(path), True
     name = getattr(source, "name", "stream")
     data = source.read()
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"stream not decodable as UTF-8: {exc}", source=str(name))
-    else:
-        text = data
-    return io.StringIO(text), str(name), True
+    if isinstance(data, bytes):  # decoded as a file's bytes are
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), str(name), True
+    return io.StringIO(data), str(name), True
+
+
+def _not_utf8(data: bytes, parse: Callable, src: str) -> ParseError:
+    """The error for bytes that are not UTF-8: that of a line before the
+    first bad byte if there is one, else "not UTF-8" on the byte's line."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc
+    lines = io.TextIOWrapper(io.BytesIO(data[:bad.start]), encoding="utf-8").readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()  # the start of the bad line
+    try:
+        parse(io.StringIO("".join(lines)), src)
+    except ParseError as exc:
+        if exc.line is not None:
+            return exc
+    return ParseError(f"not UTF-8: byte 0x{data[bad.start]:02x} ({bad.reason})",
+                      line=len(lines) + 1, source=src)
 
 
 def _as_float(value: object) -> Optional[float]:
@@ -224,9 +238,12 @@ def parse_session(
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
     stream, src, close = _open_text(source)
+    parse = _parse_jsonl if format == JSONL else _parse_csv
     try:
-        parse = _parse_jsonl if format == JSONL else _parse_csv
         header, columns = parse(stream, src)
+    except UnicodeDecodeError:
+        stream.buffer.seek(0)
+        raise _not_utf8(stream.buffer.read(), parse, src) from None
     finally:
         if close:
             stream.close()
@@ -255,6 +272,12 @@ def _decode_line(line: str) -> object:
     return obj
 
 
+def _json_error(exc: Exception) -> str:
+    """The message of a line that does not decode; a ValueError is also an
+    integer past Python's digit limit."""
+    return "nested too deeply" if isinstance(exc, RecursionError) else getattr(exc, "msg", str(exc))
+
+
 def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
     header = None
     rows: list[tuple] = []
@@ -266,9 +289,8 @@ def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]
                 continue
             try:
                 obj = _decode_line(line)
-            except ValueError as exc:  # also an integer past Python's digit limit
-                raise ParseError(f"malformed JSON: {getattr(exc, 'msg', exc)}",
-                                 line=lineno, source=src)
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"malformed JSON: {_json_error(exc)}", line=lineno, source=src)
             if header is None:
                 header = _parse_header(obj, lineno, src)
                 continue
@@ -297,11 +319,11 @@ def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
                          line=1, source=src)
     try:
         header_obj = json.loads(first.lstrip()[1:])
-    except ValueError as exc:  # also an integer past Python's digit limit
-        raise ParseError(f"malformed header JSON: {getattr(exc, 'msg', exc)}", line=1, source=src)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"malformed header JSON: {_json_error(exc)}", line=1, source=src)
     header = _parse_header(header_obj, 1, src)
 
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream, src)
     try:
         columns = next(reader)
     except StopIteration:
@@ -324,6 +346,18 @@ def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
         _csv_frame_columns(rows, lines, src)  # an earlier frame's error comes first
         raise
     return header, _csv_frame_columns(rows, lines, src)
+
+
+def _csv_rows(stream: IO[str], src: str) -> Iterator[list[str]]:
+    """``csv.reader`` rows from line 2 on; a row the reader rejects, such as
+    one with a cell over its field size limit, is a ParseError on its line."""
+    reader = csv.reader(stream)
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            yield row
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=lineno + 1, source=src) from None
 
 
 def _csv_frame_columns(rows: list[list[str]], lines: list[int], src: str) -> dict[str, np.ndarray]:
@@ -491,7 +525,7 @@ def validate_session(s: Session, expected_rate: Optional[float] = None) -> Valid
     gap = dt > gap_threshold
     for i in np.flatnonzero(gap).tolist():
         report.warnings.append(
-            f"sampling gap of {float(dt[i]):.4f}s at t={times[i]!r} (threshold {gap_threshold:.4f}s)"
+            f"sampling gap of {float(dt[i]):.4f}s at t={float(times[i])!r} (threshold {gap_threshold:.4f}s)"
         )
     irregular = int(np.count_nonzero(~gap & ~((0.8 * nominal <= dt) & (dt <= 1.2 * nominal))))
     if irregular:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from opgaze import cli, write_session, write_step_labels
+from opgaze import cli, parse_session, write_session, write_step_labels
 from opgaze.cli import main
 
 from conftest import frame, make_session
@@ -45,6 +45,30 @@ def corpus(tmp_path):
     return root
 
 
+# inputs that once escaped the parser without a line number:
+# kind -> (session file suffix, what the bad line becomes, message)
+ESCAPES = {
+    "not_utf8": (".jsonl", lambda line: line + b" \xe9", "not UTF-8"),
+    "nested": (".jsonl", lambda line: b"[" * 100_000, "malformed JSON: nested too deeply"),
+    "long_cell": (".csv", lambda line: line.replace(b",false", b"," + b"x" * 140_000),
+                  "malformed CSV: field larger than field limit"),
+}
+
+
+def write_escape(sessions: Path, kind: str, lineno: int) -> Path:
+    """Replace ``op1_earlier`` by a copy whose line ``lineno`` is an escape."""
+    suffix, spoil, _ = ESCAPES[kind]
+    good = sessions / "op1_earlier.jsonl"
+    bad = sessions / f"op1_earlier{suffix}"
+    if suffix == ".csv":
+        write_session(parse_session(good), bad)
+        good.unlink()
+    lines = bad.read_bytes().splitlines()
+    lines[lineno - 1] = spoil(lines[lineno - 1])
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    return bad
+
+
 class TestValidate:
     def test_clean_corpus_ok(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
@@ -75,6 +99,18 @@ class TestValidate:
         assert "huge.jsonl:4" in capsys.readouterr().err
         report = json.loads((out / "validation_report.json").read_text())
         assert [e["errors"][0][0] for e in report if e["errors"]] == [4]
+
+    @pytest.mark.parametrize("kind", sorted(ESCAPES))
+    def test_parser_escape_reported_with_line(self, corpus, tmp_path, capsys, kind):
+        bad = write_escape(corpus / "sessions", kind, 5)
+        out = tmp_path / "o"
+        assert run(["validate", corpus / "sessions", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad.name}:5: {ESCAPES[kind][2]}" in err and "Traceback" not in err
+        report = json.loads((out / "validation_report.json").read_text())
+        errors = [e["errors"] for e in report if e["errors"]]
+        assert len(errors) == 1 and errors[0][0][0] == 5
+        assert ESCAPES[kind][2] in errors[0][0][1]
 
     def test_empty_directory_is_distinct_failure(self, tmp_path):
         empty = tmp_path / "nothing"
@@ -224,6 +260,16 @@ class TestAnalyze:
         assert "op1_earlier.jsonl:3" in err and "Traceback" not in err
         summary = json.loads((out / "summary.json").read_text())
         assert "op1_earlier.jsonl:3: " in summary["failures"][0]["error"]
+
+    @pytest.mark.parametrize("kind", sorted(ESCAPES))
+    def test_parser_escape_is_a_line_numbered_failure(self, corpus, tmp_path, capsys, kind):
+        bad = write_escape(corpus / "sessions", kind, 6)
+        out = tmp_path / "out"
+        assert run(["analyze", corpus / "sessions", "--out", out]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert f"{bad.name}:6: {ESCAPES[kind][2]}" in summary["failures"][0]["error"]
+        assert summary["n_sessions_ok"] == 1
 
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

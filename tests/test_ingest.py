@@ -112,6 +112,99 @@ class TestHugeNumbers:
             parse_session(jsonl(self.FRAME.format(t="1" + "0" * 400)))
 
 
+class TestParserEscapes:
+    """Bytes that are not UTF-8, JSON nested past the recursion limit and a
+    CSV cell over the csv module's field limit are line-numbered ParseErrors,
+    and an earlier line's error still comes first."""
+
+    FRAME = '{{"t": {t}, "ax": 0, "ay": 0, "hx": null, "hy": null, "touch": false}}'
+    CSV_HEAD = "#" + HEADER + "\nt,ax,ay,hx,hy,touch\n"
+
+    def _frames(self, n: int) -> list[str]:
+        return [self.FRAME.format(t=i / 10) for i in range(n)]
+
+    def _raises(self, data: bytes, fmt: str, tmp_path=None) -> ParseError:
+        source = io.BytesIO(data)
+        if tmp_path is not None:
+            source = tmp_path / f"s.{fmt}"
+            source.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            parse_session(source, format=fmt)
+        return exc.value
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_not_utf8_on_its_line(self, tmp_path, on_disk, newline):
+        lines = [HEADER.encode()] + [f.encode() for f in self._frames(4)]
+        lines[3] += b" \xff"
+        err = self._raises(newline.join(lines) + newline, "jsonl", tmp_path if on_disk else None)
+        assert (err.line, "not UTF-8" in str(err)) == (4, True)
+
+    def test_not_utf8_past_the_first_read_chunk(self, tmp_path):
+        lines = [HEADER.encode()] + [f.encode() for f in self._frames(2000)]
+        lines[1500] = lines[1500].replace(b"0,", b"\xc3\x28,", 1)
+        err = self._raises(b"\n".join(lines) + b"\n", "jsonl", tmp_path)
+        assert (err.line, "not UTF-8" in str(err)) == (1501, True)
+
+    @pytest.mark.parametrize("earlier, message", [
+        ("{not json", "malformed JSON"),
+        ('{"t": -1, "ax": 0, "ay": 0, "hx": null, "hy": null, "touch": false}', "t must be >= 0"),
+        ('{"t": 0.0}', "frame missing fields"),
+    ])
+    def test_earlier_line_error_wins_over_bad_bytes(self, earlier, message):
+        lines = [HEADER, self.FRAME.format(t=0.0), earlier, self.FRAME.format(t=0.5)]
+        data = "\n".join(lines).encode() + b"\n\xe9\n"
+        err = self._raises(data, "jsonl")
+        assert (err.line, message in str(err)) == (3, True)
+
+    def test_bad_bytes_win_over_later_line_error(self):
+        data = (HEADER + "\n" + self.FRAME.format(t=0.0)).encode() + b"\xe9\n{not json\n"
+        err = self._raises(data, "jsonl")
+        assert (err.line, "not UTF-8" in str(err)) == (2, True)
+
+    @pytest.mark.parametrize("lineno", [1, 2, 4])
+    def test_csv_not_utf8(self, lineno):
+        lines = self.CSV_HEAD.encode().splitlines() + [b"0.0,0,0,,,false", b"0.1,0,0,,,false"]
+        lines[lineno - 1] += b"\x80"
+        err = self._raises(b"\n".join(lines) + b"\n", "csv")
+        assert (err.line, "not UTF-8" in str(err)) == (lineno, True)
+
+    def test_header_not_utf8(self):
+        err = self._raises(HEADER.encode()[:-1] + b'\xe9"}\n' + self._frames(1)[0].encode(), "jsonl")
+        assert (err.line, "not UTF-8" in str(err)) == (1, True)
+
+    @pytest.mark.parametrize("lineno", [1, 3])
+    def test_nested_too_deeply(self, lineno):
+        lines = [HEADER] + self._frames(3)
+        lines[lineno - 1] = "[" * 100_000
+        with pytest.raises(ParseError, match="malformed JSON: nested too deeply") as exc:
+            parse_session(io.StringIO("\n".join(lines) + "\n"))
+        assert exc.value.line == lineno
+
+    def test_csv_header_nested_too_deeply(self):
+        text = "#" + "[" * 100_000 + "\nt,ax,ay,hx,hy,touch\n0.0,0,0,,,false\n"
+        with pytest.raises(ParseError, match="malformed header JSON: nested too deeply") as exc:
+            parse_session(io.StringIO(text), format="csv")
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("earlier_bad", [False, True])
+    def test_csv_cell_over_field_limit(self, earlier_bad):
+        rows = ["0.0,0,0,,,false", "-1,0,0,,,false" if earlier_bad else "0.1,0,0,,,false",
+                "0.2,0,0,," + "9" * 140_000 + ",false"]
+        with pytest.raises(ParseError) as exc:
+            parse_session(io.StringIO(self.CSV_HEAD + "\n".join(rows) + "\n"), format="csv")
+        if earlier_bad:
+            assert (exc.value.line, "t must be >= 0" in str(exc.value)) == (4, True)
+        else:
+            assert (exc.value.line, "field larger than field limit" in str(exc.value)) == (5, True)
+
+    def test_csv_column_header_over_field_limit(self):
+        text = "#" + HEADER + "\n" + "t" * 140_000 + "\n0.0,0,0,,,false\n"
+        with pytest.raises(ParseError, match="field larger than field limit") as exc:
+            parse_session(io.StringIO(text), format="csv")
+        assert exc.value.line == 2
+
+
 class TestRoundTrip:
     def _session(self):
         return make_session([
@@ -198,6 +291,12 @@ class TestValidate:
         frames = [frame(0.0), frame(1 / 30.0), frame(1 / 30.0 + 0.5)]
         report = validate_session(make_session(frames, rate=30.0))
         assert any("gap" in w for w in report.warnings)
+
+    def test_gap_warning_names_a_plain_float_time(self):
+        # 10 Hz with a 1-s gap after t=0.9; the report shows the time as JSON would
+        times = [i / 10 for i in range(10)] + [1.9 + i / 10 for i in range(5)]
+        report = validate_session(make_session([frame(t) for t in times], rate=10.0))
+        assert report.warnings[0] == "sampling gap of 1.0000s at t=0.9 (threshold 0.2000s)"
 
     def test_no_hand_warning_and_fraction(self):
         s = make_session([frame(i / 30.0) for i in range(10)], rate=30.0)

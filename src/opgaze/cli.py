@@ -109,6 +109,17 @@ def _write_json(path: Path, obj: object) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _write_touchdist(path: Path, data: dict) -> None:
+    """``_write_json`` of a touch distribution whose points are pairs of
+    finite floats: each point fills one template, as ``json.dumps`` writes it."""
+    points = data["points"]
+    text = json.dumps({**data, "points": []}, indent=2, sort_keys=True) + "\n"
+    if points:
+        block = ",\n".join(["    [\n      %r,\n      %r\n    ]"] * len(points)) % tuple(v for p in points for v in p)
+        text = text.replace('"points": []', f'"points": [\n{block}\n  ]')
+    atomic_write_text(path, text)
+
+
 # --- config ------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -172,11 +183,8 @@ def load_config(path: Optional[str]) -> RunConfig:
 # --- input discovery ---------------------------------------------------------
 
 def _is_session_file(path: Path) -> bool:
-    if path.suffix not in SESSION_SUFFIXES:
-        return False
-    if path.name in NON_SESSION_NAMES or path.name.endswith(".steps.csv"):
-        return False
-    return True
+    return (path.suffix in SESSION_SUFFIXES and path.name not in NON_SESSION_NAMES
+            and not path.name.endswith(".steps.csv"))
 
 
 def find_session_files(paths: Sequence[str]) -> list[Path]:
@@ -191,8 +199,7 @@ def find_session_files(paths: Sequence[str]) -> list[Path]:
             found.append(path)
         else:
             raise FileNotFoundError(f"no such file or directory: {raw}")
-    unique = sorted(set(p.resolve() for p in found))
-    return unique
+    return sorted(set(p.resolve() for p in found))
 
 
 def _load_session(path: Path) -> Session:
@@ -264,13 +271,7 @@ def analyze_session(s: Session, config: RunConfig) -> SessionResult:
         )
         for ou in units
     )
-    return SessionResult(
-        session=s,
-        resolved_eps=params.spatial_eps,
-        hotspots=hotspots,
-        units=units,
-        fvs=fvs,
-    )
+    return SessionResult(s, params.spatial_eps, hotspots, units, fvs)
 
 
 def _feature_row(session_id: str, fv: FeatureVector) -> list[object]:
@@ -318,21 +319,15 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
         if ou.hotspot_id is None:
             continue
         hotspot = result.hotspots[ou.hotspot_id]
-        series = {
-            kind: build_distance_series(s, ou, hotspot, kind, "OU")
-            for kind in ("AO", "HO", "AH")
-        }
-        by_t: dict[float, list[Optional[float]]] = {
-            float(t): [None, None, None] for t in series["AO"].times
-        }
-        for col, kind in enumerate(("AO", "HO", "AH")):
-            for t, v in zip(series[kind].times, series[kind].values):
-                by_t.setdefault(float(t), [None, None, None])[col] = float(v)
-        _write_csv(
-            sdir / "traces" / f"{s.id}_{ou.index}.csv",
-            ("t", "d_ao", "d_ho", "d_ah"),
-            [[t] + by_t[t] for t in sorted(by_t)],
-        )
+        ao, ho, ah = (build_distance_series(s, ou, hotspot, kind, "OU") for kind in ("AO", "HO", "AH"))
+        columns = [list(map(repr, ao.times.tolist())), list(map(repr, ao.values.tolist()))]
+        for d in (ho, ah):  # their rows are the AO rows with a hand in sight
+            columns.append([""] * len(ao.times))
+            for i, v in zip(ao.times.searchsorted(d.times).tolist(), map(repr, d.values.tolist())):
+                columns[-1][i] = v
+        # float reprs and empty cells need no CSV quoting
+        rows = ["t,d_ao,d_ho,d_ah", *map(",".join, zip(*columns))]
+        atomic_write_text(sdir / "traces" / f"{s.id}_{ou.index}.csv", "\n".join(rows) + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -405,7 +400,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ok_sessions = [results[p].session for p in files if p in results]
     if any(s.touching_mask.any() for s in ok_sessions):
         dist = touch_distribution(ok_sessions)
-        _write_json(out / "touchdist.json", touch_distribution_plot_data(dist, ok_sessions))
+        _write_touchdist(out / "touchdist.json", touch_distribution_plot_data(dist, ok_sessions))
     else:
         _write_json(out / "touchdist.json", {"touch_count": 0})
     _write_json(out / "summary.json", {

@@ -110,14 +110,10 @@ def _write_json(path: Path, obj: object) -> None:
 
 
 def _write_touchdist(path: Path, data: dict) -> None:
-    """``_write_json`` of a touch distribution whose points are pairs of
-    finite floats: each point fills one template, as ``json.dumps`` writes it."""
-    points = data["points"]
-    text = json.dumps({**data, "points": []}, indent=2, sort_keys=True) + "\n"
-    if points:
-        block = ",\n".join(["    [\n      %r,\n      %r\n    ]"] * len(points)) % tuple(v for p in points for v in p)
-        text = text.replace('"points": []', f'"points": [\n{block}\n  ]')
-    atomic_write_text(path, text)
+    """``_write_json`` of a touch distribution with at least one point, each two finite floats."""
+    block = ",\n".join(map("    [\n      %r,\n      %r\n    ]".__mod__, map(tuple, data["points"])))
+    text = json.dumps({**data, "points": []}, indent=2, sort_keys=True)
+    atomic_write_text(path, text.replace('"points": []', f'"points": [\n{block}\n  ]') + "\n")
 
 
 # --- config ------------------------------------------------------------------
@@ -183,8 +179,11 @@ def load_config(path: Optional[str]) -> RunConfig:
 # --- input discovery ---------------------------------------------------------
 
 def _is_session_file(path: Path) -> bool:
-    return (path.suffix in SESSION_SUFFIXES and path.name not in NON_SESSION_NAMES
-            and not path.name.endswith(".steps.csv"))
+    if path.suffix not in SESSION_SUFFIXES:
+        return False
+    if path.name in NON_SESSION_NAMES or path.name.endswith(".steps.csv"):
+        return False
+    return True
 
 
 def find_session_files(paths: Sequence[str]) -> list[Path]:
@@ -199,7 +198,8 @@ def find_session_files(paths: Sequence[str]) -> list[Path]:
             found.append(path)
         else:
             raise FileNotFoundError(f"no such file or directory: {raw}")
-    return sorted(set(p.resolve() for p in found))
+    unique = sorted(set(p.resolve() for p in found))
+    return unique
 
 
 def _load_session(path: Path) -> Session:
@@ -271,7 +271,13 @@ def analyze_session(s: Session, config: RunConfig) -> SessionResult:
         )
         for ou in units
     )
-    return SessionResult(s, params.spatial_eps, hotspots, units, fvs)
+    return SessionResult(
+        session=s,
+        resolved_eps=params.spatial_eps,
+        hotspots=hotspots,
+        units=units,
+        fvs=fvs,
+    )
 
 
 def _feature_row(session_id: str, fv: FeatureVector) -> list[object]:
@@ -325,8 +331,7 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
             columns.append([""] * len(ao.times))
             for i, v in zip(ao.times.searchsorted(d.times).tolist(), map(repr, d.values.tolist())):
                 columns[-1][i] = v
-        # float reprs and empty cells need no CSV quoting
-        rows = ["t,d_ao,d_ho,d_ah", *map(",".join, zip(*columns))]
+        rows = ["t,d_ao,d_ho,d_ah", *map(",".join, zip(*columns))]  # no cell needs CSV quoting
         atomic_write_text(sdir / "traces" / f"{s.id}_{ou.index}.csv", "\n".join(rows) + "\n")
 
 

@@ -15,10 +15,12 @@ Sidecars: step labels as ``start_t,end_t,step_id`` CSV and difficulty
 ratings as ``step_id,rater_id,role,score`` CSV.
 
 Frames are parsed straight into the Session's columns.  Rejected inputs
-never produce a Session: any malformed line, duplicate or non-monotonic
-timestamp, contact-without-hand frame, or non-finite value (an integer too
-large for a float included) raises :class:`ParseError` with the number of
-the earliest offending line, as a line-by-line check would.
+never produce a Session: any malformed line (bytes that are not UTF-8, JSON
+nested past the recursion limit and a CSV cell over the field size limit
+included), duplicate or non-monotonic timestamp, contact-without-hand
+frame, or non-finite value (an integer too large for a float included)
+raises :class:`ParseError` with the number of the earliest offending line,
+as a line-by-line check would.
 """
 
 from __future__ import annotations

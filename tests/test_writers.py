@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import reference_writers
 from opgaze import cli
 from opgaze.features import build_distance_series
-from opgaze.hotspot import touch_distribution, touch_distribution_plot_data
+from opgaze.hotspot import TouchDistribution, touch_distribution_plot_data
 from opgaze.session import Hotspot, Interval, OperationUnit, Point2, Session
 
 AWKWARD = [5e-324, 1e-300, 1e16, 0.1 + 0.2, -0.0, 0.0, -1e16, -123456.789, 3.5e7, 1e150, -1e150]
@@ -122,7 +122,7 @@ class TestTraces:
         assert [line.split(",")[2:] for line in lines if line.startswith("0.4,")] == [["", ""]]
 
 
-points_lists = st.lists(st.lists(coords, min_size=2, max_size=2), min_size=0, max_size=300)
+points_lists = st.lists(st.lists(coords, min_size=2, max_size=2), min_size=1, max_size=300)
 
 
 class TestTouchdist:
@@ -149,9 +149,11 @@ class TestTouchdist:
 
     @settings(max_examples=60, deadline=None)
     @given(session_results())
-    def test_plot_data_of_a_session(self, result):
+    def test_points_of_a_session(self, result):
+        # the points are the session's; the statistics only fill the other keys
         s = result.session
-        if not s.touching_mask.any():
-            return
-        data = touch_distribution_plot_data(touch_distribution([s]), [s])
-        assert written_touchdist(data) == reference_writers.json_text(data).encode()
+        stats = TouchDistribution(Point2(0.1 + 0.2, -0.0), Point2(1e16, 5e-324),
+                                  ((1.0, 0.0), (0.0, 1.0)), int(s.touching_mask.sum()))
+        data = touch_distribution_plot_data(stats, [s])
+        if data["points"]:
+            assert written_touchdist(data) == reference_writers.json_text(data).encode()

@@ -35,6 +35,7 @@ from .session import (
     KinematicsSummary,
     OperationUnit,
     Session,
+    time_range,
 )
 
 PERIODS = ("G", "H", "O", "GH", "OU")
@@ -97,40 +98,39 @@ def build_distance_series(
     if kind in ("AO", "HO") and hotspot is None:
         raise ValueError(f"kind {kind!r} needs an assigned hotspot")
 
-    bounds = {
-        "G": (ou.gazing.start, ou.gazing.end),
-        "H": (ou.approaching.start, ou.approaching.end),
-        "GH": (ou.gazing.start, ou.operating.start),
-        "O": (ou.operating.start, ou.operating.end),
-        "OU": (ou.gazing.start, ou.operating.end),
-    }[period]
-
-    lo, hi = bounds
-    t = s.times
-    touching = s.touching_mask
-    if period in ("O", "OU"):  # these end at the last operating frame
-        sel = (t >= lo) & (t <= hi)
-    else:
-        sel = (t >= lo) & (t < hi)
-    o_start, o_end = ou.operating.start, ou.operating.end
-    in_operating = (t >= o_start) & (t <= o_end)
+    i, j = time_range(s.times, *period_bounds(ou, period))
+    t = s.times[i:j]
+    touching = s.touching_mask[i:j]
     # contacts outside this unit's operating period are stray (previous
     # unit boundary or a dropped micro-bout) and carry no distance sample
-    sel &= in_operating | ~touching
+    sel = ((t >= ou.operating.start) & (t <= ou.operating.end)) | ~touching
     if kind in ("HO", "AH"):
-        sel &= s.hand_visible_mask
+        sel &= s.hand_visible_mask[i:j]
 
     if kind == "AO":
-        delta = s.attention_xy[sel] - (hotspot.centroid.x, hotspot.centroid.y)
+        delta = s.attention_xy[i:j][sel] - (hotspot.centroid.x, hotspot.centroid.y)
         values = np.hypot(delta[:, 0], delta[:, 1])
     elif kind == "HO":
-        delta = s.hand_xy[sel] - (hotspot.centroid.x, hotspot.centroid.y)
+        delta = s.hand_xy[i:j][sel] - (hotspot.centroid.x, hotspot.centroid.y)
         values = np.hypot(delta[:, 0], delta[:, 1])
         values[touching[sel]] = 0.0
     else:  # AH
-        delta = s.attention_xy[sel] - s.hand_xy[sel]
+        delta = s.attention_xy[i:j][sel] - s.hand_xy[i:j][sel]
         values = np.hypot(delta[:, 0], delta[:, 1])
     return DistanceSeries(times=t[sel], values=values, kind=kind)
+
+
+def period_bounds(ou: OperationUnit, period: str) -> tuple[float, float, bool]:
+    """(start, end, closed) of one of a unit's periods; "O" and "OU" end at
+    the last operating frame, the others before their end."""
+    g, o = ou.gazing, ou.operating
+    return {
+        "G": (g.start, g.end, False),
+        "H": (ou.approaching.start, ou.approaching.end, False),
+        "GH": (g.start, o.start, False),
+        "O": (o.start, o.end, True),
+        "OU": (g.start, o.end, True),
+    }[period]
 
 
 def compensate_offset(d: DistanceSeries) -> DistanceSeries:
@@ -139,8 +139,10 @@ def compensate_offset(d: DistanceSeries) -> DistanceSeries:
     has an exact minimum of 0."""
     if len(d) == 0:
         raise ValueError("cannot compensate an empty series")
+    # finite v >= m >= 0 gives a finite v - m >= 0: no check is needed
     values = d.values - float(np.min(d.values))
-    return DistanceSeries(times=d.times, values=values, kind=d.kind)
+    values.flags.writeable = False
+    return d._derive(d.times, values)
 
 
 def sign_series(speed: np.ndarray, deadband: float = 0.0) -> np.ndarray:
@@ -155,15 +157,8 @@ def sign_series(speed: np.ndarray, deadband: float = 0.0) -> np.ndarray:
 def count_sign_changes(signs: np.ndarray) -> int:
     """Number of reversals between + and -; zeros are transparent, so a
     plateau between opposite motions still counts as one reversal."""
-    changes = 0
-    last = 0
-    for sgn in signs:
-        if sgn == 0:
-            continue
-        if last != 0 and sgn != last:
-            changes += 1
-        last = sgn
-    return changes
+    moving = signs[signs != 0]
+    return int(np.count_nonzero(moving[1:] != moving[:-1]))
 
 
 def kinematics(
@@ -185,16 +180,13 @@ def kinematics(
     if n < 2:
         return KinematicsSummary(n_samples=n, variance=variance)
     speed = np.diff(d_star.values)
-    signs = sign_series(speed, deadband)
     if sample_rate_hz is None:
         step = float(np.median(np.diff(d_star.times)))
         sample_rate_hz = 1.0 / step if step > 0 else 0.0
     return KinematicsSummary(
         n_samples=n,
         variance=variance,
-        speed=speed,
-        signs=signs,
-        sign_changes=count_sign_changes(signs),
+        sign_changes=count_sign_changes(sign_series(speed, deadband)),
         mean_abs_speed=float(np.mean(np.abs(speed))) * sample_rate_hz,
     )
 
@@ -346,13 +338,12 @@ def feature_vector(
             undefined=undefined,
         )
 
-    ao_g = build_distance_series(s, ou, hotspot, "AO", "G")
-    ao_h = build_distance_series(s, ou, hotspot, "AO", "H")
-    ao_o = build_distance_series(s, ou, hotspot, "AO", "O")
-    ao_gh = build_distance_series(s, ou, hotspot, "AO", "GH")
-    ho_gh = build_distance_series(s, ou, hotspot, "HO", "GH")
+    # every period lies inside the unit and the frame filters do not depend
+    # on the period, so a window of the whole-unit series is a direct build
     ao_ou = build_distance_series(s, ou, hotspot, "AO", "OU")
     ho_ou = build_distance_series(s, ou, hotspot, "HO", "OU")
+    ao_g, ao_h, ao_o, ao_gh = (ao_ou.window(*period_bounds(ou, p)) for p in ("G", "H", "O", "GH"))
+    ho_gh = ho_ou.window(*period_bounds(ou, "GH"))
 
     kins: dict[str, Optional[KinematicsSummary]] = {}
     for key, series in (("gazing", ao_g), ("approaching", ao_h), ("operating", ao_o)):

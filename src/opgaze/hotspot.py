@@ -84,8 +84,10 @@ class TouchDistribution:
         (cxx, cxy), (cyx, cyy) = self.covariance
         if abs(cxy - cyx) > 1e-9:
             raise ValueError("covariance must be symmetric")
-        # PSD check for a symmetric 2x2: nonnegative diagonal and determinant
-        if cxx < 0 or cyy < 0 or cxx * cyy - cxy * cyx < -1e-9:
+        # PSD check for a symmetric 2x2: nonnegative diagonal and determinant.
+        # Collinear points give a determinant of 0 up to a few ulps of
+        # cxx * cyy, on either side, so the tolerance scales with it
+        if cxx < 0 or cyy < 0 or cxx * cyy - cxy * cyx < -1e-9 * max(1.0, cxx * cyy):
             raise ValueError("covariance must be positive semi-definite")
 
 

@@ -284,6 +284,13 @@ class OperationUnit:
         return self.operating.end
 
 
+def time_range(times: np.ndarray, lo: float, hi: float, closed: bool = False) -> tuple[int, int]:
+    """Index range of the strictly increasing ``times`` that lie in [lo, hi),
+    or in [lo, hi] when ``closed``."""
+    return (int(np.searchsorted(times, lo, "left")),
+            int(np.searchsorted(times, hi, "right" if closed else "left")))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     if out.ndim != 1:
@@ -325,6 +332,20 @@ class DistanceSeries:
     def __len__(self) -> int:
         return len(self.values)
 
+    def _derive(self, times: np.ndarray, values: np.ndarray) -> "DistanceSeries":
+        """A series of the same kind from read-only arrays that already pass
+        the checks (a window of this series, or its values less their
+        minimum); they are not checked again."""
+        out = object.__new__(DistanceSeries)
+        for name, value in (("times", times), ("values", values), ("kind", self.kind)):
+            object.__setattr__(out, name, value)
+        return out
+
+    def window(self, lo: float, hi: float, closed: bool = False) -> "DistanceSeries":
+        """The samples at times in [lo, hi), or in [lo, hi] when ``closed``."""
+        i, j = time_range(self.times, lo, hi, closed)
+        return self._derive(self.times[i:j], self.values[i:j])
+
     @property
     def span(self) -> float:
         """Time covered by the samples; 0 for fewer than two samples."""
@@ -337,18 +358,15 @@ class DistanceSeries:
 class KinematicsSummary:
     """Motion statistics of a distance series.
 
-    ``speed`` holds per-sample distance increments; ``signs`` their
-    direction (+1 / 0 / -1 after the deadband); ``sign_changes`` counts
-    reversals between + and - with zeros transparent.  ``variance`` is the
-    population variance of the series and is defined for any nonempty
-    series; the speed-derived fields are None for series shorter than two
-    samples.
+    ``sign_changes`` counts reversals between + and - of the per-sample
+    increments (after the deadband) with zeros transparent.  ``variance``
+    is the population variance of the series and is defined for any
+    nonempty series; the speed-derived fields are None for series shorter
+    than two samples.
     """
 
     n_samples: int
     variance: float
-    speed: Optional[np.ndarray] = None
-    signs: Optional[np.ndarray] = None
     sign_changes: Optional[int] = None
     mean_abs_speed: Optional[float] = None
 
@@ -357,15 +375,6 @@ class KinematicsSummary:
             raise ValueError("variance must be >= 0")
         if self.sign_changes is not None and self.sign_changes < 0:
             raise ValueError("sign_changes must be >= 0")
-        if self.speed is not None:
-            speed = _readonly(self.speed)
-            if len(speed) != self.n_samples - 1:
-                raise ValueError("speed must have one value per sample interval")
-            object.__setattr__(self, "speed", speed)
-        if self.signs is not None:
-            signs = self.signs.copy()
-            signs.flags.writeable = False
-            object.__setattr__(self, "signs", signs)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,22 @@ class TestAnalyze:
         units = (out / "sessions" / "quiet" / "units.csv").read_text().splitlines()
         assert len(units) == 1  # header only
 
+    def test_collinear_touches_write_touchdist(self, tmp_path):
+        # the only two touches give a covariance determinant of -1.49e-08
+        d = tmp_path / "d"
+        d.mkdir()
+        hands = {10: (633.1, 1513.8), 30: (582.1, 870.7)}
+        frames = []
+        for i in range(40):
+            hx, hy = hands.get(i, (None, None))
+            frames.append(frame(i / 10.0, ax=600.0, ay=1200.0, hx=hx, hy=hy, touch=i in hands))
+        s = make_session(frames, session_id="collinear")
+        write_session(s, d / "collinear.jsonl")
+        out = tmp_path / "out"
+        assert run(["analyze", d, "--out", out]) == 0
+        assert json.loads((out / "touchdist.json").read_text())["touch_count"] == 2
+        assert json.loads((out / "summary.json").read_text())["n_sessions_ok"] == 1
+
     def test_jobs_must_be_positive(self, corpus, tmp_path):
         assert run(["analyze", corpus / "sessions", "--out", tmp_path / "o",
                     "--jobs", "0"]) == 1

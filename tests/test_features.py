@@ -158,7 +158,7 @@ class TestKinematics:
     def test_single_sample_variance_only(self):
         k = kinematics(series([4.0]))
         assert k.n_samples == 1 and k.variance == 0.0
-        assert k.speed is None and k.sign_changes is None and k.mean_abs_speed is None
+        assert k.sign_changes is None and k.mean_abs_speed is None
 
     def test_oscillation(self):
         k = kinematics(series([0.0, 1.0, 0.0, 1.0, 0.0]), sample_rate_hz=10.0)

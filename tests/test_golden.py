@@ -3,9 +3,11 @@
 A refactor keeps every output byte.  This runs ``synth`` (seed 7),
 ``analyze`` at ``--jobs 1`` and ``--jobs 2``, then ``compare`` and
 ``correlate``, all in-process through ``main``.  The cases are two pairs in
-each input format, and one CSV pair at 120 Hz, whose units have long
-traces.  The digest covers every file written, inputs included.  A change that
-alters outputs on purpose updates the digests here and says why.
+each input format, one CSV pair at 120 Hz, whose units have long traces,
+and two JSONL pairs whose operating periods are too short for an
+early-shift ratio.  The digest covers every file written, inputs included.
+A change that alters outputs on purpose updates the digests here and says
+why.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ GOLDEN = {
             "b223b80c8c6a84f41bbbf9c0f774bbff2dfa72191828bf3b3fd72c2f3ecb3381"),
     "csv_120hz": ({"n_pairs": 1, "sample_rate_hz": 120.0}, "csv",
                   "e4c8852d2c3de696430a6dbd309992bdd48929b61317efc1bc8e6b33a48b9ced"),
+    # operating periods of 0.5 s, below the early-shift minimum of 1 s
+    "jsonl_short_operating": ({"n_pairs": 2, "base_dur_operating": 0.5}, "jsonl",
+                              "e15270ad489db90faa6f7091cbf8f567634e9f116100fa78e00610588c7b0d36"),
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from opgaze import ClusterParams, Hotspot, Point2, cluster_touches, extract_touches, touch_distribution
 from opgaze import hotspot
-from opgaze.hotspot import assign_operating_hotspot, noise_indices
+from opgaze.hotspot import TouchDistribution, assign_operating_hotspot, noise_indices
 
 from conftest import frame, make_session
 
@@ -322,3 +322,14 @@ class TestTouchDistribution:
     def test_zero_touches_error(self):
         with pytest.raises(ValueError, match="no touches"):
             touch_distribution(make_session([frame(0.0)]))
+
+    def test_collinear_touches_accepted(self):
+        # two touches: a rank-1 covariance whose determinant rounds to -1.49e-08
+        s = make_session([frame(0.0, hx=633.1, hy=1513.8, touch=True),
+                          frame(0.1, hx=582.1, hy=870.7, touch=True)])
+        (cxx, cxy), (_, cyy) = touch_distribution(s).covariance
+        assert cxx * cyy - cxy * cxy < -1e-9
+
+    def test_indefinite_covariance_rejected(self):
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            TouchDistribution(Point2(0.0, 0.0), Point2(0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)), 2)

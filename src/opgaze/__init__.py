@@ -8,8 +8,6 @@ pairs and feature correlation with rated step difficulty.
 """
 
 from .analysis import (
-    CATEGORICAL_FEATURES,
-    SCALAR_FEATURES,
     ComparisonReport,
     CorrelationReport,
     SessionPair,
@@ -17,12 +15,10 @@ from .analysis import (
     difficulty_correlation,
     pairwise_comparison,
     pearson,
-    scalar_features,
-    session_feature_summary,
     step_feature_means,
     summarize_rows,
-    unit_row,
 )
+from .featurerow import CATEGORICAL_FEATURES, SCALAR_FEATURES, FeatureVector
 from .features import (
     FeatureParams,
     attention_hand_correlation,
@@ -60,11 +56,9 @@ from .segmentation import SegmentationParams, period_durations, segment_units
 from .session import (
     DifficultyRatings,
     DistanceSeries,
-    FeatureVector,
     FrameRecord,
     Hotspot,
     Interval,
-    KinematicsSummary,
     OperationUnit,
     Point2,
     Rating,

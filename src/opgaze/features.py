@@ -27,18 +27,16 @@ from typing import Optional
 import numpy as np
 
 from .analysis import pearson
+from .featurerow import FeatureVector
 from .segmentation import period_durations
-from .session import (
-    DistanceSeries,
-    FeatureVector,
-    Hotspot,
-    KinematicsSummary,
-    OperationUnit,
-    Session,
-    time_range,
-)
+from .session import DistanceSeries, Hotspot, OperationUnit, Session, time_range
 
 PERIODS = ("G", "H", "O", "GH", "OU")
+# features a unit without a hotspot cannot have
+_NO_HOTSPOT = (
+    "operating_mean_dist", "gazing_kinematics", "approaching_kinematics", "operating_kinematics",
+    "corr_attention_hand", "attention_lead_lag", "early_shift_ratio", "gaze_pattern", "shift_kind",
+)
 
 DEFAULT_SIGN_DEADBAND = 0.0
 DEFAULT_LAG_THRESHOLD = 0.2
@@ -165,30 +163,30 @@ def kinematics(
     d_star: DistanceSeries,
     deadband: float = DEFAULT_SIGN_DEADBAND,
     sample_rate_hz: Optional[float] = None,
-) -> KinematicsSummary:
-    """Speed, reversal count, and variance of a distance series.
+) -> dict[str, Optional[float]]:
+    """Reversal count, mean speed and variance of a distance series, keyed
+    by the suffixes of the ``<period>_*`` feature columns.
 
-    Speed is per sample interval; ``mean_abs_speed`` is converted to
-    units/second with the sample rate (derived from the series' own median
-    time step when not given).  Series with fewer than two samples get
-    variance only; the speed-derived fields stay None.
+    ``sign_changes`` is the reversal count as a float; ``mean_speed`` is
+    the mean absolute per-sample change converted to units/second with
+    the sample rate (derived from the series' own median time step when
+    not given); ``dist_var`` is the population variance.  Series with
+    fewer than two samples get the variance only; the other two are None.
     """
-    n = len(d_star)
-    if n == 0:
+    if len(d_star) == 0:
         raise ValueError("kinematics needs a nonempty series")
     variance = float(np.mean((d_star.values - float(np.mean(d_star.values))) ** 2))
-    if n < 2:
-        return KinematicsSummary(n_samples=n, variance=variance)
+    if len(d_star) < 2:
+        return {"sign_changes": None, "mean_speed": None, "dist_var": variance}
     speed = np.diff(d_star.values)
     if sample_rate_hz is None:
         step = float(np.median(np.diff(d_star.times)))
         sample_rate_hz = 1.0 / step if step > 0 else 0.0
-    return KinematicsSummary(
-        n_samples=n,
-        variance=variance,
-        sign_changes=count_sign_changes(sign_series(speed, deadband)),
-        mean_abs_speed=float(np.mean(np.abs(speed))) * sample_rate_hz,
-    )
+    return {
+        "sign_changes": float(count_sign_changes(sign_series(speed, deadband))),
+        "mean_speed": float(np.mean(np.abs(speed))) * sample_rate_hz,
+        "dist_var": variance,
+    }
 
 
 def trailing_positive_run(d_star: DistanceSeries, deadband: float = 0.0) -> float:
@@ -257,22 +255,17 @@ def classify_gaze_pattern(
     return "search" if changes / span >= search_freq_min else "shift"
 
 
-def align_series(a: DistanceSeries, b: DistanceSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Values of both series at their common sample times."""
-    common, ia, ib = np.intersect1d(a.times, b.times, return_indices=True)
-    return a.values[ia], b.values[ib]
-
-
 def attention_hand_correlation(
     d_ao: DistanceSeries, d_ho: DistanceSeries
 ) -> Optional[float]:
     """Pearson correlation of the two hotspot distances over their common
     frames; None with fewer than three common samples or a constant
     series."""
-    va, vb = align_series(d_ao, d_ho)
-    if len(va) < 3:
+    # a series' times are strictly increasing, so each is unique
+    _, ia, ib = np.intersect1d(d_ao.times, d_ho.times, assume_unique=True, return_indices=True)
+    if len(ia) < 3:
         return None
-    return pearson(va, vb)
+    return pearson(d_ao.values[ia], d_ho.values[ib])
 
 
 def attention_lead_lag(
@@ -320,24 +313,17 @@ def feature_vector(
     params: FeatureParams = FeatureParams(),
 ) -> FeatureVector:
     """All features of one unit; never aborts on degenerate units."""
-    undefined: dict[str, str] = {}
     dur_g, dur_h, dur_o, ratio_g, ratio_h, ratio_o = period_durations(ou)
-
+    row: dict[str, object] = dict(
+        ou_index=ou.index, step_id=ou.step_id,
+        dur_gazing=dur_g, dur_approaching=dur_h, dur_operating=dur_o,
+        ratio_gazing=ratio_g, ratio_approaching=ratio_h, ratio_operating=ratio_o,
+    )
     if hotspot is None:
-        for name in ("operating_mean_dist", "gazing_kinematics", "approaching_kinematics",
-                     "operating_kinematics", "corr_attention_hand", "attention_lead_lag",
-                     "early_shift_ratio", "gaze_pattern", "shift_kind"):
-            undefined[name] = "no_hotspot"
-        return FeatureVector(
-            ou_index=ou.index, hotspot_id=None, step_id=ou.step_id,
-            dur_gazing=dur_g, dur_approaching=dur_h, dur_operating=dur_o,
-            ratio_gazing=ratio_g, ratio_approaching=ratio_h, ratio_operating=ratio_o,
-            operating_mean_dist=None, gazing_kin=None, approaching_kin=None,
-            operating_kin=None, corr_attention_hand=None, attention_lead_lag=None,
-            early_shift_ratio=None, gaze_pattern="shift", shift_kind="undefined",
-            undefined=undefined,
-        )
+        return FeatureVector(**row, hotspot_id=None, gaze_pattern="shift", shift_kind="undefined",
+                             undefined=dict.fromkeys(_NO_HOTSPOT, "no_hotspot"))
 
+    undefined: dict[str, str] = {}
     # every period lies inside the unit and the frame filters do not depend
     # on the period, so a window of the whole-unit series is a direct build
     ao_ou = build_distance_series(s, ou, hotspot, "AO", "OU")
@@ -345,29 +331,25 @@ def feature_vector(
     ao_g, ao_h, ao_o, ao_gh = (ao_ou.window(*period_bounds(ou, p)) for p in ("G", "H", "O", "GH"))
     ho_gh = ho_ou.window(*period_bounds(ou, "GH"))
 
-    kins: dict[str, Optional[KinematicsSummary]] = {}
     for key, series in (("gazing", ao_g), ("approaching", ao_h), ("operating", ao_o)):
         if len(series) == 0:
-            kins[key] = None
             undefined[f"{key}_kinematics"] = "empty_period"
             continue
-        summary = kinematics(compensate_offset(series), params.sign_deadband, s.sample_rate_hz)
-        kins[key] = summary
-        if summary.sign_changes is None:
+        kin = kinematics(compensate_offset(series), params.sign_deadband, s.sample_rate_hz)
+        row.update((f"{key}_{name}", value) for name, value in kin.items())
+        if kin["sign_changes"] is None:
             undefined[f"{key}_sign_changes"] = "series_too_short"
 
-    operating_mean_dist = float(np.mean(ao_o.values)) if len(ao_o) else None
-    if operating_mean_dist is None:
+    if len(ao_o):
+        row["operating_mean_dist"] = float(np.mean(ao_o.values))
+    else:
         undefined["operating_mean_dist"] = "empty_period"
 
-    va, vb = align_series(ao_ou, ho_ou)
-    if len(va) < 3:
-        corr = None
-        undefined["corr_attention_hand"] = "insufficient_samples"
-    else:
-        corr = pearson(va, vb)
-        if corr is None:
-            undefined["corr_attention_hand"] = "zero_variance"
+    corr = attention_hand_correlation(ao_ou, ho_ou)
+    if corr is None:
+        # the HO times are a subset of the AO times, so HO's length is the
+        # number of common samples
+        undefined["corr_attention_hand"] = "insufficient_samples" if len(ho_ou) < 3 else "zero_variance"
 
     if len(ao_gh) == 0 or len(ho_gh) == 0:
         lag = None
@@ -379,30 +361,17 @@ def feature_vector(
         if lag is None:
             undefined["attention_lead_lag"] = "no_threshold_crossing"
 
-    if dur_o < params.min_operating_for_early_shift:
-        early = None
-        undefined["early_shift_ratio"] = "operating_below_min_duration"
-    elif len(ao_o) == 0:
-        early = None
-        undefined["early_shift_ratio"] = "empty_period"
-    else:
-        early = early_shift_ratio(
-            compensate_offset(ao_o), dur_o, params.sign_deadband,
-            params.min_operating_for_early_shift,
-        )
-
-    pattern = classify_gaze_pattern(ao_g, params.sign_deadband, params.search_freq_min)
-    shift_kind = classify_shift_kind(early, params.early_shift_min)
-    if shift_kind == "undefined":
-        undefined.setdefault("shift_kind", undefined.get("early_shift_ratio", "undefined_ratio"))
+    early = early_shift_ratio(
+        compensate_offset(ao_o), dur_o, params.sign_deadband, params.min_operating_for_early_shift,
+    ) if len(ao_o) else None
+    if early is None:
+        short = dur_o < params.min_operating_for_early_shift
+        reason = "operating_below_min_duration" if short else "empty_period"
+        undefined["early_shift_ratio"] = undefined["shift_kind"] = reason
 
     return FeatureVector(
-        ou_index=ou.index, hotspot_id=hotspot.id, step_id=ou.step_id,
-        dur_gazing=dur_g, dur_approaching=dur_h, dur_operating=dur_o,
-        ratio_gazing=ratio_g, ratio_approaching=ratio_h, ratio_operating=ratio_o,
-        operating_mean_dist=operating_mean_dist,
-        gazing_kin=kins["gazing"], approaching_kin=kins["approaching"],
-        operating_kin=kins["operating"],
-        corr_attention_hand=corr, attention_lead_lag=lag, early_shift_ratio=early,
-        gaze_pattern=pattern, shift_kind=shift_kind, undefined=undefined,
+        **row, hotspot_id=hotspot.id, corr_attention_hand=corr, attention_lead_lag=lag,
+        early_shift_ratio=early,
+        gaze_pattern=classify_gaze_pattern(ao_g, params.sign_deadband, params.search_freq_min),
+        shift_kind=classify_shift_kind(early, params.early_shift_min), undefined=undefined,
     )

@@ -5,8 +5,8 @@ time, the operator's attention proxy (the projected view center), the hand
 position (NaN while out of sight) and a physical-contact flag.  Every stage
 reads these columns; :class:`FrameRecord` samples serve only the API edge,
 as ``Session(frames=...)`` and the on-demand ``Session.frames`` view.
-Downstream stages derive hotspots, operation units, distance series, and
-per-unit behavioral features from these types.
+Downstream stages derive hotspots, operation units and distance series
+from these types; the per-unit feature row lives in ``featurerow``.
 
 All types are immutable after construction and safe to share across threads.
 Positions live in one planar scene coordinate frame per session; the unit
@@ -24,8 +24,6 @@ import numpy as np
 
 ORDINALS = ("earlier", "later")
 DISTANCE_KINDS = ("AO", "HO", "AH")
-GAZE_PATTERNS = ("search", "shift")
-SHIFT_KINDS = ("early", "non-early", "undefined")
 RATER_ROLES = ("expert", "beginner")
 
 SCORE_MIN = -5
@@ -352,74 +350,6 @@ class DistanceSeries:
         if len(self.times) < 2:
             return 0.0
         return float(self.times[-1] - self.times[0])
-
-
-@dataclass(frozen=True)
-class KinematicsSummary:
-    """Motion statistics of a distance series.
-
-    ``sign_changes`` counts reversals between + and - of the per-sample
-    increments (after the deadband) with zeros transparent.  ``variance``
-    is the population variance of the series and is defined for any
-    nonempty series; the speed-derived fields are None for series shorter
-    than two samples.
-    """
-
-    n_samples: int
-    variance: float
-    sign_changes: Optional[int] = None
-    mean_abs_speed: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError("variance must be >= 0")
-        if self.sign_changes is not None and self.sign_changes < 0:
-            raise ValueError("sign_changes must be >= 0")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """All per-unit behavioral features.
-
-    Optional fields are None when undefined; ``undefined`` maps each
-    undefined field to a reason code so reports can explain the gap.
-    """
-
-    ou_index: int
-    hotspot_id: Optional[int]
-    step_id: Optional[str]
-    dur_gazing: float
-    dur_approaching: float
-    dur_operating: float
-    ratio_gazing: float
-    ratio_approaching: float
-    ratio_operating: float
-    operating_mean_dist: Optional[float]
-    gazing_kin: Optional[KinematicsSummary]
-    approaching_kin: Optional[KinematicsSummary]
-    operating_kin: Optional[KinematicsSummary]
-    corr_attention_hand: Optional[float]
-    attention_lead_lag: Optional[float]
-    early_shift_ratio: Optional[float]
-    gaze_pattern: str
-    shift_kind: str
-    undefined: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.gaze_pattern not in GAZE_PATTERNS:
-            raise ValueError(f"gaze_pattern must be one of {GAZE_PATTERNS}")
-        if self.shift_kind not in SHIFT_KINDS:
-            raise ValueError(f"shift_kind must be one of {SHIFT_KINDS}")
-        total = self.dur_gazing + self.dur_approaching + self.dur_operating
-        if total > 0:
-            ratio_sum = self.ratio_gazing + self.ratio_approaching + self.ratio_operating
-            if abs(ratio_sum - 1.0) > 1e-9:
-                raise ValueError(f"period ratios must sum to 1, got {ratio_sum}")
-        if self.early_shift_ratio is not None and not 0.0 <= self.early_shift_ratio <= 1.0:
-            raise ValueError(f"early_shift_ratio out of [0,1]: {self.early_shift_ratio}")
-        if self.corr_attention_hand is not None and not -1.0 <= self.corr_attention_hand <= 1.0:
-            raise ValueError(f"correlation out of [-1,1]: {self.corr_attention_hand}")
-        object.__setattr__(self, "undefined", dict(self.undefined))
 
 
 @dataclass(frozen=True)

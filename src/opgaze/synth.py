@@ -37,9 +37,9 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .featurerow import GAZE_PATTERNS
 from .ingest import atomic_write_text, write_ratings, write_session, write_step_labels
 from .session import (
-    GAZE_PATTERNS,
     SCORE_MAX,
     SCORE_MIN,
     DifficultyRatings,

@@ -4,23 +4,26 @@ series were taken as windows: the differential oracle of
 
 Every period is selected with whole-session boolean masks, every series
 (compensated ones included) goes through the checked ``DistanceSeries``
-constructor, and reversals are counted one sign at a time.  ``kinematics``
-differs from the old one only in leaving out the ``speed``/``signs``
-arrays that ``KinematicsSummary`` no longer has.  The remaining helpers
-are the package's own.
+constructor, and reversals are counted one sign at a time.  The result is
+the old nested ``FeatureVector``, with a ``KinematicsSummary`` per period,
+flattened by ``scalar_features``; these, and the intersect-based
+``align_series``, are kept here as they were.  ``kinematics`` differs from
+the old one only in leaving out the ``speed``/``signs`` arrays that an
+earlier change removed.  The remaining helpers are the package's own.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 import numpy as np
 
 from opgaze.analysis import pearson
+from opgaze.featurerow import GAZE_PATTERNS, SHIFT_KINDS
 from opgaze.features import (
     PERIODS,
     FeatureParams,
-    align_series,
     attention_lead_lag,
     classify_gaze_pattern,
     classify_shift_kind,
@@ -28,14 +31,95 @@ from opgaze.features import (
     sign_series,
 )
 from opgaze.segmentation import period_durations
-from opgaze.session import (
-    DistanceSeries,
-    FeatureVector,
-    Hotspot,
-    KinematicsSummary,
-    OperationUnit,
-    Session,
-)
+from opgaze.session import DistanceSeries, Hotspot, OperationUnit, Session
+
+
+@dataclass(frozen=True)
+class KinematicsSummary:
+    n_samples: int
+    variance: float
+    sign_changes: Optional[int] = None
+    mean_abs_speed: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.variance < 0:
+            raise ValueError("variance must be >= 0")
+        if self.sign_changes is not None and self.sign_changes < 0:
+            raise ValueError("sign_changes must be >= 0")
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    ou_index: int
+    hotspot_id: Optional[int]
+    step_id: Optional[str]
+    dur_gazing: float
+    dur_approaching: float
+    dur_operating: float
+    ratio_gazing: float
+    ratio_approaching: float
+    ratio_operating: float
+    operating_mean_dist: Optional[float]
+    gazing_kin: Optional[KinematicsSummary]
+    approaching_kin: Optional[KinematicsSummary]
+    operating_kin: Optional[KinematicsSummary]
+    corr_attention_hand: Optional[float]
+    attention_lead_lag: Optional[float]
+    early_shift_ratio: Optional[float]
+    gaze_pattern: str
+    shift_kind: str
+    undefined: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.gaze_pattern not in GAZE_PATTERNS:
+            raise ValueError(f"gaze_pattern must be one of {GAZE_PATTERNS}")
+        if self.shift_kind not in SHIFT_KINDS:
+            raise ValueError(f"shift_kind must be one of {SHIFT_KINDS}")
+        total = self.dur_gazing + self.dur_approaching + self.dur_operating
+        if total > 0:
+            ratio_sum = self.ratio_gazing + self.ratio_approaching + self.ratio_operating
+            if abs(ratio_sum - 1.0) > 1e-9:
+                raise ValueError(f"period ratios must sum to 1, got {ratio_sum}")
+        if self.early_shift_ratio is not None and not 0.0 <= self.early_shift_ratio <= 1.0:
+            raise ValueError(f"early_shift_ratio out of [0,1]: {self.early_shift_ratio}")
+        if self.corr_attention_hand is not None and not -1.0 <= self.corr_attention_hand <= 1.0:
+            raise ValueError(f"correlation out of [-1,1]: {self.corr_attention_hand}")
+        object.__setattr__(self, "undefined", dict(self.undefined))
+
+
+def scalar_features(fv: FeatureVector) -> dict[str, Optional[float]]:
+    out: dict[str, Optional[float]] = {
+        "dur_gazing": fv.dur_gazing,
+        "dur_approaching": fv.dur_approaching,
+        "dur_operating": fv.dur_operating,
+        "ratio_gazing": fv.ratio_gazing,
+        "ratio_approaching": fv.ratio_approaching,
+        "ratio_operating": fv.ratio_operating,
+        "operating_mean_dist": fv.operating_mean_dist,
+        "corr_attention_hand": fv.corr_attention_hand,
+        "attention_lead_lag": fv.attention_lead_lag,
+        "early_shift_ratio": fv.early_shift_ratio,
+    }
+    for period, kin in (
+        ("gazing", fv.gazing_kin),
+        ("approaching", fv.approaching_kin),
+        ("operating", fv.operating_kin),
+    ):
+        if kin is None:
+            out[f"{period}_sign_changes"] = None
+            out[f"{period}_mean_speed"] = None
+            out[f"{period}_dist_var"] = None
+        else:
+            changes = kin.sign_changes
+            out[f"{period}_sign_changes"] = None if changes is None else float(changes)
+            out[f"{period}_mean_speed"] = kin.mean_abs_speed
+            out[f"{period}_dist_var"] = kin.variance
+    return out
+
+
+def align_series(a: DistanceSeries, b: DistanceSeries) -> tuple[np.ndarray, np.ndarray]:
+    common, ia, ib = np.intersect1d(a.times, b.times, return_indices=True)
+    return a.values[ia], b.values[ib]
 
 
 def build_distance_series(

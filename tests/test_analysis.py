@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -15,8 +16,6 @@ from opgaze import (
     difficulty_correlation,
     pairwise_comparison,
     pearson,
-    scalar_features,
-    session_feature_summary,
     step_feature_means,
     summarize_rows,
 )
@@ -25,10 +24,12 @@ from opgaze.segmentation import SegmentationParams, segment_units
 
 
 def make_rows(*partials):
-    """Rows over all scalar features, None where a partial stays silent."""
+    """features.csv rows: every scalar None and the classifications "shift"
+    and "undefined" where a partial stays silent."""
     rows = []
     for partial in partials:
         row = {name: None for name in SCALAR_FEATURES}
+        row.update(gaze_pattern="shift", shift_kind="undefined")
         row.update(partial)
         rows.append(row)
     return rows
@@ -96,26 +97,25 @@ class TestScalarFeatures:
         hotspots = cluster_touches(touches, ClusterParams(spatial_eps=5.0))
         u = segment_units(simple_ou_session, SegmentationParams(), hotspots)[0]
         fv = feature_vector(simple_ou_session, u, hotspots[u.hotspot_id])
-        flat = scalar_features(fv)
-        assert set(flat) == set(SCALAR_FEATURES)
-        assert flat["dur_gazing"] == 2.0
-        assert flat["ratio_operating"] == pytest.approx(0.4)
-        assert flat["operating_sign_changes"] == 0.0
+        assert all(isinstance(getattr(fv, name), float) for name in SCALAR_FEATURES)
+        assert fv.dur_gazing == 2.0
+        assert fv.ratio_operating == pytest.approx(0.4)
+        assert repr(fv.operating_sign_changes) == "0.0"  # a float count
 
     def test_none_propagates_for_missing_kinematics(self, simple_ou_session):
         u = segment_units(simple_ou_session, SegmentationParams())[0]
-        flat = scalar_features(feature_vector(simple_ou_session, u, None))
-        assert flat["gazing_sign_changes"] is None
-        assert flat["operating_mean_dist"] is None
-        assert flat["dur_operating"] == 2.0
+        fv = feature_vector(simple_ou_session, u, None)
+        assert fv.gazing_sign_changes is None
+        assert fv.operating_mean_dist is None
+        assert fv.dur_operating == 2.0
 
 
 class TestSummarize:
     def test_means_over_defined_only(self):
-        rows = make_rows({"dur_gazing": 2.0, "early_shift_ratio": 0.4},
+        rows = make_rows({"dur_gazing": 2.0, "early_shift_ratio": 0.4,
+                          "gaze_pattern": "search", "shift_kind": "early"},
                          {"dur_gazing": 4.0, "early_shift_ratio": None})
-        s = summarize_rows("s", "op", "earlier", rows,
-                           patterns=("search", "shift"), kinds=("early", "undefined"))
+        s = summarize_rows("s", "op", "earlier", rows)
         assert s.n_units == 2
         assert s.feature_means["dur_gazing"] == 3.0
         assert s.feature_counts["dur_gazing"] == 2
@@ -133,7 +133,7 @@ class TestSummarize:
     def test_from_feature_vectors(self, simple_ou_session):
         u = segment_units(simple_ou_session, SegmentationParams())[0]
         fv = feature_vector(simple_ou_session, u, None)
-        s = session_feature_summary(simple_ou_session, [fv])
+        s = summarize_rows("s1", "op1", "earlier", [dataclasses.asdict(fv)])
         assert s.session_id == "s1" and s.n_units == 1
         assert s.feature_means["dur_operating"] == 2.0
         assert s.n_shift == 1 and s.n_shift_undefined == 1
@@ -218,9 +218,7 @@ class TestPairwiseComparison:
 
 
 def unit(step_id, **features):
-    row = {name: None for name in SCALAR_FEATURES}
-    row.update(features)
-    return step_id, row
+    return make_rows({"step_id": step_id, **features})[0]
 
 
 class TestStepFeatureMeans:

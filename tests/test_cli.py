@@ -69,6 +69,38 @@ def write_escape(sessions: Path, kind: str, lineno: int) -> Path:
     return bad
 
 
+# validation_report.json of one malformed and one clean file, with the
+# session directory written as DIR
+VALIDATION_REPORT = """[
+  {
+    "errors": [
+      [
+        4,
+        "DIR/broken.jsonl:4: malformed JSON: Expecting property name enclosed in double quotes"
+      ]
+    ],
+    "session_id": null,
+    "source": "DIR/broken.jsonl",
+    "stats": {},
+    "warnings": []
+  },
+  {
+    "errors": [],
+    "session_id": "op1_later",
+    "source": "DIR/op1_later.jsonl",
+    "stats": {
+      "duration_s": 6.0,
+      "frame_count": 61,
+      "hand_visible_fraction": 0.6721311475409836,
+      "sample_rate_hz": 10.0,
+      "touch_count": 21
+    },
+    "warnings": []
+  }
+]
+"""
+
+
 class TestValidate:
     def test_clean_corpus_ok(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
@@ -111,6 +143,18 @@ class TestValidate:
         errors = [e["errors"] for e in report if e["errors"]]
         assert len(errors) == 1 and errors[0][0][0] == 5
         assert ESCAPES[kind][2] in errors[0][0][1]
+
+    def test_report_bytes(self, corpus, tmp_path):
+        # one clean file and one with a malformed line 4
+        sessions = corpus / "sessions"
+        lines = (sessions / "op1_earlier.jsonl").read_text().splitlines()
+        (sessions / "op1_earlier.jsonl").unlink()
+        lines[3] = "{not json"
+        (sessions / "broken.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert run(["validate", sessions, "--out", out]) == 1
+        text = (out / "validation_report.json").read_text()
+        assert text.replace(str(sessions.resolve()), "DIR") == VALIDATION_REPORT
 
     def test_empty_directory_is_distinct_failure(self, tmp_path):
         empty = tmp_path / "nothing"
@@ -395,3 +439,4 @@ class TestStepLabelFlow:
         with (out / "features.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["step_id"] for r in rows] == ["alpha", "beta"]
+

@@ -2,8 +2,9 @@
 
 ``build_distance_series`` selects a period by index range, and
 ``feature_vector`` takes a unit's periods as windows of its whole-unit
-series; both must give the bytes of the mask-based oracle in
-``tests/reference_features.py``.  Sessions and units are drawn directly, so
+series and writes a flat row; both must give the bytes of the mask-based
+oracle in ``tests/reference_features.py``, whose nested vector is
+flattened for the comparison.  Sessions and units are drawn directly, so
 units may hold hand-absent runs, touching frames outside their operating
 period, frames exactly on period bounds, empty or one-sample periods, or
 no hotspot at all.
@@ -15,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_features
-from opgaze.analysis import scalar_features
+from opgaze.featurerow import SCALAR_FEATURES
 from opgaze.features import (
     PERIODS,
     FeatureParams,
@@ -101,7 +102,10 @@ def check_windows(s, ou, hotspot, params) -> None:
 def check_feature_vector(s, ou, hotspot, params) -> None:
     got = feature_vector(s, ou, hotspot, params)
     want = reference_features.feature_vector(s, ou, hotspot, params)
-    assert repr(scalar_features(got)) == repr(scalar_features(want))
+    flat = reference_features.scalar_features(want)
+    assert repr([getattr(got, name) for name in SCALAR_FEATURES]) == \
+        repr([flat[name] for name in SCALAR_FEATURES])
+    assert (got.ou_index, got.hotspot_id, got.step_id) == (want.ou_index, want.hotspot_id, want.step_id)
     assert (got.gaze_pattern, got.shift_kind, got.undefined) == \
         (want.gaze_pattern, want.shift_kind, want.undefined)
 

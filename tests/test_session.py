@@ -161,9 +161,8 @@ class TestFeatureVector:
             ou_index=0, hotspot_id=0, step_id=None,
             dur_gazing=2.0, dur_approaching=1.0, dur_operating=5.0,
             ratio_gazing=0.25, ratio_approaching=0.125, ratio_operating=0.625,
-            operating_mean_dist=1.0, gazing_kin=None, approaching_kin=None,
-            operating_kin=None, corr_attention_hand=None, attention_lead_lag=None,
-            early_shift_ratio=0.5, gaze_pattern="search", shift_kind="early",
+            operating_mean_dist=1.0, early_shift_ratio=0.5,
+            gaze_pattern="search", shift_kind="early",
         )
         base.update(over)
         return base
@@ -179,6 +178,12 @@ class TestFeatureVector:
     def test_valid_vector_accepted(self):
         fv = FeatureVector(**self._kwargs())
         assert fv.gaze_pattern == "search"
+        assert fv.gazing_sign_changes is None and fv.corr_attention_hand is None
+
+    @pytest.mark.parametrize("name", ["gazing_sign_changes", "operating_dist_var"])
+    def test_negative_kinematics_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            FeatureVector(**self._kwargs(**{name: -1.0}))
 
 
 class TestDifficultyRatings:

@@ -26,7 +26,7 @@ import logging
 import sys
 import traceback
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, TypeVar, Union
 
 from . import analysis, synth
 from .featurerow import FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
@@ -56,13 +56,6 @@ NON_SESSION_NAMES = frozenset({
     "ratings.csv", "features.csv", "units.csv", "hotspots.csv",
     "comparison.csv", "correlation.csv",
 })
-
-CLUSTER_KEYS = ("spatial_eps", "temporal_gap_max", "min_points")
-SEGMENTATION_KEYS = ("touch_merge_gap", "min_operating", "hand_presence_debounce")
-FEATURE_KEYS = (
-    "sign_deadband", "lag_threshold", "search_freq_min", "early_shift_min",
-    "min_operating_for_early_shift",
-)
 
 UNITS_HEADER = (
     "ou_index", "g_start", "g_end", "h_start", "h_end",
@@ -120,36 +113,19 @@ class RunConfig:
     segmentation: SegmentationParams
     features: FeatureParams
 
-    def echo(self) -> dict:
-        return {
-            "cluster": {
-                "spatial_eps": self.cluster.spatial_eps,
-                "temporal_gap_max": self.cluster.temporal_gap_max,
-                "min_points": self.cluster.min_points,
-            },
-            "segmentation": {
-                "touch_merge_gap": self.segmentation.touch_merge_gap,
-                "min_operating": self.segmentation.min_operating,
-                "hand_presence_debounce": self.segmentation.hand_presence_debounce,
-            },
-            "features": {
-                "sign_deadband": self.features.sign_deadband,
-                "lag_threshold": self.features.lag_threshold,
-                "search_freq_min": self.features.search_freq_min,
-                "early_shift_min": self.features.early_shift_min,
-                "min_operating_for_early_shift": self.features.min_operating_for_early_shift,
-            },
-        }
+
+_Params = TypeVar("_Params")
 
 
-def _section(raw: Mapping[str, object], name: str, allowed: Sequence[str]) -> dict:
+def _section(raw: Mapping[str, object], name: str, params: type[_Params]) -> _Params:
+    """Section ``name`` of the config as ``params``, whose fields are its keys."""
     data = raw.get(name, {})
     if not isinstance(data, dict):
         raise ValueError(f"config section {name!r} must be an object")
-    unknown = set(data) - set(allowed)
+    unknown = set(data) - {f.name for f in dataclasses.fields(params)}
     if unknown:
         raise ValueError(f"unknown {name} config keys: {sorted(unknown)}")
-    return dict(data)
+    return params(**data)
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -160,13 +136,13 @@ def load_config(path: Optional[str]) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        unknown = set(raw) - {"cluster", "segmentation", "features"}
+        unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
     return RunConfig(
-        cluster=ClusterParams(**_section(raw, "cluster", CLUSTER_KEYS)),
-        segmentation=SegmentationParams(**_section(raw, "segmentation", SEGMENTATION_KEYS)),
-        features=FeatureParams(**_section(raw, "features", FEATURE_KEYS)),
+        cluster=_section(raw, "cluster", ClusterParams),
+        segmentation=_section(raw, "segmentation", SegmentationParams),
+        features=_section(raw, "features", FeatureParams),
     )
 
 
@@ -381,7 +357,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         })
     combined_rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(out / "features.csv", FEATURES_HEADER, combined_rows)
-    _write_json(out / "config_used.json", config.echo())
+    _write_json(out / "config_used.json", dataclasses.asdict(config))
 
     ok_sessions = [results[p].session for p in files if p in results]
     if any(s.touching_mask.any() for s in ok_sessions):

@@ -83,15 +83,15 @@ class ValidationReport:
         }
 
 
-def _open_text(source: Source) -> tuple[IO[str], str, bool]:
+def _open_text(source: Source) -> tuple[IO[str], str]:
     if isinstance(source, (str, Path)):
         path = Path(source)
-        return path.open("r", encoding="utf-8"), str(path), True
+        return path.open("r", encoding="utf-8"), str(path)
     name = getattr(source, "name", "stream")
     data = source.read()
     if isinstance(data, bytes):  # decoded as a file's bytes are
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), str(name), True
-    return io.StringIO(data), str(name), True
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), str(name)
+    return io.StringIO(data), str(name)
 
 
 def _not_utf8(data: bytes, parse: Callable, src: str) -> ParseError:
@@ -236,7 +236,7 @@ def parse_session(
     """Parse one session file (or open stream) in the given format."""
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    stream, src, close = _open_text(source)
+    stream, src = _open_text(source)
     parse = _parse_jsonl if format == JSONL else _parse_csv
     try:
         header, columns = parse(stream, src)
@@ -244,8 +244,7 @@ def parse_session(
         stream.buffer.seek(0)
         raise _not_utf8(stream.buffer.read(), parse, src) from None
     finally:
-        if close:
-            stream.close()
+        stream.close()
     if not len(columns["times"]):
         raise ParseError("no frames in session", source=src)
     return Session(header["id"], header["operator"], header["ordinal"],

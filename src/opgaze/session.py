@@ -3,8 +3,8 @@
 A recording is a :class:`Session`, stored as one array per frame field:
 time, the operator's attention proxy (the projected view center), the hand
 position (NaN while out of sight) and a physical-contact flag.  Every stage
-reads these columns; :class:`FrameRecord` samples serve only the API edge,
-as ``Session(frames=...)`` and the on-demand ``Session.frames`` view.
+reads these columns, and a session is built from them; :class:`FrameRecord`
+samples serve only the API edge, as the on-demand ``Session.frames`` view.
 Downstream stages derive hotspots, operation units and distance series
 from these types; the per-unit feature row lives in ``featurerow``.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -83,7 +83,7 @@ class StepLabel:
             raise ValueError(f"step '{self.step_id}': end {self.end_t} not after start {self.start_t}")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Session:
     """One recorded operation experience, held as per-frame columns.
 
@@ -98,32 +98,14 @@ class Session:
     id: str
     operator: str
     ordinal: str
+    _: KW_ONLY
     sample_rate_hz: float
-    coord_frame: str
-    step_labels: Optional[tuple[StepLabel, ...]]
+    coord_frame: str = "scene"
+    step_labels: Optional[tuple[StepLabel, ...]] = None
     times: np.ndarray = field(repr=False)
     attention_xy: np.ndarray = field(repr=False)
     hand_xy: np.ndarray = field(repr=False)
     touching_mask: np.ndarray = field(repr=False)
-
-    # Written out so that ``frames`` stays an init-only argument beside the
-    # ``frames`` view; ``dataclasses.replace`` passes the columns by name.
-    def __init__(self, id: str, operator: str, ordinal: str,
-                 frames: Optional[Sequence[FrameRecord]] = None, *,
-                 sample_rate_hz: float, coord_frame: str = "scene",
-                 step_labels: Optional[Sequence[StepLabel]] = None,
-                 times=None, attention_xy=None, hand_xy=None, touching_mask=None) -> None:
-        if frames is not None:
-            frames = tuple(frames)
-            times, touching_mask = [f.t for f in frames], [f.touching for f in frames]
-            attention_xy = np.reshape([(f.attention.x, f.attention.y) for f in frames], (-1, 2))
-            hand_xy = np.reshape([(math.nan,) * 2 if f.hand is None else (f.hand.x, f.hand.y)
-                                  for f in frames], (-1, 2))
-        values = (id, operator, ordinal, sample_rate_hz, coord_frame, step_labels,
-                  times, attention_xy, hand_xy, touching_mask)
-        for name, value in zip(_SESSION_FIELDS, values):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.ordinal not in ORDINALS:

@@ -43,7 +43,6 @@ from .session import (
     SCORE_MAX,
     SCORE_MIN,
     DifficultyRatings,
-    FrameRecord,
     Point2,
     Rating,
     Session,
@@ -159,8 +158,9 @@ def generate_ou_trace(
     seed: Union[int, Sequence[int]],
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
     start_index: int = 0,
-) -> tuple[list[FrameRecord], PlannedUnit]:
-    """Frames realizing one archetype, on the global frame grid.
+) -> tuple[dict[str, np.ndarray], PlannedUnit]:
+    """The ``Session`` columns realizing one archetype, on the global
+    frame grid.
 
     Frame k of the unit gets t = (start_index + k) / rate, so units
     concatenate seamlessly.  Deterministic given the seed.
@@ -233,30 +233,21 @@ def generate_ou_trace(
     # rays stay in one quadrant so the observed scene diagonal stays near
     # far_dist * sqrt(2) instead of doubling
     angle = rng.uniform(0.0, np.pi / 2.0)
-    ux, uy = np.cos(angle), np.sin(angle)
-    hx0, hy0 = a.hotspot.x, a.hotspot.y
+    ray = np.array([np.cos(angle), np.sin(angle)])
+    hotspot = np.array([a.hotspot.x, a.hotspot.y])
     touch_jitter = 0.25 * a.noise_sigma
+    hand_o = np.full((n_o, 2), hotspot)
+    if touch_jitter > 0:
+        hand_o = hand_o + rng.normal(0.0, touch_jitter, (n_o, 2))
 
-    frames: list[FrameRecord] = []
     n_total = n_g + n_h + n_o
-    for j in range(n_total):
-        t = (start_index + j) / rate
-        attention = Point2(hx0 + ux * d_att[j], hy0 + uy * d_att[j])
-        if j < n_g:
-            hand, touching = None, False
-        elif j < n_g + n_h:
-            dh = d_hand[j - n_g]
-            hand, touching = Point2(hx0 + ux * dh, hy0 + uy * dh), False
-        else:
-            if touch_jitter > 0:
-                hand = Point2(
-                    hx0 + rng.normal(0.0, touch_jitter),
-                    hy0 + rng.normal(0.0, touch_jitter),
-                )
-            else:
-                hand = Point2(hx0, hy0)
-            touching = True
-        frames.append(FrameRecord(t=t, attention=attention, hand=hand, touching=touching))
+    columns = {
+        "times": (start_index + np.arange(n_total)) / rate,
+        "attention_xy": hotspot + ray * d_att[:, None],
+        "hand_xy": np.concatenate([np.full((n_g, 2), np.nan),
+                                   hotspot + ray * d_hand[:, None], hand_o]),
+        "touching_mask": np.arange(n_total) >= n_g + n_h,
+    }
 
     planned = PlannedUnit(
         gaze_pattern=a.gaze_pattern,
@@ -267,7 +258,7 @@ def generate_ou_trace(
         start_index=start_index,
         n_frames=n_total,
     )
-    return frames, planned
+    return columns, planned
 
 
 @dataclass(frozen=True)
@@ -301,15 +292,15 @@ def generate_session(
     if step_ids is not None and len(step_ids) != len(archetypes):
         raise ValueError("step_ids must align with archetypes")
     base = session_seed(seed, session_id)
-    frames: list[FrameRecord] = []
+    units: list[dict[str, np.ndarray]] = []
     planned: list[PlannedUnit] = []
     labels: list[StepLabel] = []
     start_index = 0
     for i, spec in enumerate(archetypes):
-        ou_frames, ou_planned = generate_ou_trace(
+        ou_columns, ou_planned = generate_ou_trace(
             spec, base + [i], sample_rate_hz, start_index
         )
-        frames.extend(ou_frames)
+        units.append(ou_columns)
         planned.append(ou_planned)
         if step_ids is not None:
             labels.append(StepLabel(
@@ -322,9 +313,9 @@ def generate_session(
         id=session_id,
         operator=operator,
         ordinal=ordinal,
-        frames=tuple(frames),
         sample_rate_hz=sample_rate_hz,
         step_labels=tuple(labels) if labels else None,
+        **{name: np.concatenate([u[name] for u in units]) for name in units[0]},
     )
     return GeneratedSession(
         session=session, step_labels=tuple(labels), planned=tuple(planned)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +23,17 @@ def frame(
     return FrameRecord(t=t, attention=Point2(ax, ay), hand=hand, touching=touch)
 
 
+def frame_columns(frames: Sequence[FrameRecord]) -> dict:
+    """The ``Session`` columns of per-frame records: ``Session(..., **frame_columns(frames))``."""
+    return {
+        "times": [f.t for f in frames],
+        "attention_xy": np.reshape([(f.attention.x, f.attention.y) for f in frames], (-1, 2)),
+        "hand_xy": np.reshape([(math.nan,) * 2 if f.hand is None else (f.hand.x, f.hand.y)
+                               for f in frames], (-1, 2)),
+        "touching_mask": [f.touching for f in frames],
+    }
+
+
 def make_session(
     frames: Sequence[FrameRecord],
     session_id: str = "s1",
@@ -34,9 +46,9 @@ def make_session(
         id=session_id,
         operator=operator,
         ordinal=ordinal,
-        frames=tuple(frames),
         sample_rate_hz=rate,
         step_labels=step_labels,
+        **frame_columns(frames),
     )
 
 

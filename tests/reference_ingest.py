@@ -64,7 +64,7 @@ def _check_monotonic(frames, lineno, src):
 
 def parse(source, format="jsonl"):
     """(header, frames) of a session file, or the ParseError it raises."""
-    stream, src, _ = _open_text(source)
+    stream, src = _open_text(source)
     with stream:
         header, frames = (_parse_jsonl if format == "jsonl" else _parse_csv)(stream, src)
     if not frames:

@@ -42,6 +42,8 @@ from opgaze.synth import (
     write_cohort,
 )
 
+from conftest import frame_columns
+
 RATE = 30.0
 COHORT_SEED = 20260822
 CLASSIFICATION_SEED = 424242
@@ -111,8 +113,8 @@ def test_criterion_03_early_shift_ratio_contract():
     for requested in (0.0, 0.15, 0.3, 0.6):
         a = ArchetypeSpec(shift_kind="early" if requested >= 0.1 else "non-early",
                           early_ratio=requested)
-        frames, planned = generate_ou_trace(a, seed=33)
-        s = Session(id="r", operator="op", ordinal="earlier", frames=tuple(frames),
+        columns, planned = generate_ou_trace(a, seed=33)
+        s = Session(id="r", operator="op", ordinal="earlier", **columns,
                     sample_rate_hz=RATE)
         hotspots = cluster_touches(extract_touches(s), ClusterParams().resolve([s]))
         u = segment_units(s, SegmentationParams(), hotspots)[0]
@@ -160,7 +162,7 @@ def test_criterion_04_segmentation_reference_equivalence():
             frames.append(FrameRecord(
                 t=k / 10.0, attention=Point2(0.0, 0.0),
                 hand=Point2(1.0, 1.0) if on else None, touching=touch))
-        s = Session(id="r", operator="op", ordinal="earlier", frames=tuple(frames),
+        s = Session(id="r", operator="op", ordinal="earlier", **frame_columns(frames),
                     sample_rate_hz=10.0)
         ts = [f.t for f in frames]
         touching = [f.touching for f in frames]

@@ -4,10 +4,10 @@ A refactor keeps every output byte.  This runs ``synth`` (seed 7),
 ``analyze`` at ``--jobs 1`` and ``--jobs 2``, then ``compare`` and
 ``correlate``, all in-process through ``main``.  The cases are two pairs in
 each input format, one CSV pair at 120 Hz, whose units have long traces,
-and two JSONL pairs whose operating periods are too short for an
-early-shift ratio.  The digest covers every file written, inputs included.
-A change that alters outputs on purpose updates the digests here and says
-why.
+two JSONL pairs whose operating periods are too short for an
+early-shift ratio, and one JSONL pair with position noise.  The digest
+covers every file written, inputs included.  A change that alters outputs
+on purpose updates the digests here and says why.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ GOLDEN = {
     # operating periods of 0.5 s, below the early-shift minimum of 1 s
     "jsonl_short_operating": ({"n_pairs": 2, "base_dur_operating": 0.5}, "jsonl",
                               "e15270ad489db90faa6f7091cbf8f567634e9f116100fa78e00610588c7b0d36"),
+    # position noise, so the distance and touch jitter draws reach the bytes
+    "jsonl_noise": ({"n_pairs": 1, "noise_sigma": 0.5}, "jsonl",
+                    "1b788a282805aee0601b0fa6b10d53bc1c8857982399dc0cc1195f9a71f82dbb"),
 }
 
 

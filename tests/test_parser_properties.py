@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_ingest
+from conftest import frame_columns
 from opgaze import FrameRecord, ParseError, Point2, Session, parse_session, write_session
 
 HEADER = {"id": "s1", "operator": "op1", "ordinal": "earlier", "rate_hz": 30.0, "coord_frame": "scene"}
@@ -46,7 +47,8 @@ def sessions(draw):
         frames.append(FrameRecord(t, Point2(draw(coords), draw(coords)), hand, touching))
         t += step
     return Session(id="s1", operator="op1", ordinal=draw(st.sampled_from(["earlier", "later"])),
-                   frames=frames, sample_rate_hz=draw(st.sampled_from([30.0, 0.1 + 0.2, 1e-3])))
+                   **frame_columns(frames),
+                   sample_rate_hz=draw(st.sampled_from([30.0, 0.1 + 0.2, 1e-3])))
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -57,7 +59,7 @@ def test_write_then_parse_is_identity(tmp_path, fmt, s):
     write_session(s, path, format=fmt)
     back = parse_session(path, format=fmt)
     assert back == s
-    assert Session(id=s.id, operator=s.operator, ordinal=s.ordinal, frames=back.frames,
+    assert Session(id=s.id, operator=s.operator, ordinal=s.ordinal, **frame_columns(back.frames),
                    sample_rate_hz=s.sample_rate_hz) == s
 
 

@@ -21,7 +21,7 @@ from opgaze import (
     scene_diagonal,
 )
 
-from conftest import frame, make_session
+from conftest import frame, frame_columns, make_session
 
 
 class TestPoint2:
@@ -93,6 +93,13 @@ class TestSession:
         assert pickle.loads(pickle.dumps(s)) == s
         assert dataclasses.replace(s, id="s2") != s
         assert dataclasses.replace(s, id="s2").frames == s.frames
+
+    def test_built_from_columns_only(self):
+        frames = [frame(0.0, ax=1.0), frame(0.1, hx=5.0, hy=6.0, touch=True)]
+        with pytest.raises(TypeError):
+            Session("s1", "op1", "earlier", frames=frames, sample_rate_hz=10.0)
+        with pytest.raises(TypeError):  # past the ordinal, fields are keyword-only
+            Session("s1", "op1", "earlier", 10.0, **frame_columns(frames))
 
     def test_column_invariants_checked(self):
         s = make_session([frame(0.0), frame(0.1, hx=1.0, hy=1.0, touch=True)])

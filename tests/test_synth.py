@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opgaze import (
     ClusterParams,
@@ -19,6 +20,7 @@ from opgaze import (
     segment_units,
     validate_session,
 )
+from opgaze.featurerow import GAZE_PATTERNS
 from opgaze.synth import (
     CLASSIFICATION_COMBOS,
     ArchetypeSpec,
@@ -33,7 +35,8 @@ from opgaze.synth import (
     write_cohort,
 )
 
-from conftest import make_session
+import reference_synth
+from conftest import frame_columns
 
 
 def run_pipeline(gen, rate=30.0):
@@ -60,12 +63,12 @@ class TestOscillationCycles:
             oscillation_freq_hz=oscillation_cycles(reversals) / 2.0,  # cycles over 2 s gazing
             dur_gazing=2.0,
         )
-        frames, planned = generate_ou_trace(a, seed=3)
+        columns, planned = generate_ou_trace(a, seed=3)
         assert planned.gazing_reversals == reversals
         # independent count on the realized attention-hotspot distance
         hx, hy = a.hotspot.x, a.hotspot.y
         n_g = round(a.dur_gazing * 30.0)
-        d = [np.hypot(f.attention.x - hx, f.attention.y - hy) for f in frames[:n_g]]
+        d = [np.hypot(x - hx, y - hy) for x, y in columns["attention_xy"][:n_g].tolist()]
         diffs = np.diff(d)
         symbols = [s for s in np.sign(diffs) if s != 0]
         changes = sum(1 for p, q in zip(symbols, symbols[1:]) if p != q)
@@ -74,19 +77,20 @@ class TestOscillationCycles:
 
 class TestGenerateOuTrace:
     def test_frames_on_global_grid(self):
-        frames, planned = generate_ou_trace(ArchetypeSpec(), seed=1, start_index=90)
-        assert frames[0].t == pytest.approx(3.0)
-        assert frames[1].t - frames[0].t == pytest.approx(1.0 / 30.0)
+        columns, planned = generate_ou_trace(ArchetypeSpec(), seed=1, start_index=90)
+        times = columns["times"]
+        assert times[0] == pytest.approx(3.0)
+        assert times[1] - times[0] == pytest.approx(1.0 / 30.0)
         assert planned.start_index == 90
-        assert planned.n_frames == len(frames)
+        assert planned.n_frames == len(times)
 
     def test_touching_frames_pin_hand_to_hotspot(self):
         a = ArchetypeSpec()
-        frames, _ = generate_ou_trace(a, seed=2)
-        touch_frames = [f for f in frames if f.touching]
-        assert touch_frames
-        for f in touch_frames:
-            assert (f.hand.x, f.hand.y) == (a.hotspot.x, a.hotspot.y)
+        columns, _ = generate_ou_trace(a, seed=2)
+        touch_hands = columns["hand_xy"][columns["touching_mask"]]
+        assert len(touch_hands)
+        for x, y in touch_hands.tolist():
+            assert (x, y) == (a.hotspot.x, a.hotspot.y)
 
     def test_lag_longer_than_approach_rejected(self):
         with pytest.raises(ValueError, match="lag"):
@@ -94,9 +98,26 @@ class TestGenerateOuTrace:
 
     def test_same_seed_same_frames(self):
         a = ArchetypeSpec(noise_sigma=0.5)
-        f1, p1 = generate_ou_trace(a, seed=99)
-        f2, p2 = generate_ou_trace(a, seed=99)
-        assert f1 == f2 and p1 == p2
+        c1, p1 = generate_ou_trace(a, seed=99)
+        c2, p2 = generate_ou_trace(a, seed=99)
+        assert p1 == p2
+        assert {k: v.tobytes() for k, v in c1.items()} == {k: v.tobytes() for k, v in c2.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(pattern=st.sampled_from(GAZE_PATTERNS), kind=st.sampled_from(("early", "non-early")),
+           noise=st.just(0.0) | st.floats(0.01, 3.0), rate=st.sampled_from([10.0, 30.0, 120.0]),
+           start_index=st.sampled_from([0, 7, 1000]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_columns_match_per_frame_reference(self, pattern, kind, noise, rate, start_index, seed):
+        a = ArchetypeSpec(gaze_pattern=pattern, shift_kind=kind, noise_sigma=noise,
+                          early_ratio=0.3 if kind == "early" else 0.0)
+        columns, planned = generate_ou_trace(a, [seed, 3], rate, start_index)
+        frames, want_planned = reference_synth.generate_ou_trace(a, [seed, 3], rate, start_index)
+        assert planned == want_planned
+        want = frame_columns(frames)
+        for name, dtype in (("times", float), ("attention_xy", float), ("hand_xy", float),
+                            ("touching_mask", bool)):
+            assert columns[name].dtype == dtype
+            assert columns[name].tobytes() == np.asarray(want[name], dtype=dtype).tobytes(), name
 
 
 class TestPlannedGroundTruth:

@@ -10,6 +10,11 @@ Two studies are supported:
 
 Rows carry None for undefined values; both studies aggregate over defined
 values only and report how many contributed.
+
+This module imports only the standard library, so the study commands run
+without loading numpy.  Its sums follow numpy's pairwise summation (Higham,
+SIAM J. Sci. Comput. 14(4), 1993) step by step, so every mean and
+correlation has the bits that ``np.sum`` and ``np.mean`` give.
 """
 
 from __future__ import annotations
@@ -18,17 +23,47 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .featurerow import SCALAR_FEATURES
-from .session import DifficultyRatings
+from .studyio import DifficultyRatings
 
 logger = logging.getLogger(__name__)
 
 Row = Mapping[str, object]
 """A unit's ``features.csv`` row by column name, scalars as floats or None."""
+
+# numpy's unrolled block: at most this many values are summed in 8 lanes
+_BLOCK = 128
+
+
+def _pairwise(a: list[float], lo: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` of ``a[lo:lo + n]``, operation for operation."""
+    if n < 8:
+        return reduce(add, a[lo:lo + n], 0.0)
+    if n <= _BLOCK:
+        m = lo + n - n % 8
+        # lane j starts at a[lo + j] and adds every 8th value after it, in order
+        r = [reduce(add, a[lo + j:m:8]) for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, a[m:lo + n], res)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)
+
+
+def pairwise_sum(values: Iterable[float]) -> float:
+    """``float(np.sum(values))`` without numpy: the same bits, a NaN's sign and payload aside."""
+    a = [float(v) for v in values]
+    # numpy's reduction starts from its identity, so negative zeros sum to +0.0
+    return 0.0 + _pairwise(a, 0, len(a))
+
+
+def pairwise_mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` of a nonempty sequence, without numpy."""
+    return pairwise_sum(values) / len(values)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
@@ -38,20 +73,20 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     constant (the coefficient is undefined there).  Raises on mismatched
     lengths.
     """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError(f"pearson needs two equal-length vectors, got {xs.shape} and {ys.shape}")
-    n = len(xs)
-    if n < 3:
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
+    if len(xs) != len(ys):
+        raise ValueError(f"pearson needs two equal-length vectors, got {len(xs)} and {len(ys)} values")
+    if len(xs) < 3:
         return None
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    sx = float(np.sqrt(np.sum(dx * dx)))
-    sy = float(np.sqrt(np.sum(dy * dy)))
+    mx, my = pairwise_mean(xs), pairwise_mean(ys)
+    dx = [v - mx for v in xs]
+    dy = [v - my for v in ys]
+    sx = math.sqrt(pairwise_sum([d * d for d in dx]))
+    sy = math.sqrt(pairwise_sum([d * d for d in dy]))
     if sx == 0.0 or sy == 0.0:
         return None
-    r = float(np.sum(dx * dy) / (sx * sy))
+    r = pairwise_sum([a * b for a, b in zip(dx, dy)]) / (sx * sy)
     return max(-1.0, min(1.0, r))
 
 
@@ -92,7 +127,7 @@ def summarize_rows(
     for name in SCALAR_FEATURES:
         defined = [r[name] for r in rows if r.get(name) is not None]
         counts[name] = len(defined)
-        means[name] = float(np.mean(defined)) if defined else None
+        means[name] = pairwise_mean(defined) if defined else None
     patterns = Counter(r["gaze_pattern"] for r in rows)
     kinds = Counter(r["shift_kind"] for r in rows)
     return SessionSummary(
@@ -192,7 +227,7 @@ def pairwise_comparison(
                 n_smaller += 1
         rows.append(ComparisonRow(
             feature=name,
-            mean_delta_pct=float(np.mean(deltas)) if deltas else None,
+            mean_delta_pct=pairwise_mean(deltas) if deltas else None,
             n_pairs=len(deltas),
             n_later_smaller=n_smaller,
             deltas_pct=tuple(deltas),
@@ -216,7 +251,7 @@ def step_feature_means(
         means: dict[str, Optional[float]] = {}
         for name in features:
             defined = [r[name] for r in group if r.get(name) is not None]
-            means[name] = float(np.mean(defined)) if defined else None
+            means[name] = pairwise_mean(defined) if defined else None
         out[step_id] = means
     return out
 

@@ -20,29 +20,25 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import logging
 import sys
 import traceback
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, TypeVar, Union
 
-from . import analysis, synth
+# only numpy-free modules here, so that compare, correlate and --help load no numpy
+from . import analysis
 from .featurerow import FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
-from .features import FeatureParams, build_distance_series, feature_vector
-from .hotspot import ClusterParams, cluster_touches, extract_touches, touch_distribution, touch_distribution_plot_data
-from .ingest import (
-    ParseError,
-    atomic_write_text,
-    detect_format,
-    load_ratings,
-    load_step_labels,
-    parse_session,
-    validate_session,
-)
-from .segmentation import SegmentationParams, segment_units
-from .session import Hotspot, OperationUnit, Session
+from .studyio import ParseError, atomic_write_text, load_ratings
+
+if TYPE_CHECKING:
+    from .features import FeatureParams
+    from .hotspot import ClusterParams
+    from .segmentation import SegmentationParams
+    from .session import Hotspot, OperationUnit, Session
 
 logger = logging.getLogger(__name__)
 
@@ -62,6 +58,35 @@ UNITS_HEADER = (
     "o_start", "o_end", "hotspot_id", "step_id",
 )
 HOTSPOTS_HEADER = ("id", "cx", "cy", "count", "first_t", "last_t")
+
+# The analyze and validate paths call these through this module's globals,
+# where tools (perfbench/tracer.py, tests) may rebind them.  They live in
+# modules that load numpy, so they are bound on first use: by an attribute
+# lookup on this module, or by _bind() at the top of each function that can
+# be the first to call one.  A name bound already is kept.
+_LAZY = {
+    "detect_format": "ingest", "load_step_labels": "ingest", "parse_session": "ingest",
+    "validate_session": "ingest",
+    "FeatureParams": "features", "build_distance_series": "features", "feature_vector": "features",
+    "ClusterParams": "hotspot", "cluster_touches": "hotspot", "extract_touches": "hotspot",
+    "touch_distribution": "hotspot", "touch_distribution_plot_data": "hotspot",
+    "SegmentationParams": "segmentation", "segment_units": "segmentation",
+}
+
+
+def _bind() -> None:
+    """Bind each name of ``_LAZY`` that is still unbound."""
+    scope = globals()
+    for name, module in _LAZY.items():
+        if name not in scope:
+            scope[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind()
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,6 +156,7 @@ def _section(raw: Mapping[str, object], name: str, params: type[_Params]) -> _Pa
 def load_config(path: Optional[str]) -> RunConfig:
     """Load the pipeline config file (JSON with cluster / segmentation /
     features sections); missing sections and keys fall back to defaults."""
+    _bind()
     raw: dict = {}
     if path:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -173,6 +199,7 @@ def find_session_files(paths: Sequence[str]) -> list[Path]:
 
 
 def _load_session(path: Path) -> Session:
+    _bind()
     sidecar = path.with_suffix(".steps.csv")
     labels = load_step_labels(sidecar) if sidecar.is_file() else None
     return parse_session(path, format=detect_format(path), step_labels=labels)
@@ -226,6 +253,7 @@ class SessionResult:
 
 def analyze_session(s: Session, config: RunConfig) -> SessionResult:
     """Run the full per-session pipeline in memory."""
+    _bind()
     touches = extract_touches(s)
     params = config.cluster.resolve([s])
     hotspots = tuple(cluster_touches(touches, params))
@@ -248,6 +276,7 @@ def analyze_session(s: Session, config: RunConfig) -> SessionResult:
 
 
 def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
+    _bind()
     s = result.session
     sdir = out_dir / "sessions" / s.id
     (sdir / "traces").mkdir(parents=True, exist_ok=True)
@@ -512,6 +541,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 # --- synth -------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     raw: dict = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))

@@ -18,9 +18,9 @@ Frames are parsed straight into the Session's columns.  Rejected inputs
 never produce a Session: any malformed line (bytes that are not UTF-8, JSON
 nested past the recursion limit and a CSV cell over the field size limit
 included), duplicate or non-monotonic timestamp, contact-without-hand
-frame, or non-finite value (an integer too large for a float included)
-raises :class:`ParseError` with the number of the earliest offending line,
-as a line-by-line check would.
+frame, non-finite value (an integer too large for a float included) or
+coordinate beyond ``COORD_MAX`` raises :class:`ParseError` with the number
+of the earliest offending line, as a line-by-line check would.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ import itertools
 import json
 import math
 import operator
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .session import ORDINALS, DifficultyRatings, Rating, Session, StepLabel
+from .session import ORDINALS, Session, StepLabel
+# defined without numpy for the study commands; the same objects here
+from .studyio import ParseError, atomic_write_text, load_ratings, write_ratings  # noqa: F401
 
 JSONL = "jsonl"
 CSV = "csv"
@@ -50,17 +50,11 @@ HEADER_FIELDS = ("id", "operator", "ordinal", "rate_hz", "coord_frame")
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 
-
-class ParseError(ValueError):
-    """A session file that cannot be turned into a Session."""
-
-    def __init__(self, message: str, *, line: Optional[int] = None, source: str = "") -> None:
-        self.line = line
-        self.source = source
-        where = f"{source or 'stream'}"
-        if line is not None:
-            where += f":{line}"
-        super().__init__(f"{where}: {message}")
+# The largest coordinate magnitude accepted.  Two coordinates differ by at
+# most 2 * COORD_MAX, and the highest power of a difference the pipeline
+# forms is the fourth (cxx * cyy in the touch covariance check): at most
+# (2e50) ** 4 = 1.6e201, where a difference of 1.2e77 would overflow.
+COORD_MAX = 1e50
 
 
 @dataclass
@@ -125,6 +119,13 @@ def _as_float(value: object) -> Optional[float]:
 
 def _not_finite(value: object, what: str) -> str:
     return f"{what} is not {'a number' if _as_float(value) is None else 'finite'}: {value!r}"
+
+
+def _bad_coordinate(value: object, what: str) -> str:
+    out = _as_float(value)
+    if out is None or not math.isfinite(out):
+        return _not_finite(value, what)
+    return f"|{what}| exceeds {COORD_MAX:g}: {value!r}"
 
 
 def _finite(value: object, what: str, lineno: int, src: str) -> float:
@@ -198,8 +199,9 @@ def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: s
     out_of_order = np.zeros(len(t), dtype=bool)
     out_of_order[1:] = t[1:] <= t[:-1]
 
-    def finite(values: np.ndarray, raw_col: Sequence[object], what: str, present=True) -> Check:
-        return ~np.isfinite(values) & present, lambda i: _not_finite(raw_col[i], what)
+    def coordinate(values: np.ndarray, raw_col: Sequence[object], what: str, present=True) -> Check:
+        # NaN and infinities fail the comparison as well
+        return ~(np.abs(values) <= COORD_MAX) & present, lambda i: _bad_coordinate(raw_col[i], what)
 
     def order_message(i: int) -> str:
         cur, prev = float(t[i]), float(t[i - 1])
@@ -208,13 +210,13 @@ def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: s
 
     checks = [
         *checks_before,
-        finite(t, t_raw, "t"),
+        (~np.isfinite(t), lambda i: _not_finite(t_raw[i], "t")),
         (t < 0, lambda i: f"t must be >= 0, got {float(t[i])}"),
-        finite(ax, ax_raw, "ax"),
-        finite(ay, ay_raw, "ay"),
+        coordinate(ax, ax_raw, "ax"),
+        coordinate(ay, ay_raw, "ay"),
         (hx_none != hy_none, lambda i: "hx and hy must be null together"),
-        finite(hx, hx_raw, "hx", ~hx_none),
-        finite(hy, hy_raw, "hy", ~hy_none),
+        coordinate(hx, hx_raw, "hx", ~hx_none),
+        coordinate(hy, hy_raw, "hy", ~hy_none),
         (~touch_bool, lambda i: f"touch must be a boolean, got {touch_raw[i]!r}"),
         (touching & hx_none, lambda i: "contact without hand: touch=true but hand is null"),
         (out_of_order, order_message),
@@ -391,26 +393,6 @@ def _frame_values(s: Session) -> Iterable[tuple]:
     return zip(s.times.tolist(), ax, ay, hx, hy, s.touching_mask.tolist())
 
 
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    """Write a file atomically: temp file in the same directory, then rename.
-
-    Readers never observe a half-written file, and rerunning a command
-    overwrites outputs in one step.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def write_session(s: Session, path: Union[str, Path], format: Optional[str] = None) -> None:
     """Write a session file; the format defaults from the file extension."""
     path = Path(path)
@@ -464,40 +446,6 @@ def write_step_labels(labels: Iterable[StepLabel], path: Union[str, Path]) -> No
     writer.writerow(["start_t", "end_t", "step_id"])
     for label in labels:
         writer.writerow([repr(label.start_t), repr(label.end_t), label.step_id])
-    atomic_write_text(path, buf.getvalue())
-
-
-def load_ratings(path: Union[str, Path]) -> DifficultyRatings:
-    """Load a ratings CSV: ``step_id,rater_id,role,score``."""
-    path = Path(path)
-    by_step: dict[str, list[Rating]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if lineno == 1 and row[0].strip() == "step_id":
-                continue
-            if len(row) != 4:
-                raise ParseError("expected step_id,rater_id,role,score", line=lineno, source=str(path))
-            step_id, rater_id, role, score = (c.strip() for c in row)
-            try:
-                rating = Rating(rater_id=rater_id, role=role, score=int(score))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno, source=str(path))
-            by_step.setdefault(step_id, []).append(rating)
-    if not by_step:
-        raise ParseError("no ratings found", source=str(path))
-    return DifficultyRatings(by_step={k: tuple(v) for k, v in by_step.items()})
-
-
-def write_ratings(ratings: DifficultyRatings, path: Union[str, Path]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step_id", "rater_id", "role", "score"])
-    for step_id in ratings.step_ids():
-        for r in ratings.by_step[step_id]:
-            writer.writerow([step_id, r.rater_id, r.role, str(r.score)])
     atomic_write_text(path, buf.getvalue())
 
 

@@ -18,16 +18,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import KW_ONLY, dataclass, field, fields
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+# defined without numpy for the study commands; the same objects here
+from .studyio import RATER_ROLES, SCORE_MAX, SCORE_MIN, DifficultyRatings, Rating  # noqa: F401
+
 ORDINALS = ("earlier", "later")
 DISTANCE_KINDS = ("AO", "HO", "AH")
-RATER_ROLES = ("expert", "beginner")
-
-SCORE_MIN = -5
-SCORE_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -332,54 +331,3 @@ class DistanceSeries:
         if len(self.times) < 2:
             return 0.0
         return float(self.times[-1] - self.times[0])
-
-
-@dataclass(frozen=True)
-class Rating:
-    """One rater's difficulty score for one step, on the -5..5 scale
-
-    (most difficult to easiest)."""
-
-    rater_id: str
-    role: str
-    score: int
-
-    def __post_init__(self) -> None:
-        if self.role not in RATER_ROLES:
-            raise ValueError(f"role must be one of {RATER_ROLES}, got {self.role!r}")
-        if not SCORE_MIN <= self.score <= SCORE_MAX:
-            raise ValueError(f"score {self.score} outside [{SCORE_MIN}, {SCORE_MAX}]")
-
-
-@dataclass(frozen=True)
-class DifficultyRatings:
-    """Per-step rater scores."""
-
-    by_step: Mapping[str, tuple[Rating, ...]]
-
-    def __post_init__(self) -> None:
-        clean = {}
-        for step_id, ratings in self.by_step.items():
-            if not ratings:
-                raise ValueError(f"step {step_id!r} has no raters")
-            clean[step_id] = tuple(ratings)
-        object.__setattr__(self, "by_step", clean)
-
-    def step_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.by_step))
-
-    def mean_score(self, step_id: str, role: Optional[str] = None) -> float:
-        """Mean score for a step, optionally over one rater role only."""
-        ratings = self.by_step[step_id]
-        if role is not None:
-            if role not in RATER_ROLES:
-                raise ValueError(f"role must be one of {RATER_ROLES}, got {role!r}")
-            ratings = tuple(r for r in ratings if r.role == role)
-            if not ratings:
-                raise ValueError(f"step {step_id!r} has no raters with role {role!r}")
-        return sum(r.score for r in ratings) / len(ratings)
-
-    def mean_difficulty(self, step_id: str, role: Optional[str] = None) -> float:
-        """Mean rated difficulty: the negated score (the scale runs from
-        most difficult at -5 to easiest at +5)."""
-        return -self.mean_score(step_id, role)

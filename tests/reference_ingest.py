@@ -5,7 +5,8 @@ It checks each line completely before reading the next, so its first error
 is by construction the earliest bad line's.  Opening the source and checking
 the header are shared with ``opgaze.ingest``.  It includes the fixes for
 integers too large for a float: ``_finite`` reports them as not finite, and
-a line that fails to decode for any ``ValueError`` is malformed JSON.
+a line that fails to decode for any ``ValueError`` is malformed JSON, and
+a coordinate must lie within ``COORD_MAX``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 from typing import IO
 
-from opgaze.ingest import FRAME_FIELDS, ParseError, _open_text, _parse_header
+from opgaze.ingest import COORD_MAX, FRAME_FIELDS, ParseError, _open_text, _parse_header
 from opgaze.session import FrameRecord, Point2
 
 
@@ -31,18 +32,25 @@ def _finite(value, what, lineno, src):
     return out
 
 
+def _coordinate(value, what, lineno, src):
+    out = _finite(value, what, lineno, src)
+    if abs(out) > COORD_MAX:
+        raise ParseError(f"|{what}| exceeds {COORD_MAX:g}: {value!r}", line=lineno, source=src)
+    return out
+
+
 def _frame_from_fields(row, lineno, src):
     t = _finite(row["t"], "t", lineno, src)
     if t < 0:
         raise ParseError(f"t must be >= 0, got {t}", line=lineno, source=src)
-    ax = _finite(row["ax"], "ax", lineno, src)
-    ay = _finite(row["ay"], "ay", lineno, src)
+    ax = _coordinate(row["ax"], "ax", lineno, src)
+    ay = _coordinate(row["ay"], "ay", lineno, src)
     hx, hy = row["hx"], row["hy"]
     if (hx is None) != (hy is None):
         raise ParseError("hx and hy must be null together", line=lineno, source=src)
     hand = None
     if hx is not None:
-        hand = Point2(_finite(hx, "hx", lineno, src), _finite(hy, "hy", lineno, src))
+        hand = Point2(_coordinate(hx, "hx", lineno, src), _coordinate(hy, "hy", lineno, src))
     touch = row["touch"]
     if not isinstance(touch, bool):
         raise ParseError(f"touch must be a boolean, got {touch!r}", line=lineno, source=src)

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from opgaze import (
     SCALAR_FEATURES,
@@ -19,6 +22,8 @@ from opgaze import (
     step_feature_means,
     summarize_rows,
 )
+from opgaze.analysis import pairwise_mean, pairwise_sum
+from opgaze.features import _pearson as numpy_pearson
 from opgaze.features import feature_vector
 from opgaze.segmentation import SegmentationParams, segment_units
 
@@ -88,6 +93,83 @@ class TestPearson:
             assert moved is None
         else:
             assert moved == pytest.approx(base)
+
+
+def bits(value: float) -> bytes:
+    """The bytes of a float, so that -0.0 differs from 0.0 and NaN equals
+    NaN.  A NaN's sign and payload follow the operand order the C compiler
+    chose and never reach an output (``repr`` gives ``nan``), so every NaN
+    counts as one."""
+    return struct.pack("<d", math.nan if math.isnan(value) else value)
+
+
+# lengths at numpy's branch points: the plain loop below 8, one unrolled
+# block up to 128, and the split above it
+EDGE_LENGTHS = (*range(10), 127, 128, 129, 255, 256, 257)
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308)
+elements = st.one_of(st.floats(), st.floats(-1e3, 1e3), st.sampled_from(SPECIAL))
+
+
+@st.composite
+def float_lists(draw, n=None):
+    """Floats of mixed magnitudes with zeros of both signs, infinities and
+    NaN.  Lists over 16 long mix a drawn pool into seeded values over 16
+    decades, since drawing each value would cost seconds per test."""
+    if n is None:
+        n = draw(st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(0, 2000)))
+    if n <= 16:
+        return draw(st.lists(elements, min_size=n, max_size=n))
+    pool = draw(st.lists(elements, min_size=1, max_size=16))
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return [rng.choice(pool) if rng.random() < share else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+            for _ in range(n)]
+
+
+@st.composite
+def float_list_pairs(draw):
+    x = draw(float_lists())
+    return x, draw(float_lists(len(x)))
+
+
+# bounded, and no deadline: the speed of a shared test host drifts
+ORACLE = settings(max_examples=300, deadline=None)
+
+
+class TestNumpyBits:
+    """The pure-Python sums and ``pearson`` that the study commands use give
+    the bits of numpy's, on every input."""
+
+    @ORACLE
+    @given(float_lists())
+    def test_pairwise_sum_and_mean(self, values):
+        arr = np.array(values, dtype=float)
+        with np.errstate(all="ignore"):  # inf - inf and overflow are inputs here
+            assert bits(pairwise_sum(values)) == bits(float(np.sum(arr)))
+            if values:
+                assert bits(pairwise_mean(values)) == bits(float(np.mean(arr)))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 300])
+    def test_negative_zeros_sum_to_positive_zero(self, n):
+        assert bits(pairwise_sum([-0.0] * n)) == bits(float(np.sum(np.full(n, -0.0))))
+
+    @ORACLE
+    @given(float_list_pairs())
+    def test_pearson(self, xy):
+        x, y = xy
+        with np.errstate(all="ignore"):
+            want = numpy_pearson(x, y)
+        got = pearson(x, y)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert bits(got) == bits(want)
+
+    def test_overflowed_compare_delta_mean(self):
+        # (l - e) / e * 100 overflows for a tiny earlier mean
+        deltas = [(1e300 - 1e-10) / 1e-10 * 100.0, 5.0, -(1e308 * 10.0)]
+        with np.errstate(all="ignore"):
+            assert bits(pairwise_mean(deltas)) == bits(float(np.mean(deltas)))
+        assert math.isnan(pairwise_mean(deltas))
 
 
 class TestScalarFeatures:

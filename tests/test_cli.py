@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from opgaze import cli, parse_session, write_session, write_step_labels
 from opgaze.cli import main
+from opgaze.ingest import COORD_MAX
 
 from conftest import frame, make_session
 
@@ -19,6 +24,17 @@ def run(args):
         return main([str(a) for a in args])
     except SystemExit as exc:  # argparse rejections
         return int(exc.code or 0)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_child(args) -> subprocess.CompletedProcess:
+    """``opgaze`` in a fresh interpreter with the default warning filters, so
+    that stderr shows what a user sees, numpy's warnings included."""
+    return subprocess.run([sys.executable, "-m", "opgaze.cli", *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture
@@ -330,6 +346,41 @@ class TestAnalyze:
         summary = json.loads((out / "summary.json").read_text())
         assert f"{bad.name}:6: {ESCAPES[kind][2]}" in summary["failures"][0]["error"]
         assert summary["n_sessions_ok"] == 1
+
+    @staticmethod
+    def write_hostile(d: Path, magnitude: float) -> None:
+        """40 frames at 10 Hz; the hand touches over frames 10-29 (lines
+        12-31), its x alternating between +magnitude and -magnitude."""
+        d.mkdir()
+        frames = [frame(i / 10.0, ax=1.0, ay=2.0, hx=magnitude * (-1) ** i, hy=3.0, touch=True)
+                  if 10 <= i < 30 else frame(i / 10.0, ax=1.0, ay=2.0) for i in range(40)]
+        write_session(make_session(frames, session_id="hostile"), d / "hostile.jsonl")
+
+    @pytest.mark.parametrize("magnitude", [1e155, 1e156, math.nextafter(COORD_MAX, math.inf)])
+    def test_coordinate_beyond_the_domain_is_a_line_numbered_failure(self, tmp_path, magnitude):
+        # at 1e155 the run once exited 0 with an Infinity covariance in
+        # touchdist.json; at 1e156 clustering raised OverflowError
+        self.write_hostile(tmp_path / "d", magnitude)
+        out = tmp_path / "out"
+        proc = run_child(["analyze", tmp_path / "d", "--out", out])
+        assert proc.returncode == 1, proc.stderr
+        assert f"hostile.jsonl:12: |hx| exceeds 1e+50: {magnitude!r}" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert "hostile.jsonl:12: " in summary["failures"][0]["error"]
+
+    def test_coordinates_at_the_domain_bound_are_analyzed(self, tmp_path):
+        self.write_hostile(tmp_path / "d", COORD_MAX)
+        out = tmp_path / "out"
+        proc = run_child(["analyze", tmp_path / "d", "--out", out])
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+
+        touchdist = json.loads((out / "touchdist.json").read_text(), parse_constant=not_json)
+        assert touchdist["touch_count"] == 20
 
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,7 +1,8 @@
 """Property tests for the session parser.
 
 Round trip: ``write_session`` then ``parse_session`` gives an equal
-Session, in both formats.  Fuzzing: frame lines built from awkward values
+Session, in both formats, for coordinates within ``COORD_MAX``; a
+coordinate beyond it is rejected on its line.  Fuzzing: frame lines built from awkward values
 give a Session or a line-numbered ParseError, never another exception.
 Differential: the column parser agrees with the line-by-line reference
 parser in ``reference_ingest`` -- equal columns, or the same error line and
@@ -22,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import reference_ingest
 from conftest import frame_columns
 from opgaze import FrameRecord, ParseError, Point2, Session, parse_session, write_session
+from opgaze.ingest import COORD_MAX
 
 HEADER = {"id": "s1", "operator": "op1", "ordinal": "earlier", "rate_hz": 30.0, "coord_frame": "scene"}
 FIELDS = ("t", "ax", "ay", "hx", "hy", "touch")
@@ -30,8 +32,14 @@ SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 coords = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([1e-300, -1e-300, 0.1 + 0.2, -0.0, 1e300, -123456789.125, 5e-324]),
+    st.floats(-COORD_MAX, COORD_MAX),
+    st.sampled_from([1e-300, -1e-300, 0.1 + 0.2, -0.0, COORD_MAX, -COORD_MAX, -123456789.125, 5e-324]),
+)
+beyond = st.builds(
+    lambda v, negative: -v if negative else v,
+    st.one_of(st.just(math.nextafter(COORD_MAX, math.inf)),
+              st.floats(min_value=COORD_MAX, exclude_min=True, allow_infinity=False)),
+    st.booleans(),
 )
 
 
@@ -61,6 +69,21 @@ def test_write_then_parse_is_identity(tmp_path, fmt, s):
     assert back == s
     assert Session(id=s.id, operator=s.operator, ordinal=s.ordinal, **frame_columns(back.frames),
                    sample_rate_hz=s.sample_rate_hz) == s
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@SETTINGS
+@given(value=beyond, index=st.integers(0, 5), key=st.sampled_from(["ax", "ay", "hx", "hy"]))
+def test_coordinate_beyond_the_domain_is_rejected_on_its_line(fmt, value, index, key):
+    rows = [{"t": i / 10, "ax": 1.0, "ay": -2.0, "hx": 3.0, "hy": 4.0, "touch": i % 2 == 0}
+            for i in range(6)]
+    rows[index][key] = value
+    text = (jsonl_text if fmt == "jsonl" else csv_text)(rows)
+    got = _outcome(parse_session, text, fmt)
+    assert isinstance(got, ParseError)
+    assert got.line == index + (2 if fmt == "jsonl" else 3)
+    assert f"|{key}| exceeds 1e+50" in str(got)
+    assert (got.line, str(got)) == _error_of(_outcome(reference_ingest.parse, text, fmt))
 
 
 # --- fuzzed frames -------------------------------------------------------------

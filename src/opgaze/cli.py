@@ -18,21 +18,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import dataclasses
 import importlib
-import io
 import json
 import logging
 import sys
 import traceback
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, TypeVar, Union
+from typing import IO, TYPE_CHECKING, Mapping, Optional, Sequence, TypeVar
 
 # only numpy-free modules here, so that compare, correlate and --help load no numpy
 from . import analysis
 from .featurerow import FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
-from .studyio import ParseError, atomic_write_text, load_ratings
+from .studyio import ParseError, atomic_write_text, csv_rows, csv_text, load_ratings, parse_csv_file
 
 if TYPE_CHECKING:
     from .features import FeatureParams
@@ -98,23 +96,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _cell(value: Union[None, float, int, str]) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, csv_text(header, rows))
 
 
 def _write_json(path: Path, obj: object) -> None:
@@ -142,15 +125,36 @@ class RunConfig:
 _Params = TypeVar("_Params")
 
 
+# declared type of a params field -> the JSON values it takes; never a bool or a string
+_CONFIG_TYPES = {
+    "float": ((int, float), "a number"),
+    "Optional[float]": ((int, float, type(None)), "a number or null"),
+    "int": ((int,), "an integer"),
+}
+
+
 def _section(raw: Mapping[str, object], name: str, params: type[_Params]) -> _Params:
-    """Section ``name`` of the config as ``params``, whose fields are its keys."""
+    """Section ``name`` of the config as ``params``, whose fields are its keys.
+
+    A value must have its field's declared type.  A ValueError of
+    ``params``, whose message starts with the field's name, is raised again
+    with ``name.`` in front, so that every rejection names ``section.key``.
+    """
     data = raw.get(name, {})
     if not isinstance(data, dict):
         raise ValueError(f"config section {name!r} must be an object")
-    unknown = set(data) - {f.name for f in dataclasses.fields(params)}
+    fields = {f.name: f.type for f in dataclasses.fields(params)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ValueError(f"unknown {name} config keys: {sorted(unknown)}")
-    return params(**data)
+    for key, value in data.items():
+        kinds, what = _CONFIG_TYPES[fields[key]]
+        if type(value) not in kinds:
+            raise ValueError(f"{name}.{key} must be {what}, got {value!r}")
+    try:
+        return params(**data)
+    except ValueError as exc:
+        raise ValueError(f"{name}.{exc}") from None
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -412,23 +416,43 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # --- compare -----------------------------------------------------------------
 
 def _read_features_csv(path: Path) -> list[dict[str, object]]:
+    """The rows of a ``features.csv``, its columns found by name; a row
+    whose cell count is not the header's, or whose cell does not convert,
+    is a ParseError on its line."""
+    return parse_csv_file(path, _parse_features)
+
+
+def _parse_features(stream: IO[str], src: str) -> list[dict[str, object]]:
+    reader = csv_rows(stream, src)
+    _, header = next(reader, (1, []))
+    if set(FEATURES_HEADER) - set(header):
+        raise ParseError("not a features.csv (missing columns)", source=src)
     rows: list[dict[str, object]] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(FEATURES_HEADER) - set(reader.fieldnames):
-            raise ParseError("not a features.csv (missing columns)", source=str(path))
-        for raw in reader:
-            row: dict[str, object] = {
-                "session_id": raw["session_id"],
-                "ou_index": int(raw["ou_index"]),
-                "step_id": raw["step_id"] or None,
-                "gaze_pattern": raw["gaze_pattern"],
-                "shift_kind": raw["shift_kind"],
-            }
-            for name in SCALAR_FEATURES:
-                cell = raw[name]
+    for line, cells in reader:
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} cells, got {len(cells)}", line=line, source=src)
+        raw = dict(zip(header, cells))
+        try:
+            ou_index = int(raw["ou_index"])
+        except ValueError:
+            raise ParseError(f"ou_index is not an integer: {raw['ou_index']!r}",
+                             line=line, source=src) from None
+        row: dict[str, object] = {
+            "session_id": raw["session_id"],
+            "ou_index": ou_index,
+            "step_id": raw["step_id"] or None,
+            "gaze_pattern": raw["gaze_pattern"],
+            "shift_kind": raw["shift_kind"],
+        }
+        for name in SCALAR_FEATURES:
+            cell = raw[name]
+            try:
                 row[name] = float(cell) if cell else None
-            rows.append(row)
+            except ValueError:
+                raise ParseError(f"{name} is not a number: {cell!r}", line=line, source=src) from None
+        rows.append(row)
     return rows
 
 

@@ -69,8 +69,9 @@ class FeatureParams:
             raise ValueError("lag_threshold must be in (0, 1)")
         if not self.min_operating_for_early_shift > 0:
             raise ValueError("min_operating_for_early_shift must be positive")
-        if self.search_freq_min < 0 or self.early_shift_min < 0:
-            raise ValueError("classification thresholds must be >= 0")
+        for name in ("search_freq_min", "early_shift_min"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def build_distance_series(

@@ -21,6 +21,8 @@ to the attention point, covariance) across sessions.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -31,6 +33,8 @@ from .session import Hotspot, Point2, Session, scene_diagonal
 DEFAULT_EPS_DIAGONAL_FRACTION = 0.05
 DEFAULT_TEMPORAL_GAP_MAX = 3.0
 DEFAULT_MIN_POINTS = 3
+# clustering compares squared distances with spatial_eps ** 2, which must be finite
+SPATIAL_EPS_MAX = math.sqrt(sys.float_info.max)
 
 Touch = tuple[float, Point2]
 # Touches as (t, x, y) array rows, or as (t, position) pairs at the API edge.
@@ -50,8 +54,8 @@ class ClusterParams:
     min_points: int = DEFAULT_MIN_POINTS
 
     def __post_init__(self) -> None:
-        if self.spatial_eps is not None and not self.spatial_eps > 0:
-            raise ValueError("spatial_eps must be strictly positive")
+        if self.spatial_eps is not None and not 0 < self.spatial_eps <= SPATIAL_EPS_MAX:
+            raise ValueError(f"spatial_eps must be in (0, {SPATIAL_EPS_MAX!r}], got {self.spatial_eps!r}")
         if not self.temporal_gap_max > 0:
             raise ValueError("temporal_gap_max must be strictly positive")
         if not self.min_points > 0:

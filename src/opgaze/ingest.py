@@ -18,14 +18,14 @@ Frames are parsed straight into the Session's columns.  Rejected inputs
 never produce a Session: any malformed line (bytes that are not UTF-8, JSON
 nested past the recursion limit and a CSV cell over the field size limit
 included), duplicate or non-monotonic timestamp, contact-without-hand
-frame, non-finite value (an integer too large for a float included) or
-coordinate beyond ``COORD_MAX`` raises :class:`ParseError` with the number
-of the earliest offending line, as a line-by-line check would.
+frame, non-finite value (an integer too large for a float included),
+coordinate beyond ``COORD_MAX`` or rate above ``RATE_MAX`` raises
+:class:`ParseError` with the number of the earliest offending line, as a
+line-by-line check would.  A CSV row's line is the line it starts on.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
@@ -33,13 +33,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .session import ORDINALS, Session, StepLabel
 # defined without numpy for the study commands; the same objects here
-from .studyio import ParseError, atomic_write_text, load_ratings, write_ratings  # noqa: F401
+from .studyio import (ParseError, atomic_write_text, csv_rows, csv_text, load_ratings,  # noqa: F401
+                      not_utf8, read_sidecar, write_ratings)
 
 JSONL = "jsonl"
 CSV = "csv"
@@ -55,6 +56,12 @@ Source = Union[str, Path, IO[str], IO[bytes]]
 # forms is the fourth (cxx * cyy in the touch covariance check): at most
 # (2e50) ** 4 = 1.6e201, where a difference of 1.2e77 would overflow.
 COORD_MAX = 1e50
+
+# The largest sample rate accepted.  A distance between two points changes
+# by at most 2 * sqrt(2) * COORD_MAX per frame, so a mean speed (mean |dd| *
+# rate) is at most 2.83e150 and its square 8.0e300: correlate's sums of
+# squares of per-step means stay finite for up to 2.2e7 steps.
+RATE_MAX = 1e100
 
 
 @dataclass
@@ -88,25 +95,6 @@ def _open_text(source: Source) -> tuple[IO[str], str]:
     return io.StringIO(data), str(name)
 
 
-def _not_utf8(data: bytes, parse: Callable, src: str) -> ParseError:
-    """The error for bytes that are not UTF-8: that of a line before the
-    first bad byte if there is one, else "not UTF-8" on the byte's line."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        bad = exc
-    lines = io.TextIOWrapper(io.BytesIO(data[:bad.start]), encoding="utf-8").readlines()
-    if lines and not lines[-1].endswith("\n"):
-        lines.pop()  # the start of the bad line
-    try:
-        parse(io.StringIO("".join(lines)), src)
-    except ParseError as exc:
-        if exc.line is not None:
-            return exc
-    return ParseError(f"not UTF-8: byte 0x{data[bad.start]:02x} ({bad.reason})",
-                      line=len(lines) + 1, source=src)
-
-
 def _as_float(value: object) -> Optional[float]:
     """``float(value)``; None when it is not a number, inf when it overflows."""
     try:
@@ -128,10 +116,10 @@ def _bad_coordinate(value: object, what: str) -> str:
     return f"|{what}| exceeds {COORD_MAX:g}: {value!r}"
 
 
-def _finite(value: object, what: str, lineno: int, src: str) -> float:
+def _finite(value: object, what: str) -> float:
     out = _as_float(value)
     if out is None or not math.isfinite(out):
-        raise ParseError(_not_finite(value, what), line=lineno, source=src)
+        raise ValueError(_not_finite(value, what))
     return out
 
 
@@ -147,24 +135,26 @@ def _floats(values: Sequence[object], absent: Optional[np.ndarray] = None) -> np
         return np.array([_as_float(v) for v in values], dtype=float)  # None -> NaN
 
 
-def _parse_header(obj: dict, lineno: int, src: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ParseError("session header must be an object", line=lineno, source=src)
-    missing = [k for k in HEADER_FIELDS if k not in obj]
-    if missing:
-        raise ParseError(f"session header missing fields: {missing}", line=lineno, source=src)
-    if obj["ordinal"] not in ORDINALS:
-        raise ParseError(
-            f"ordinal must be one of {ORDINALS}, got {obj['ordinal']!r}", line=lineno, source=src
-        )
-    rate = _finite(obj["rate_hz"], "rate_hz", lineno, src)
-    if rate <= 0:
-        raise ParseError(f"rate_hz must be positive, got {rate}", line=lineno, source=src)
-    session_id = str(obj["id"])
-    # the id names the session's output directory, which must stay under --out
-    if session_id in ("", ".", "..") or any(c in session_id for c in "/\\\0"):
-        raise ParseError(f"session id {session_id!r} is not a valid file name",
-                         line=lineno, source=src)
+def _parse_header(obj: object, lineno: int, src: str) -> dict:
+    try:
+        if not isinstance(obj, dict):
+            raise ValueError("session header must be an object")
+        missing = [k for k in HEADER_FIELDS if k not in obj]
+        if missing:
+            raise ValueError(f"session header missing fields: {missing}")
+        if obj["ordinal"] not in ORDINALS:
+            raise ValueError(f"ordinal must be one of {ORDINALS}, got {obj['ordinal']!r}")
+        rate = _finite(obj["rate_hz"], "rate_hz")
+        if rate <= 0:
+            raise ValueError(f"rate_hz must be positive, got {rate}")
+        if rate > RATE_MAX:
+            raise ValueError(f"rate_hz exceeds {RATE_MAX:g}: {obj['rate_hz']!r}")
+        session_id = str(obj["id"])
+        # the id names the session's output directory, which must stay under --out
+        if session_id in ("", ".", "..") or any(c in session_id for c in "/\\\0"):
+            raise ValueError(f"session id {session_id!r} is not a valid file name")
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno, source=src) from None
     return {
         "id": session_id,
         "operator": str(obj["operator"]),
@@ -244,7 +234,7 @@ def parse_session(
         header, columns = parse(stream, src)
     except UnicodeDecodeError:
         stream.buffer.seek(0)
-        raise _not_utf8(stream.buffer.read(), parse, src) from None
+        raise not_utf8(stream.buffer.read(), parse, src) from None
     finally:
         stream.close()
     if not len(columns["times"]):
@@ -323,10 +313,9 @@ def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise ParseError(f"malformed header JSON: {_json_error(exc)}", line=1, source=src)
     header = _parse_header(header_obj, 1, src)
 
-    reader = _csv_rows(stream, src)
-    try:
-        columns = next(reader)
-    except StopIteration:
+    reader = csv_rows(stream, src, first_line=2)
+    _, columns = next(reader, (2, None))
+    if columns is None:
         raise ParseError("missing column header", source=src)
     if [c.strip() for c in columns] != list(FRAME_FIELDS):
         raise ParseError(f"column header must be {','.join(FRAME_FIELDS)}", line=2, source=src)
@@ -334,7 +323,7 @@ def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
     rows: list[list[str]] = []
     lines: list[int] = []
     try:
-        for lineno, row in enumerate(reader, start=3):
+        for lineno, row in reader:
             if not any(map(str.strip, row)):
                 continue
             if len(row) != len(FRAME_FIELDS):
@@ -346,18 +335,6 @@ def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
         _csv_frame_columns(rows, lines, src)  # an earlier frame's error comes first
         raise
     return header, _csv_frame_columns(rows, lines, src)
-
-
-def _csv_rows(stream: IO[str], src: str) -> Iterator[list[str]]:
-    """``csv.reader`` rows from line 2 on; a row the reader rejects, such as
-    one with a cell over its field size limit, is a ParseError on its line."""
-    reader = csv.reader(stream)
-    lineno = 1
-    try:
-        for lineno, row in enumerate(reader, start=2):
-            yield row
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", line=lineno + 1, source=src) from None
 
 
 def _csv_frame_columns(rows: list[list[str]], lines: list[int], src: str) -> dict[str, np.ndarray]:
@@ -404,49 +381,24 @@ def write_session(s: Session, path: Union[str, Path], format: Optional[str] = No
         return
     if fmt != CSV:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    buf = io.StringIO()
-    buf.write("#" + json.dumps(_header_obj(s)) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FRAME_FIELDS)
-    writer.writerows(
-        [repr(t), repr(ax), repr(ay), "" if hx is None else repr(hx), "" if hy is None else repr(hy),
-         "true" if touch else "false"]
-        for t, ax, ay, hx, hy, touch in _frame_values(s)
-    )
-    atomic_write_text(path, buf.getvalue())
+    header = "#" + json.dumps(_header_obj(s)) + "\n"
+    atomic_write_text(path, header + csv_text(FRAME_FIELDS, _frame_values(s)))
 
 
 # --- sidecars ----------------------------------------------------------------
 
+STEP_FIELDS = ("start_t", "end_t", "step_id")
+
+
 def load_step_labels(path: Union[str, Path]) -> tuple[StepLabel, ...]:
     """Load a step-label sidecar CSV: ``start_t,end_t,step_id``."""
-    path = Path(path)
-    labels: list[StepLabel] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if lineno == 1 and row[0].strip() == "start_t":
-                continue
-            if len(row) != 3:
-                raise ParseError("expected start_t,end_t,step_id", line=lineno, source=str(path))
-            start = _finite(row[0].strip(), "start_t", lineno, str(path))
-            end = _finite(row[1].strip(), "end_t", lineno, str(path))
-            try:
-                labels.append(StepLabel(start_t=start, end_t=end, step_id=row[2].strip()))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno, source=str(path))
-    return tuple(labels)
+    return tuple(read_sidecar(path, STEP_FIELDS, lambda start_t, end_t, step_id: StepLabel(
+        _finite(start_t, "start_t"), _finite(end_t, "end_t"), step_id)))
 
 
 def write_step_labels(labels: Iterable[StepLabel], path: Union[str, Path]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["start_t", "end_t", "step_id"])
-    for label in labels:
-        writer.writerow([repr(label.start_t), repr(label.end_t), label.step_id])
-    atomic_write_text(path, buf.getvalue())
+    rows = ((label.start_t, label.end_t, label.step_id) for label in labels)
+    atomic_write_text(path, csv_text(STEP_FIELDS, rows))
 
 
 # --- validation --------------------------------------------------------------

@@ -35,8 +35,9 @@ class SegmentationParams:
     hand_presence_debounce: int = DEFAULT_HAND_DEBOUNCE
 
     def __post_init__(self) -> None:
-        if self.touch_merge_gap < 0 or self.min_operating < 0 or self.hand_presence_debounce < 0:
-            raise ValueError("segmentation parameters must be >= 0")
+        for name in ("touch_merge_gap", "min_operating", "hand_presence_debounce"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

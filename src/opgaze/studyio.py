@@ -2,10 +2,11 @@
 
 Difficulty ratings (:class:`Rating`, :class:`DifficultyRatings`) and their
 ``step_id,rater_id,role,score`` CSV sidecar, :class:`ParseError` for a
-rejected input file, and :func:`atomic_write_text` for every output.  This
-module imports only the standard library, so ``compare`` and ``correlate``
-run without loading numpy.  ``opgaze.ingest`` and ``opgaze.session``
-import these names from here, and they are the same objects there.
+rejected input file, :func:`atomic_write_text` for every output, and the
+one CSV writer and reader of the package.  This module imports only the
+standard library, so ``compare`` and ``correlate`` run without loading
+numpy.  ``opgaze.ingest`` and ``opgaze.session`` import these names from
+here, and they are the same objects there.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 RATER_ROLES = ("expert", "beginner")
 
@@ -54,6 +55,94 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text with ``\\n`` line ends; a float cell is its repr, None empty,
+    a bool ``true``/``false`` and anything else its ``str``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def csv_rows(stream: Iterable[str], src: str, first_line: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` of each CSV row, ``line`` being the line it starts on,
+    counting the stream's first as ``first_line``; a row the reader rejects
+    (a cell over its size limit, say) is a ParseError on that line."""
+    reader = csv.reader(stream)
+    line = first_line
+    try:
+        for cells in reader:
+            yield line, cells
+            line = first_line + reader.line_num
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=line, source=src) from None
+
+
+def not_utf8(data: bytes, parse: Callable[[IO[str], str], object], src: str) -> ParseError:
+    """The error of ``data``, bytes that are not UTF-8: that of a line before
+    the first bad byte if ``parse`` finds one, else "not UTF-8" on the
+    byte's line."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc
+    lines = io.TextIOWrapper(io.BytesIO(data[:bad.start]), encoding="utf-8").readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()  # the start of the bad line
+    try:
+        parse(io.StringIO("".join(lines)), src)
+    except ParseError as exc:
+        if exc.line is not None:
+            return exc
+    return ParseError(f"not UTF-8: byte 0x{data[bad.start]:02x} ({bad.reason})",
+                      line=len(lines) + 1, source=src)
+
+
+def parse_csv_file(path: Union[str, Path], parse: Callable[[IO[str], str], object]) -> object:
+    """``parse(stream, src)`` of a CSV file read as UTF-8; for bytes that are
+    not UTF-8 it raises the error :func:`not_utf8` finds."""
+    src = str(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return parse(fh, src)
+        except UnicodeDecodeError:
+            fh.buffer.seek(0)
+            data = fh.buffer.read()
+    raise not_utf8(data, parse, src)
+
+
+def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[..., object]) -> list:
+    """``make(*cells)`` of each row, stripped, of a sidecar CSV with these
+    ``columns``, skipping blank rows and a header on line 1; a row with other
+    columns, or that ``make`` rejects with a ValueError, is a ParseError."""
+    def parse(stream: IO[str], src: str) -> list:
+        out = []
+        for line, cells in csv_rows(stream, src):
+            cells = [c.strip() for c in cells]
+            if not any(cells) or (line == 1 and cells[0] == columns[0]):
+                continue
+            try:
+                if len(cells) != len(columns):
+                    raise ValueError(f"expected {','.join(columns)}")
+                out.append(make(*cells))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=line, source=src) from None
+        return out
+
+    return parse_csv_file(path, parse)
 
 
 @dataclass(frozen=True)
@@ -107,35 +196,22 @@ class DifficultyRatings:
         return -self.mean_score(step_id, role)
 
 
+RATING_FIELDS = ("step_id", "rater_id", "role", "score")
+
+
 def load_ratings(path: Union[str, Path]) -> DifficultyRatings:
     """Load a ratings CSV: ``step_id,rater_id,role,score``."""
-    path = Path(path)
     by_step: dict[str, list[Rating]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if lineno == 1 and row[0].strip() == "step_id":
-                continue
-            if len(row) != 4:
-                raise ParseError("expected step_id,rater_id,role,score", line=lineno, source=str(path))
-            step_id, rater_id, role, score = (c.strip() for c in row)
-            try:
-                rating = Rating(rater_id=rater_id, role=role, score=int(score))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno, source=str(path))
-            by_step.setdefault(step_id, []).append(rating)
+    rows = read_sidecar(path, RATING_FIELDS, lambda step_id, rater_id, role, score:
+                        (step_id, Rating(rater_id=rater_id, role=role, score=int(score))))
+    for step_id, rating in rows:
+        by_step.setdefault(step_id, []).append(rating)
     if not by_step:
         raise ParseError("no ratings found", source=str(path))
     return DifficultyRatings(by_step={k: tuple(v) for k, v in by_step.items()})
 
 
 def write_ratings(ratings: DifficultyRatings, path: Union[str, Path]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step_id", "rater_id", "role", "score"])
-    for step_id in ratings.step_ids():
-        for r in ratings.by_step[step_id]:
-            writer.writerow([step_id, r.rater_id, r.role, str(r.score)])
-    atomic_write_text(path, buf.getvalue())
+    rows = ([step_id, r.rater_id, r.role, r.score]
+            for step_id in ratings.step_ids() for r in ratings.by_step[step_id])
+    atomic_write_text(path, csv_text(RATING_FIELDS, rows))

@@ -6,7 +6,9 @@ is by construction the earliest bad line's.  Opening the source and checking
 the header are shared with ``opgaze.ingest``.  It includes the fixes for
 integers too large for a float: ``_finite`` reports them as not finite, and
 a line that fails to decode for any ``ValueError`` is malformed JSON, and
-a coordinate must lie within ``COORD_MAX``.
+a coordinate must lie within ``COORD_MAX``.  A CSV row's line is the line
+it starts on, as ``csv.reader.line_num`` counts lines, so a quoted cell
+may span lines.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ def _parse_jsonl(stream: IO[str], src: str):
 
 def _parse_csv(stream: IO[str], src: str):
     first = stream.readline()
-    lineno = 1
     if not first:
         raise ParseError("empty file: missing session header", source=src)
     if not first.lstrip().startswith("#"):
@@ -125,13 +126,16 @@ def _parse_csv(stream: IO[str], src: str):
         columns = next(reader)
     except StopIteration:
         raise ParseError("missing column header", source=src)
-    lineno += 1
     if [c.strip() for c in columns] != list(FRAME_FIELDS):
-        raise ParseError(f"column header must be {','.join(FRAME_FIELDS)}", line=lineno, source=src)
+        raise ParseError(f"column header must be {','.join(FRAME_FIELDS)}", line=2, source=src)
 
     frames = []
-    for row in reader:
-        lineno += 1
+    while True:
+        lineno = 2 + reader.line_num  # the line after the previous row's last
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(FRAME_FIELDS):

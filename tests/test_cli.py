@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from opgaze import cli, parse_session, write_session, write_step_labels
+from opgaze import cli, ingest, parse_session, write_session, write_step_labels
 from opgaze.cli import main
 from opgaze.ingest import COORD_MAX
 
@@ -267,6 +267,44 @@ class TestAnalyze:
                     "--config", first / "config_used.json"]) == 0
         assert (second / "config_used.json").read_bytes() == (first / "config_used.json").read_bytes()
 
+    @pytest.mark.parametrize("config, key", [
+        ({"cluster": {"spatial_eps": 1e200}}, "cluster.spatial_eps"),
+        ({"cluster": {"spatial_eps": math.nextafter(math.sqrt(sys.float_info.max), math.inf)}},
+         "cluster.spatial_eps"),
+        ({"cluster": {"spatial_eps": "5"}}, "cluster.spatial_eps"),
+        ({"cluster": {"spatial_eps": True}}, "cluster.spatial_eps"),
+        ({"cluster": {"min_points": True}}, "cluster.min_points"),
+        ({"cluster": {"min_points": 2.0}}, "cluster.min_points"),
+        ({"cluster": {"temporal_gap_max": None}}, "cluster.temporal_gap_max"),
+        ({"features": {"sign_deadband": [1]}}, "features.sign_deadband"),
+        ({"features": {"early_shift_min": -1}}, "features.early_shift_min"),
+        ({"segmentation": {"hand_presence_debounce": "2"}}, "segmentation.hand_presence_debounce"),
+        ({"segmentation": {"min_operating": -0.5}}, "segmentation.min_operating"),
+    ])
+    def test_bad_config_value_is_rejected_before_any_session(self, corpus, tmp_path, capsys,
+                                                             config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["analyze", corpus / "sessions", "--out", out, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_valid_config_values_keep_their_bytes(self, corpus, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        eps = math.sqrt(sys.float_info.max)  # the largest whose square is finite
+        cfg.write_text(json.dumps({"cluster": {"spatial_eps": eps, "min_points": 3},
+                                   "segmentation": {"touch_merge_gap": 0},
+                                   "features": {"sign_deadband": 1}}))
+        out = tmp_path / "out"
+        assert run(["analyze", corpus / "sessions", "--out", out, "--config", cfg]) == 0
+        used = json.loads((out / "config_used.json").read_text())
+        # an integer given for a float field is echoed as given
+        assert [used["cluster"]["spatial_eps"], used["segmentation"]["touch_merge_gap"],
+                used["features"]["sign_deadband"]] == [eps, 0, 1]
+        assert type(used["segmentation"]["touch_merge_gap"]) is int
+
     def test_unexpected_worker_error_is_a_session_failure(self, corpus, tmp_path, monkeypatch, capsys):
         real = cli.analyze_session
 
@@ -382,6 +420,49 @@ class TestAnalyze:
         touchdist = json.loads((out / "touchdist.json").read_text(), parse_constant=not_json)
         assert touchdist["touch_count"] == 20
 
+    @staticmethod
+    def write_fast(d: Path, rate: float) -> None:
+        """40 frames; attention jumps between opposite corners of the domain
+        each frame while the hand touches one of them over frames 10-29, so
+        the attention-hotspot distance changes by 2 * sqrt(2) * COORD_MAX."""
+        d.mkdir()
+        m = COORD_MAX
+        frames = [frame(i / 10.0, ax=m * (-1) ** i, ay=m * (-1) ** i, hx=-m, hy=-m, touch=True)
+                  if 10 <= i < 30 else frame(i / 10.0, ax=m * (-1) ** i, ay=m * (-1) ** i)
+                  for i in range(40)]
+        write_session(make_session(frames, session_id="fast", rate=rate), d / "fast.jsonl")
+
+    @pytest.mark.parametrize("rate", [1e300, math.nextafter(1e100, math.inf)])
+    def test_rate_beyond_rate_max_is_a_line_numbered_failure(self, tmp_path, rate):
+        # at 1e300 the run once exited 0 with inf mean speeds in features.csv
+        self.write_fast(tmp_path / "d", rate)
+        out = tmp_path / "out"
+        proc = run_child(["analyze", tmp_path / "d", "--out", out])
+        assert proc.returncode == 1, proc.stderr
+        assert f"fast.jsonl:1: rate_hz exceeds 1e+100: {rate!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_features_at_the_rate_bound_are_finite(self, tmp_path):
+        self.write_fast(tmp_path / "d", ingest.RATE_MAX)
+        out = tmp_path / "out"
+        proc = run_child(["analyze", tmp_path / "d", "--out", out])
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        with (out / "features.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        speeds = [float(r["operating_mean_speed"]) for r in rows]
+        assert speeds and all(math.isfinite(v * v) for v in speeds), speeds
+        assert max(speeds) > 2.8e150  # the bound is reached
+
+    def test_steps_sidecar_not_utf8_names_the_sidecar(self, corpus, tmp_path):
+        sidecar = corpus / "sessions" / "op1_earlier.steps.csv"
+        sidecar.write_bytes(b"start_t,end_t,step_id\n0.0,3.0,a\n3.0,6.0,b\xe9\n")
+        out = tmp_path / "out"
+        assert run(["analyze", corpus / "sessions", "--out", out]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert (f"{sidecar}:3: not UTF-8: byte 0xe9 (invalid continuation byte)"
+                in summary["failures"][0]["error"])
+
     def test_rerun_is_byte_identical(self, corpus, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run(["analyze", corpus / "sessions", "--out", out1]) == 0
@@ -421,6 +502,73 @@ class TestCompareAndCorrelate:
             {"operator": "op1", "earlier": "ghost", "later": "op1_later"}]}))
         assert run(["compare", analyzed, manifest, "--out", tmp_path / "c"]) == 1
         assert "ghost" in capsys.readouterr().err
+
+    @staticmethod
+    def _edited(analyzed: Path, tmp_path: Path, edit) -> Path:
+        """A copy of ``features.csv`` with its rows, header first, passed through ``edit``."""
+        with (analyzed / "features.csv").open(newline="") as fh:
+            rows = edit(list(csv.reader(fh)))
+        path = tmp_path / "edited" / "features.csv"
+        path.parent.mkdir()
+        with path.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        return path
+
+    @staticmethod
+    def _set(column: str, value: str):
+        def spoil(header, row):
+            row[header.index(column)] = value
+            return row
+        return spoil
+
+    def _study(self, command: str, features: Path, corpus: Path, tmp_path: Path) -> int:
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("step_id,rater_id,role,score\nstep_01,r1,expert,2\n")
+        other = corpus / "pairs.json" if command == "compare" else ratings
+        return run([command, features, other, "--out", tmp_path / command])
+
+    @pytest.mark.parametrize("command", ["compare", "correlate"])
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda header, row: row[:-3], "expected 26 cells, got 23"),
+        (lambda header, row: row + ["1"], "expected 26 cells, got 27"),
+        (_set("dur_gazing", "abc"), "dur_gazing is not a number: 'abc'"),
+        (_set("ou_index", "1.5"), "ou_index is not an integer: '1.5'"),
+    ])
+    def test_bad_features_row_is_a_line_numbered_input_error(self, corpus, analyzed, tmp_path, capsys,
+                                                             command, spoil, message):
+        # the first data row, on line 2, is spoiled
+        features = self._edited(analyzed, tmp_path, lambda rows: [rows[0], spoil(*rows[:2]), *rows[2:]])
+        assert self._study(command, features, corpus, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"{features}:2: {message}" in err and "Traceback" not in err
+
+    def test_features_not_utf8_is_a_line_numbered_input_error(self, corpus, analyzed, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        lines = (analyzed / "features.csv").read_bytes().splitlines(keepends=True)
+        features.write_bytes(b"".join(lines[:2]) + b"\xe9" + b"".join(lines[2:]))
+        assert run(["compare", features, corpus / "pairs.json", "--out", tmp_path / "c"]) == 1
+        assert f"{features}:3: not UTF-8: byte 0xe9" in capsys.readouterr().err
+
+    def test_features_columns_are_found_by_name(self, corpus, analyzed, tmp_path):
+        path = self._edited(analyzed, tmp_path, lambda rows: [row[::-1] + ["extra"] for row in rows])
+        for features, out in ((analyzed, "a"), (path, "b")):
+            assert run(["compare", features, corpus / "pairs.json", "--out", tmp_path / out]) == 0
+        assert ((tmp_path / "a" / "comparison.csv").read_bytes()
+                == (tmp_path / "b" / "comparison.csv").read_bytes())
+
+    @pytest.mark.parametrize("data, message", [
+        (b"step_id,rater_id,role,score\nstep_01,r1,expert,2\nstep_01," + b"x" * 140_000 + b",expert,1\n",
+         "ratings.csv:3: malformed CSV: field larger than field limit (131072)"),
+        (b"step_id,rater_id,role,score\nstep_01,r\xe9,expert,2\n",
+         "ratings.csv:2: not UTF-8: byte 0xe9 (invalid continuation byte)"),
+    ])
+    def test_bad_ratings_are_a_line_numbered_input_error(self, corpus, analyzed, tmp_path, capsys,
+                                                         data, message):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_bytes(data)
+        assert run(["correlate", analyzed, ratings, "--out", tmp_path / "r"]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path}/{message}" in err and "Traceback" not in err
 
     def test_correlate_without_steps_is_empty(self, corpus, analyzed, tmp_path):
         ratings = tmp_path / "ratings.csv"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -253,6 +254,13 @@ class TestResolve:
     def test_degenerate_scene_falls_back(self):
         s = make_session([frame(0.0), frame(0.1)])
         assert ClusterParams().resolve([s]).spatial_eps == 1.0
+
+    def test_eps_whose_square_overflows_is_rejected(self):
+        bound = math.sqrt(sys.float_info.max)
+        ClusterParams(spatial_eps=bound)
+        for eps in (math.nextafter(bound, math.inf), 1e200, math.inf):
+            with pytest.raises(ValueError, match="spatial_eps"):
+                ClusterParams(spatial_eps=eps)
 
 
 class TestExtractTouches:

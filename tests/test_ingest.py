@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 
@@ -18,6 +19,7 @@ from opgaze import (
     write_session,
     write_step_labels,
 )
+from opgaze import ingest
 from opgaze.ingest import atomic_write_text, detect_format
 from opgaze.session import DifficultyRatings, Rating, StepLabel
 
@@ -112,6 +114,31 @@ class TestHugeNumbers:
             parse_session(jsonl(self.FRAME.format(t="1" + "0" * 400)))
 
 
+class TestRateBound:
+    """A header rate above ``RATE_MAX`` is rejected on line 1, as a
+    coordinate beyond ``COORD_MAX`` is on its line."""
+
+    FRAME = '{"t": 0.0, "ax": 1e50, "ay": -1e50, "hx": null, "hy": null, "touch": false}'
+
+    @staticmethod
+    def _rate_text(rate: float, fmt: str) -> str:
+        header = HEADER.replace("30.0", repr(rate))
+        return (header + "\n" + TestRateBound.FRAME + "\n" if fmt == "jsonl"
+                else "#" + header + "\nt,ax,ay,hx,hy,touch\n0.0,1e50,-1e50,,,false\n")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_rate_at_rate_max_parses(self, fmt):
+        s = parse_session(io.StringIO(self._rate_text(ingest.RATE_MAX, fmt)), format=fmt)
+        assert s.sample_rate_hz == 1e100
+
+    @pytest.mark.parametrize("rate", [math.nextafter(1e100, math.inf), 1e300])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_rate_beyond_rate_max_is_rejected_on_line_1(self, fmt, rate):
+        with pytest.raises(ParseError) as exc:
+            parse_session(io.StringIO(self._rate_text(rate, fmt)), format=fmt)
+        assert str(exc.value) == f"stream:1: rate_hz exceeds 1e+100: {rate!r}"
+
+
 class TestParserEscapes:
     """Bytes that are not UTF-8, JSON nested past the recursion limit and a
     CSV cell over the csv module's field limit are line-numbered ParseErrors,
@@ -198,6 +225,21 @@ class TestParserEscapes:
         else:
             assert (exc.value.line, "field larger than field limit" in str(exc.value)) == (5, True)
 
+    def test_csv_lines_count_a_quoted_cell_over_two_lines(self):
+        # the first frame's t cell spans lines 3 and 4
+        rows = '"0.1\n",1,1,,,false\n0.2,1,1,,,false\n0.3,1,1,,,maybe\n'
+        with pytest.raises(ParseError) as exc:
+            parse_session(io.StringIO(self.CSV_HEAD + rows), format="csv")
+        assert str(exc.value) == "stream:6: touch must be 'true' or 'false', got 'maybe'"
+        s = parse_session(io.StringIO(self.CSV_HEAD + rows.replace("maybe", "false")), format="csv")
+        assert s.times.tolist() == [0.1, 0.2, 0.3]
+
+    def test_csv_cell_over_field_limit_after_a_quoted_line_break(self):
+        rows = '"0.1\n",1,1,,,false\n0.2,0,0,,' + "9" * 140_000 + ",false\n"
+        with pytest.raises(ParseError, match="field larger than field limit") as exc:
+            parse_session(io.StringIO(self.CSV_HEAD + rows), format="csv")
+        assert exc.value.line == 5
+
     def test_csv_column_header_over_field_limit(self):
         text = "#" + HEADER + "\n" + "t" * 140_000 + "\n0.0,0,0,,,false\n"
         with pytest.raises(ParseError, match="field larger than field limit") as exc:
@@ -277,6 +319,50 @@ class TestSidecars:
         path.write_text("s1,e01,manager,1\n")
         with pytest.raises(ParseError, match="role"):
             load_ratings(path)
+
+    # a good row, then a row carrying the fault, for each sidecar
+    SIDECARS = {
+        "ratings.csv": (load_ratings, "step_id,rater_id,role,score\n", "s1,e01,expert,1\n",
+                        "s1,{cell},expert,1\n"),
+        "s.steps.csv": (load_step_labels, "start_t,end_t,step_id\n", "0.0,1.0,a\n", "1.0,2.0,{cell}\n"),
+    }
+
+    def _raises(self, tmp_path, name: str, data: bytes) -> ParseError:
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            self.SIDECARS[name][0](path)
+        return exc.value
+
+    @pytest.mark.parametrize("name", sorted(SIDECARS))
+    def test_cell_over_field_limit_on_its_line(self, tmp_path, name):
+        _, head, good, bad = self.SIDECARS[name]
+        err = self._raises(tmp_path, name, (head + good + bad.format(cell="x" * 140_000)).encode())
+        assert str(err) == f"{tmp_path / name}:3: malformed CSV: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("name", sorted(SIDECARS))
+    def test_not_utf8_on_its_line(self, tmp_path, name):
+        _, head, good, bad = self.SIDECARS[name]
+        data = (head + good).encode() + bad.format(cell="b").encode().replace(b"b", b"b\xe9", 1)
+        err = self._raises(tmp_path, name, data)
+        assert str(err) == f"{tmp_path / name}:3: not UTF-8: byte 0xe9 (invalid continuation byte)"
+
+    @pytest.mark.parametrize("name, earlier, message", [
+        ("ratings.csv", "s1,e01,expert,9\n", "score 9 outside [-5, 5]"),
+        ("s.steps.csv", "0.0,abc,a\n", "end_t is not a number: 'abc'"),
+        ("s.steps.csv", "0.0,1.0\n", "expected start_t,end_t,step_id"),
+    ])
+    def test_earlier_line_error_wins_over_bad_bytes(self, tmp_path, name, earlier, message):
+        _, head, good, _ = self.SIDECARS[name]
+        err = self._raises(tmp_path, name, (head + earlier + good).encode() + b"\xe9\n")
+        assert str(err) == f"{tmp_path / name}:2: {message}"
+
+    @pytest.mark.parametrize("name", sorted(SIDECARS))
+    def test_lines_count_a_quoted_cell_over_two_lines(self, tmp_path, name):
+        # the cell of line 2 spans lines 2 and 3, so the short row is on line 4
+        _, head, _, bad = self.SIDECARS[name]
+        err = self._raises(tmp_path, name, (head + bad.format(cell='"x\ny"') + "1\n").encode())
+        assert (err.line, str(err).endswith(f"expected {head.strip()}")) == (4, True)
 
 
 class TestValidate:

@@ -22,6 +22,7 @@ import dataclasses
 import importlib
 import json
 import logging
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -65,7 +66,9 @@ HOTSPOTS_HEADER = ("id", "cx", "cy", "count", "first_t", "last_t")
 _LAZY = {
     "detect_format": "ingest", "load_step_labels": "ingest", "parse_session": "ingest",
     "validate_session": "ingest",
+    # nothing here calls build_distance_series; perfbench/tracer.py wraps it by this name
     "FeatureParams": "features", "build_distance_series": "features", "feature_vector": "features",
+    "unit_traces": "features",
     "ClusterParams": "hotspot", "cluster_touches": "hotspot", "extract_touches": "hotspot",
     "touch_distribution": "hotspot", "touch_distribution_plot_data": "hotspot",
     "SegmentationParams": "segmentation", "segment_units": "segmentation",
@@ -125,10 +128,11 @@ class RunConfig:
 _Params = TypeVar("_Params")
 
 
-# declared type of a params field -> the JSON values it takes; never a bool or a string
+# declared type of a params field -> the JSON values it takes; never a bool or a
+# string, and never NaN or an infinity, which Python's json reads as floats
 _CONFIG_TYPES = {
-    "float": ((int, float), "a number"),
-    "Optional[float]": ((int, float, type(None)), "a number or null"),
+    "float": ((int, float), "a finite number"),
+    "Optional[float]": ((int, float, type(None)), "a finite number or null"),
     "int": ((int,), "an integer"),
 }
 
@@ -136,7 +140,8 @@ _CONFIG_TYPES = {
 def _section(raw: Mapping[str, object], name: str, params: type[_Params]) -> _Params:
     """Section ``name`` of the config as ``params``, whose fields are its keys.
 
-    A value must have its field's declared type.  A ValueError of
+    A value must have its field's declared type, and a float must be
+    finite.  A ValueError of
     ``params``, whose message starts with the field's name, is raised again
     with ``name.`` in front, so that every rejection names ``section.key``.
     """
@@ -149,7 +154,7 @@ def _section(raw: Mapping[str, object], name: str, params: type[_Params]) -> _Pa
         raise ValueError(f"unknown {name} config keys: {sorted(unknown)}")
     for key, value in data.items():
         kinds, what = _CONFIG_TYPES[fields[key]]
-        if type(value) not in kinds:
+        if type(value) not in kinds or (type(value) is float and not math.isfinite(value)):
             raise ValueError(f"{name}.{key} must be {what}, got {value!r}")
     try:
         return params(**data)
@@ -311,18 +316,17 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
         FEATURES_HEADER,
         [feature_row(s.id, fv) for fv in result.fvs],
     )
-    for ou in result.units:
-        if ou.hotspot_id is None:
-            continue
-        hotspot = result.hotspots[ou.hotspot_id]
-        ao, ho, ah = (build_distance_series(s, ou, hotspot, kind, "OU") for kind in ("AO", "HO", "AH"))
-        columns = [list(map(repr, ao.times.tolist())), list(map(repr, ao.values.tolist()))]
-        for d in (ho, ah):  # their rows are the AO rows with a hand in sight
-            columns.append([""] * len(ao.times))
-            for i, v in zip(ao.times.searchsorted(d.times).tolist(), map(repr, d.values.tolist())):
-                columns[-1][i] = v
-        rows = ["t,d_ao,d_ho,d_ah", *map(",".join, zip(*columns))]  # no cell needs CSV quoting
-        atomic_write_text(sdir / "traces" / f"{s.id}_{ou.index}.csv", "\n".join(rows) + "\n")
+    traces = unit_traces(s, result.units, result.hotspots)
+    t, ao, ho, ah = (list(map(repr, a.tolist()))
+                     for a in (traces.t, traces.d_ao, traces.d_ho, traces.d_ah))
+    for r in (~traces.hand).nonzero()[0].tolist():
+        ho[r] = ah[r] = ""
+    rows = list(map(",".join, zip(t, ao, ho, ah)))  # no cell needs CSV quoting
+    end = 0
+    for ou, count in zip(traces.units, traces.counts):
+        start, end = end, end + count
+        atomic_write_text(sdir / "traces" / f"{s.id}_{ou.index}.csv",
+                          "\n".join(["t,d_ao,d_ho,d_ah", *rows[start:end]]) + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -84,38 +84,95 @@ def build_distance_series(
     """Distance series of the given kind over one of a unit's periods.
 
     ``period`` is "G", "H", "O", "GH" (gazing + approaching, up to the
-    first touch) or "OU" (the whole unit).  Frames before the operating
-    period contribute only while not touching (a touching frame belongs to
-    an operating period, not to this unit's gazing or approaching).  For
-    the hand-involving kinds ("HO", "AH") frames without a hand in sight
-    are skipped, and the hand-hotspot distance is 0 whenever the hotspot
-    is touched.
+    first touch) or "OU" (the whole unit).  The series takes the frames
+    :func:`series_frames` gives for its kind, and the hand-hotspot distance
+    is 0 whenever the hotspot is touched.
     """
     if period not in PERIODS:
         raise ValueError(f"period must be one of {PERIODS}, got {period!r}")
     if kind in ("AO", "HO") and hotspot is None:
         raise ValueError(f"kind {kind!r} needs an assigned hotspot")
 
-    i, j = time_range(s.times, *period_bounds(ou, period))
-    t = s.times[i:j]
-    touching = s.touching_mask[i:j]
-    # contacts outside this unit's operating period are stray (previous
-    # unit boundary or a dropped micro-bout) and carry no distance sample
-    sel = ((t >= ou.operating.start) & (t <= ou.operating.end)) | ~touching
+    frames, hand = series_frames(s, ou, period)
     if kind in ("HO", "AH"):
-        sel &= s.hand_visible_mask[i:j]
-
+        frames = frames[hand]
+    t = s.times[frames]
     if kind == "AO":
-        delta = s.attention_xy[i:j][sel] - (hotspot.centroid.x, hotspot.centroid.y)
+        delta = s.attention_xy[frames] - (hotspot.centroid.x, hotspot.centroid.y)
         values = np.hypot(delta[:, 0], delta[:, 1])
     elif kind == "HO":
-        delta = s.hand_xy[i:j][sel] - (hotspot.centroid.x, hotspot.centroid.y)
+        delta = s.hand_xy[frames] - (hotspot.centroid.x, hotspot.centroid.y)
         values = np.hypot(delta[:, 0], delta[:, 1])
-        values[touching[sel]] = 0.0
+        values[s.touching_mask[frames]] = 0.0
     else:  # AH
-        delta = s.attention_xy[i:j][sel] - s.hand_xy[i:j][sel]
+        delta = s.attention_xy[frames] - s.hand_xy[frames]
         values = np.hypot(delta[:, 0], delta[:, 1])
-    return DistanceSeries(times=t[sel], values=values, kind=kind)
+    return DistanceSeries(times=t, values=values, kind=kind)
+
+
+def series_frames(s: Session, ou: OperationUnit, period: str) -> tuple[np.ndarray, np.ndarray]:
+    """The frames of a unit's distance series over one of its periods, as
+    session indices in time order, and which of them have a hand in sight.
+
+    An "AO" series takes every frame of the period but stray contacts; the
+    hand-involving kinds ("HO", "AH") take those of them with a hand in sight.
+    """
+    i, j = time_range(s.times, *period_bounds(ou, period))
+    t = s.times[i:j]
+    # contacts outside this unit's operating period are stray (previous
+    # unit boundary or a dropped micro-bout) and carry no distance sample
+    keep = ((t >= ou.operating.start) & (t <= ou.operating.end)) | ~s.touching_mask[i:j]
+    frames = i + np.flatnonzero(keep)
+    return frames, s.hand_visible_mask[frames]
+
+
+@dataclass(frozen=True)
+class UnitTraces:
+    """The rows of the whole-unit ("OU") distance traces of a session's
+    units that have a hotspot, one unit after another.
+
+    ``units[k]`` has ``counts[k]`` rows.  A row is a frame of the unit's AO
+    series: its time ``t`` and its AO, HO and AH distances.  Where ``hand``
+    is False the hand is out of sight, the frame is in neither hand series,
+    and ``d_ho`` and ``d_ah`` hold NaN.
+    """
+
+    units: tuple[OperationUnit, ...]
+    counts: tuple[int, ...]
+    t: np.ndarray
+    d_ao: np.ndarray
+    d_ho: np.ndarray
+    d_ah: np.ndarray
+    hand: np.ndarray
+
+
+def unit_traces(
+    s: Session, units: Sequence[OperationUnit], hotspots: Sequence[Hotspot]
+) -> UnitTraces:
+    """The "OU" traces of every unit with a hotspot, computed in one pass.
+
+    Each distance is the same elementwise arithmetic as
+    :func:`build_distance_series` on the same frames, so it has the same
+    bits.  The series checks need no second run: a unit's frames are in
+    time order, and ``Session.times`` is strictly increasing.  Every
+    coordinate that reaches the pipeline through the parser is finite with
+    |v| <= ``ingest.COORD_MAX`` = 1e50, and a hotspot centroid is a mean of
+    such hand positions, so each coordinate difference is at most 2e50 and
+    each distance is finite, >= 0 and at most 2 * sqrt(2) * 1e50 < 2.9e50.
+    """
+    traced = tuple(ou for ou in units if ou.hotspot_id is not None)
+    picks = [series_frames(s, ou, "OU") for ou in traced]
+    counts = tuple(len(frames) for frames, _ in picks)
+    frames = np.concatenate([np.zeros(0, dtype=np.intp), *(f for f, _ in picks)])
+    hand = np.concatenate([np.zeros(0, dtype=bool), *(h for _, h in picks)])
+    centroids = np.array([(hotspots[ou.hotspot_id].centroid.x, hotspots[ou.hotspot_id].centroid.y)
+                          for ou in traced], dtype=float).reshape(-1, 2)
+    centroids = np.repeat(centroids, counts, axis=0)
+    attention, hand_xy = s.attention_xy[frames], s.hand_xy[frames]
+    d_ao, d_ho, d_ah = (np.hypot(delta[:, 0], delta[:, 1])
+                        for delta in (attention - centroids, hand_xy - centroids, attention - hand_xy))
+    d_ho[s.touching_mask[frames]] = 0.0
+    return UnitTraces(traced, counts, s.times[frames], d_ao, d_ho, d_ah, hand)
 
 
 def period_bounds(ou: OperationUnit, period: str) -> tuple[float, float, bool]:

@@ -234,7 +234,8 @@ def parse_session(
         header, columns = parse(stream, src)
     except UnicodeDecodeError:
         stream.buffer.seek(0)
-        raise not_utf8(stream.buffer.read(), parse, src) from None
+        csv_from = 2 if format == CSV else None  # line 1 is the header comment
+        raise not_utf8(stream.buffer.read(), parse, src, csv_from) from None
     finally:
         stream.close()
     if not len(columns["times"]):

@@ -91,24 +91,34 @@ def csv_rows(stream: Iterable[str], src: str, first_line: int = 1) -> Iterator[t
         raise ParseError(f"malformed CSV: {exc}", line=line, source=src) from None
 
 
-def not_utf8(data: bytes, parse: Callable[[IO[str], str], object], src: str) -> ParseError:
-    """The error of ``data``, bytes that are not UTF-8: that of a line before
-    the first bad byte if ``parse`` finds one, else "not UTF-8" on the
-    byte's line."""
+def not_utf8(data: bytes, parse: Callable[[IO[str], str], object], src: str,
+             csv_from: Optional[int] = None) -> ParseError:
+    """The error of ``data``, bytes that are not UTF-8: that of a row that
+    ends before the first bad byte if ``parse`` finds one, else "not UTF-8"
+    on the byte's line.  A row is a line; with ``csv_from``, the lines from
+    that one on are CSV rows, and a quoted cell may carry a row over lines.
+    The row the bad byte is in is not judged on its part before the byte."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         bad = exc
     lines = io.TextIOWrapper(io.BytesIO(data[:bad.start]), encoding="utf-8").readlines()
-    if lines and not lines[-1].endswith("\n"):
-        lines.pop()  # the start of the bad line
+    byte_line = len(lines) + 1 if not lines or lines[-1].endswith("\n") else len(lines)
+    start = byte_line  # the first line of the row the byte is in
+    if csv_from is not None and csv_from < byte_line:
+        # a cell after the cut makes the row the byte is in the last row
+        rest = io.StringIO("".join(lines[csv_from - 1:]) + "x")
+        try:
+            *_, (start, _) = csv_rows(rest, src, csv_from)
+        except ParseError:
+            pass  # a cell over the size limit: parsing the lines before the byte finds it
     try:
-        parse(io.StringIO("".join(lines)), src)
+        parse(io.StringIO("".join(lines[:start - 1])), src)
     except ParseError as exc:
         if exc.line is not None:
             return exc
     return ParseError(f"not UTF-8: byte 0x{data[bad.start]:02x} ({bad.reason})",
-                      line=len(lines) + 1, source=src)
+                      line=byte_line, source=src)
 
 
 def parse_csv_file(path: Union[str, Path], parse: Callable[[IO[str], str], object]) -> object:
@@ -121,7 +131,7 @@ def parse_csv_file(path: Union[str, Path], parse: Callable[[IO[str], str], objec
         except UnicodeDecodeError:
             fh.buffer.seek(0)
             data = fh.buffer.read()
-    raise not_utf8(data, parse, src)
+    raise not_utf8(data, parse, src, csv_from=1)
 
 
 def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[..., object]) -> list:

@@ -291,6 +291,29 @@ class TestAnalyze:
         assert key in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"features": {"sign_deadband": math.nan}},
+         "features.sign_deadband must be a finite number, got nan"),
+        ({"cluster": {"temporal_gap_max": math.inf}},
+         "cluster.temporal_gap_max must be a finite number, got inf"),
+        ({"segmentation": {"touch_merge_gap": -math.inf}},
+         "segmentation.touch_merge_gap must be a finite number, got -inf"),
+        ({"cluster": {"spatial_eps": math.nan}},
+         "cluster.spatial_eps must be a finite number or null, got nan"),
+        ({"features": {"sign_deadband": math.nan}, "cluster": {"temporal_gap_max": math.inf}},
+         "cluster.temporal_gap_max must be a finite number, got inf"),
+    ])
+    def test_non_finite_config_value_is_rejected(self, corpus, tmp_path, capsys, config, message):
+        # Python's json reads NaN, Infinity and -Infinity as floats
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+        out = tmp_path / "out"
+        assert run(["analyze", corpus / "sessions", "--out", out, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_valid_config_values_keep_their_bytes(self, corpus, tmp_path):
         cfg = tmp_path / "cfg.json"
         eps = math.sqrt(sys.float_info.max)  # the largest whose square is finite
@@ -561,6 +584,9 @@ class TestCompareAndCorrelate:
          "ratings.csv:3: malformed CSV: field larger than field limit (131072)"),
         (b"step_id,rater_id,role,score\nstep_01,r\xe9,expert,2\n",
          "ratings.csv:2: not UTF-8: byte 0xe9 (invalid continuation byte)"),
+        # the quoted cell of line 2 goes on into line 3, where the bad byte is
+        (b'step_id,rater_id,role,score\n"s\n\xe9",e01,expert,1\n',
+         "ratings.csv:3: not UTF-8: byte 0xe9 (invalid continuation byte)"),
     ])
     def test_bad_ratings_are_a_line_numbered_input_error(self, corpus, analyzed, tmp_path, capsys,
                                                          data, message):

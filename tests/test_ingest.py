@@ -196,6 +196,25 @@ class TestParserEscapes:
         err = self._raises(b"\n".join(lines) + b"\n", "csv")
         assert (err.line, "not UTF-8" in str(err)) == (lineno, True)
 
+    @pytest.mark.parametrize("rows, lineno", [
+        (b'"0.0\n\xe9",0,0,,,false\n', 4),  # the quoted cell of line 3 goes on into line 4
+        (b'0.0,0,"0\n\n\xe9",,,false\n', 5),  # a row from line 3 to line 5
+        (b'0.0,0,0,,,false\n"0.1\n\n\xe9",0,0,,,false\n', 6),
+    ])
+    def test_csv_not_utf8_inside_a_quoted_cell_over_lines(self, rows, lineno):
+        # the row the bad byte splits is not judged on the part before the byte
+        err = self._raises(self.CSV_HEAD.encode() + rows, "csv")
+        assert (err.line, "not UTF-8" in str(err)) == (lineno, True)
+
+    @pytest.mark.parametrize("rows, lineno", [
+        (b"0.0,0\n\xe9\n", 3),
+        (b'"0.0\n",0\n\xe9\n', 3),  # a quoted cell over lines 3 and 4, closed before the byte
+        (b'0.0,0,0,,,false\n"0.1\n"\n0.2,\xe9\n', 4),
+    ])
+    def test_csv_row_that_ends_before_the_bad_byte_is_judged(self, rows, lineno):
+        err = self._raises(self.CSV_HEAD.encode() + rows, "csv")
+        assert (err.line, "expected 6 cells" in str(err)) == (lineno, True)
+
     def test_header_not_utf8(self):
         err = self._raises(HEADER.encode()[:-1] + b'\xe9"}\n' + self._frames(1)[0].encode(), "jsonl")
         assert (err.line, "not UTF-8" in str(err)) == (1, True)
@@ -356,6 +375,29 @@ class TestSidecars:
         _, head, good, _ = self.SIDECARS[name]
         err = self._raises(tmp_path, name, (head + earlier + good).encode() + b"\xe9\n")
         assert str(err) == f"{tmp_path / name}:2: {message}"
+
+    @pytest.mark.parametrize("name", sorted(SIDECARS))
+    @pytest.mark.parametrize("cell, lineno", [
+        ('"b\n\udce9"', 4),  # the row of line 3 goes on into line 4, where the byte is
+        ('"b\n\n\udce9 x"', 5),
+        ('"\n\udce9"', 4),
+    ])
+    def test_not_utf8_inside_a_quoted_cell_over_lines(self, tmp_path, name, cell, lineno):
+        _, head, good, bad = self.SIDECARS[name]
+        data = (head + good).encode() + bad.format(cell=cell).encode("utf-8", "surrogateescape")
+        err = self._raises(tmp_path, name, data)
+        assert str(err) == f"{tmp_path / name}:{lineno}: not UTF-8: byte 0xe9 (invalid continuation byte)"
+
+    @pytest.mark.parametrize("name, earlier, message", [
+        ("ratings.csv", "s1,e01,expert,9\n", "score 9 outside [-5, 5]"),
+        ("ratings.csv", 's1,"e\n01",expert,9\n', "score 9 outside [-5, 5]"),
+        ("s.steps.csv", "0.0,1.0\n", "expected start_t,end_t,step_id"),
+        ("s.steps.csv", '0.0,"1\n.0",a\n', "end_t is not a number: '1\\n.0'"),
+    ])
+    def test_row_ending_right_before_the_bad_byte_is_judged(self, tmp_path, name, earlier, message):
+        _, head, _, _ = self.SIDECARS[name]
+        err = self._raises(tmp_path, name, (head + earlier).encode() + b"\xe9,x\n")
+        assert (err.line, message in str(err)) == (2, True)
 
     @pytest.mark.parametrize("name", sorted(SIDECARS))
     def test_lines_count_a_quoted_cell_over_two_lines(self, tmp_path, name):

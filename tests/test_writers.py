@@ -14,11 +14,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_writers
 from opgaze import cli
-from opgaze.features import build_distance_series
+from opgaze.features import build_distance_series, unit_traces
 from opgaze.hotspot import TouchDistribution, touch_distribution_plot_data
 from opgaze.session import Hotspot, Interval, OperationUnit, Point2, Session
 
@@ -120,6 +121,113 @@ class TestTraces:
         assert lines[0] == "t,d_ao,d_ho,d_ah"
         assert not any(line.startswith("0.2,") for line in lines)  # stray touch: no sample
         assert [line.split(",")[2:] for line in lines if line.startswith("0.4,")] == [["", ""]]
+
+
+@st.composite
+def multi_unit_results(draw) -> cli.SessionResult:
+    """A session of units one after another.  A unit starts where the one
+    before it ends, so that their whole-unit ranges share that frame, or a
+    few frames later.  Units share one of two hotspots or have none, the
+    hand leaves and returns at random frames, and touches fall at random,
+    so that many are stray.  Positions come from a drawn seed, a fifth of
+    them awkward floats, which keeps generation fast."""
+    n = draw(st.integers(8, 60))
+    steps = draw(st.lists(st.sampled_from([0.1, 1 / 30, 0.1 + 0.2, 1e-3, 7.0]),
+                          min_size=n - 1, max_size=n - 1))
+    times = np.cumsum([draw(st.sampled_from([0.0, 1e-300, 0.1, 12.5])), *steps]).tolist()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    attention, hand = (np.where(rng.random((n, 2)) < 0.2, rng.choice(AWKWARD, (n, 2)),
+                                rng.normal(0.0, 1e5, (n, 2))) for _ in range(2))
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    visible = draw(flags)
+    touching = [v and touch for v, touch in zip(visible, draw(flags))]
+    s = make(times, attention, hand, visible, touching)
+    hotspots = tuple(Hotspot(i, Point2(*draw(st.tuples(coords, coords))), 0, 0.0, 0.0, ())
+                     for i in range(draw(st.integers(1, 2))))
+    units, end = [], 0
+    for index in range(draw(st.integers(2, 5))):
+        b = [end]
+        for _ in range(4):
+            b.append(min(b[-1] + draw(st.integers(0, 6)), n - 1))
+        end = b[-1]
+        t = [times[i] for i in b[1:]]
+        hotspot_id = draw(st.one_of(st.none(), st.integers(0, len(hotspots) - 1)))
+        units.append(OperationUnit(index, Interval(t[0], t[1]), Interval(t[1], t[2]),
+                                   Interval(t[2], t[3]), hotspot_id=hotspot_id))
+    return cli.SessionResult(s, 1.0, hotspots, tuple(units), ())
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestUnitTraces:
+    """The session's one-pass traces give the per-unit series and files."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(multi_unit_results())
+    def test_bytes_of_many_units_equal_the_oracle(self, result):
+        assert written_traces(result) == expected_traces(result)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(session_results(), multi_unit_results()))
+    def test_arrays_equal_the_per_unit_series_bit_for_bit(self, result):
+        s = result.session
+        traces = unit_traces(s, result.units, result.hotspots)
+        assert traces.units == tuple(ou for ou in result.units if ou.hotspot_id is not None)
+        assert len(traces.counts) == len(traces.units)
+        assert {len(a) for a in (traces.t, traces.d_ao, traces.d_ho, traces.d_ah, traces.hand)} \
+            == {sum(traces.counts)}
+        end = 0
+        for ou, count in zip(traces.units, traces.counts):
+            rows = slice(end, end + count)
+            end += count
+            ao, ho, ah = (build_distance_series(s, ou, result.hotspots[ou.hotspot_id], kind, "OU")
+                          for kind in ("AO", "HO", "AH"))
+            hand = traces.hand[rows]
+            assert bits(traces.t[rows]) == bits(ao.times)
+            assert bits(traces.d_ao[rows]) == bits(ao.values)
+            assert bits(traces.t[rows][hand]) == bits(ho.times) == bits(ah.times)
+            assert bits(traces.d_ho[rows][hand]) == bits(ho.values)
+            assert bits(traces.d_ah[rows][hand]) == bits(ah.values)
+            assert np.isnan(traces.d_ho[rows][~hand]).all() and np.isnan(traces.d_ah[rows][~hand]).all()
+
+    def test_shared_hotspot_gap_unit_meeting_frames_absent_hand_and_stray_touches(self):
+        # five units over 0-5 s at 10 Hz: units 0 and 2 share hotspot 0, unit
+        # 1 between them has none, unit 3 starts on unit 2's last frame (not
+        # touching), the hand is out of sight from 3.2 to 3.4 s inside unit 3,
+        # and touches at 0.1 s and 2.2 s lie outside every operating period
+        times = [i / 10 for i in range(51)]
+        visible = [not 3.2 <= t < 3.45 for t in times]
+        operating = [(0.6, 1.0), (1.6, 2.0), (2.6, 3.0), (3.6, 4.0), (4.6, 5.0)]
+        touching = [t in (0.1, 2.2) or any(a <= t < b for a, b in operating) for t in times]
+        s = make(times, [(100.0 - 10 * t, 0.1 + 0.2) for t in times],
+                 [(50.0 - 20 * t, -1e16) for t in times], visible, touching)
+        hotspots = (Hotspot(0, Point2(5e-324, 1e16), 0, 0.0, 0.0, ()),
+                    Hotspot(1, Point2(-123456.789, 3.5e7), 0, 0.0, 0.0, ()))
+        bounds = [(0.0, 0.3), (1.0, 1.3), (2.0, 2.3), (3.0, 3.3), (4.0, 4.3)]
+        units = tuple(
+            OperationUnit(k, Interval(g, h), Interval(h, o[0]), Interval(*o), hotspot_id=hid)
+            for k, ((g, h), o, hid) in enumerate(zip(bounds, operating, (0, None, 0, 1, 1))))
+        result = cli.SessionResult(s, 1.0, hotspots, units, ())
+        written = written_traces(result)
+        assert written == expected_traces(result)
+        assert sorted(written) == ["s1_0.csv", "s1_2.csv", "s1_3.csv", "s1_4.csv"]
+        lines = {name: text.decode().splitlines()[1:] for name, text in written.items()}
+        # units 0 and 2 drop their stray touch from their 11 frames
+        assert [len(lines[f"s1_{k}.csv"]) for k in (0, 2, 3, 4)] == [10, 10, 11, 11]
+        assert not any(line.startswith(("0.1,", "2.2,")) for rows in lines.values() for line in rows)
+        assert lines["s1_2.csv"][-1].startswith("3.0,") and lines["s1_3.csv"][0].startswith("3.0,")
+        assert [line.split(",")[2:] for line in lines["s1_3.csv"] if line.startswith("3.3,")] == [["", ""]]
+
+    @pytest.mark.parametrize("hotspot_ids", [(), (None,), (None, None)])
+    def test_session_without_traced_units_gets_an_empty_traces_directory(self, hotspot_ids):
+        s = make([0.0, 0.1, 0.2], [(0.0, 0.0)] * 3, [(1.0, 1.0)] * 3, [True] * 3, [False, True, False])
+        units = tuple(OperationUnit(k, Interval(0.0, 0.1), Interval(0.1, 0.1), Interval(0.1, 0.2),
+                                    hotspot_id=hid) for k, hid in enumerate(hotspot_ids))
+        traces = unit_traces(s, units, ())
+        assert (traces.units, traces.counts, len(traces.t)) == ((), (), 0)
+        assert written_traces(cli.SessionResult(s, 1.0, (), units, ())) == {}
 
 
 points_lists = st.lists(st.lists(coords, min_size=2, max_size=2), min_size=1, max_size=300)

@@ -200,8 +200,9 @@ def pairwise_comparison(
     """Relative earlier-to-later change of each feature's session mean.
 
     Pairs where a feature's mean is undefined in either session, or zero
-    in the earlier one (no relative change exists), are skipped for that
-    feature and logged.
+    in the earlier one (no relative change exists), or whose relative
+    change overflows, are skipped for that feature and logged.  A mean
+    change that overflows is undefined, and logged.
     """
     rows = []
     for name in features:
@@ -222,12 +223,23 @@ def pairwise_comparison(
                     "relative change undefined, skipped", pair.operator, name,
                 )
                 continue
-            deltas.append((l - e) / e * 100.0)
+            delta = (l - e) / e * 100.0
+            if not math.isfinite(delta):
+                logger.warning(
+                    "pair %s: feature %s changes by a factor that is not finite, "
+                    "relative change undefined, skipped", pair.operator, name,
+                )
+                continue
+            deltas.append(delta)
             if l < e:
                 n_smaller += 1
+        mean = pairwise_mean(deltas) if deltas else None
+        if mean is not None and not math.isfinite(mean):
+            logger.warning("feature %s: mean relative change is not finite, undefined", name)
+            mean = None
         rows.append(ComparisonRow(
             feature=name,
-            mean_delta_pct=pairwise_mean(deltas) if deltas else None,
+            mean_delta_pct=mean,
             n_pairs=len(deltas),
             n_later_smaller=n_smaller,
             deltas_pct=tuple(deltas),

@@ -30,7 +30,7 @@ from typing import IO, TYPE_CHECKING, Mapping, Optional, Sequence, TypeVar
 
 # only numpy-free modules here, so that compare, correlate and --help load no numpy
 from . import analysis
-from .featurerow import FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
+from .featurerow import FEATURE_MAX, FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
 from .studyio import ParseError, atomic_write_text, csv_rows, csv_text, load_ratings, parse_csv_file
 
 if TYPE_CHECKING:
@@ -421,8 +421,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _read_features_csv(path: Path) -> list[dict[str, object]]:
     """The rows of a ``features.csv``, its columns found by name; a row
-    whose cell count is not the header's, or whose cell does not convert,
-    is a ParseError on its line."""
+    whose cell count is not the header's, or whose cell does not convert or
+    lies beyond what ``analyze`` writes (non-finite, or above
+    ``FEATURE_MAX`` in magnitude), is a ParseError on its line."""
     return parse_csv_file(path, _parse_features)
 
 
@@ -453,9 +454,14 @@ def _parse_features(stream: IO[str], src: str) -> list[dict[str, object]]:
         for name in SCALAR_FEATURES:
             cell = raw[name]
             try:
-                row[name] = float(cell) if cell else None
+                value = float(cell) if cell else None
             except ValueError:
                 raise ParseError(f"{name} is not a number: {cell!r}", line=line, source=src) from None
+            if value is not None and not abs(value) <= FEATURE_MAX:
+                bound = f"|{name}| exceeds {FEATURE_MAX:g}"
+                problem = bound if math.isfinite(value) else f"{name} is not finite"
+                raise ParseError(f"{problem}: {cell!r}", line=line, source=src)
+            row[name] = value
         rows.append(row)
     return rows
 

@@ -14,6 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional
 
+# The largest feature magnitude analyze writes: a mean speed, at most
+# 2 * sqrt(2) * ingest.COORD_MAX * ingest.RATE_MAX = 2.8284e150.  Durations
+# and lead times are at most ingest.TIME_MAX = 1e150, distances 2.9e50.
+FEATURE_MAX = 2.83e150
+
 GAZE_PATTERNS = ("search", "shift")
 SHIFT_KINDS = ("early", "non-early", "undefined")
 

@@ -21,14 +21,14 @@ reason code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .featurerow import FeatureVector
 from .segmentation import period_durations
-from .session import DistanceSeries, Hotspot, OperationUnit, Session, time_range
+from .session import DistanceSeries, Hotspot, OperationUnit, Point2, Session, time_range
 
 PERIODS = ("G", "H", "O", "GH", "OU")
 # features a unit without a hotspot cannot have
@@ -36,6 +36,7 @@ _NO_HOTSPOT = (
     "operating_mean_dist", "gazing_kinematics", "approaching_kinematics", "operating_kinematics",
     "corr_attention_hand", "attention_lead_lag", "early_shift_ratio", "gaze_pattern", "shift_kind",
 )
+_ORIGIN = Hotspot(0, Point2(0.0, 0.0), 0, 0.0, 0.0, ())
 
 DEFAULT_SIGN_DEADBAND = 0.0
 DEFAULT_LAG_THRESHOLD = 0.2
@@ -84,46 +85,21 @@ def build_distance_series(
     """Distance series of the given kind over one of a unit's periods.
 
     ``period`` is "G", "H", "O", "GH" (gazing + approaching, up to the
-    first touch) or "OU" (the whole unit).  The series takes the frames
-    :func:`series_frames` gives for its kind, and the hand-hotspot distance
-    is 0 whenever the hotspot is touched.
+    first touch) or "OU" (the whole unit).  The series is the period's
+    window of the unit's trace against ``hotspot`` (:func:`unit_traces`):
+    an "AO" series takes every row, the hand-involving kinds ("HO", "AH")
+    the rows with a hand in sight.
     """
     if period not in PERIODS:
         raise ValueError(f"period must be one of {PERIODS}, got {period!r}")
     if kind in ("AO", "HO") and hotspot is None:
         raise ValueError(f"kind {kind!r} needs an assigned hotspot")
-
-    frames, hand = series_frames(s, ou, period)
-    if kind in ("HO", "AH"):
-        frames = frames[hand]
-    t = s.times[frames]
-    if kind == "AO":
-        delta = s.attention_xy[frames] - (hotspot.centroid.x, hotspot.centroid.y)
-        values = np.hypot(delta[:, 0], delta[:, 1])
-    elif kind == "HO":
-        delta = s.hand_xy[frames] - (hotspot.centroid.x, hotspot.centroid.y)
-        values = np.hypot(delta[:, 0], delta[:, 1])
-        values[s.touching_mask[frames]] = 0.0
-    else:  # AH
-        delta = s.attention_xy[frames] - s.hand_xy[frames]
-        values = np.hypot(delta[:, 0], delta[:, 1])
-    return DistanceSeries(times=t, values=values, kind=kind)
-
-
-def series_frames(s: Session, ou: OperationUnit, period: str) -> tuple[np.ndarray, np.ndarray]:
-    """The frames of a unit's distance series over one of its periods, as
-    session indices in time order, and which of them have a hand in sight.
-
-    An "AO" series takes every frame of the period but stray contacts; the
-    hand-involving kinds ("HO", "AH") take those of them with a hand in sight.
-    """
-    i, j = time_range(s.times, *period_bounds(ou, period))
-    t = s.times[i:j]
-    # contacts outside this unit's operating period are stray (previous
-    # unit boundary or a dropped micro-bout) and carry no distance sample
-    keep = ((t >= ou.operating.start) & (t <= ou.operating.end)) | ~s.touching_mask[i:j]
-    frames = i + np.flatnonzero(keep)
-    return frames, s.hand_visible_mask[frames]
+    # an "AH" series does not use the hotspot, so any point will do
+    trace = _unit_trace(s, ou, hotspot or _ORIGIN)
+    rows = slice(None) if kind == "AO" else trace.hand
+    values = trace.d_ao if kind == "AO" else trace.d_ho if kind == "HO" else trace.d_ah
+    # the constructor checks the series, and rejects an unknown kind
+    return DistanceSeries(trace.t[rows], values[rows], kind).window(*period_bounds(ou, period))
 
 
 @dataclass(frozen=True)
@@ -151,20 +127,28 @@ def unit_traces(
 ) -> UnitTraces:
     """The "OU" traces of every unit with a hotspot, computed in one pass.
 
-    Each distance is the same elementwise arithmetic as
-    :func:`build_distance_series` on the same frames, so it has the same
-    bits.  The series checks need no second run: a unit's frames are in
-    time order, and ``Session.times`` is strictly increasing.  Every
-    coordinate that reaches the pipeline through the parser is finite with
-    |v| <= ``ingest.COORD_MAX`` = 1e50, and a hotspot centroid is a mean of
-    such hand positions, so each coordinate difference is at most 2e50 and
-    each distance is finite, >= 0 and at most 2 * sqrt(2) * 1e50 < 2.9e50.
+    This is the one place that picks a unit's frames and computes its
+    distances; :func:`build_distance_series` and :func:`feature_vector`
+    take theirs from a one-unit trace.  A unit's rows are the frames of its
+    whole range but stray contacts, and HO is 0 while the hotspot is
+    touched.  The rows need no series checks: a unit's frames are in time
+    order, and ``Session.times`` is strictly increasing.  Every coordinate
+    that reaches the pipeline through the parser is finite with |v| <=
+    ``ingest.COORD_MAX`` = 1e50, and a hotspot centroid is a mean of such
+    hand positions, so each coordinate difference is at most 2e50 and each
+    distance is finite, >= 0 and at most 2 * sqrt(2) * 1e50 < 2.9e50.
     """
     traced = tuple(ou for ou in units if ou.hotspot_id is not None)
-    picks = [series_frames(s, ou, "OU") for ou in traced]
-    counts = tuple(len(frames) for frames, _ in picks)
-    frames = np.concatenate([np.zeros(0, dtype=np.intp), *(f for f, _ in picks)])
-    hand = np.concatenate([np.zeros(0, dtype=bool), *(h for _, h in picks)])
+    picks = []
+    for ou in traced:
+        i, j = time_range(s.times, *period_bounds(ou, "OU"))
+        t = s.times[i:j]
+        # contacts outside this unit's operating period are stray (previous
+        # unit boundary or a dropped micro-bout) and carry no distance sample
+        keep = ((t >= ou.operating.start) & (t <= ou.operating.end)) | ~s.touching_mask[i:j]
+        picks.append(i + np.flatnonzero(keep))
+    counts = tuple(map(len, picks))
+    frames = np.concatenate([np.zeros(0, dtype=np.intp), *picks])
     centroids = np.array([(hotspots[ou.hotspot_id].centroid.x, hotspots[ou.hotspot_id].centroid.y)
                           for ou in traced], dtype=float).reshape(-1, 2)
     centroids = np.repeat(centroids, counts, axis=0)
@@ -172,7 +156,13 @@ def unit_traces(
     d_ao, d_ho, d_ah = (np.hypot(delta[:, 0], delta[:, 1])
                         for delta in (attention - centroids, hand_xy - centroids, attention - hand_xy))
     d_ho[s.touching_mask[frames]] = 0.0
-    return UnitTraces(traced, counts, s.times[frames], d_ao, d_ho, d_ah, hand)
+    return UnitTraces(traced, counts, s.times[frames], d_ao, d_ho, d_ah, s.hand_visible_mask[frames])
+
+
+def _unit_trace(s: Session, ou: OperationUnit, hotspot: Hotspot) -> UnitTraces:
+    """The trace of one unit against ``hotspot``, which need not be the one
+    its ``hotspot_id`` names."""
+    return unit_traces(s, (replace(ou, hotspot_id=0),), (hotspot,))
 
 
 def period_bounds(ou: OperationUnit, period: str) -> tuple[float, float, bool]:
@@ -405,10 +395,11 @@ def feature_vector(
                              undefined=dict.fromkeys(_NO_HOTSPOT, "no_hotspot"))
 
     undefined: dict[str, str] = {}
-    # every period lies inside the unit and the frame filters do not depend
+    # every period lies inside the unit and the frame rule does not depend
     # on the period, so a window of the whole-unit series is a direct build
-    ao_ou = build_distance_series(s, ou, hotspot, "AO", "OU")
-    ho_ou = build_distance_series(s, ou, hotspot, "HO", "OU")
+    trace = _unit_trace(s, ou, hotspot)
+    ao_ou = DistanceSeries(trace.t, trace.d_ao, "AO")
+    ho_ou = DistanceSeries(trace.t[trace.hand], trace.d_ho[trace.hand], "HO")
     ao_g, ao_h, ao_o, ao_gh = (ao_ou.window(*period_bounds(ou, p)) for p in ("G", "H", "O", "GH"))
     ho_gh = ho_ou.window(*period_bounds(ou, "GH"))
 

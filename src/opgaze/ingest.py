@@ -18,10 +18,10 @@ Frames are parsed straight into the Session's columns.  Rejected inputs
 never produce a Session: any malformed line (bytes that are not UTF-8, JSON
 nested past the recursion limit and a CSV cell over the field size limit
 included), duplicate or non-monotonic timestamp, contact-without-hand
-frame, non-finite value (an integer too large for a float included),
-coordinate beyond ``COORD_MAX`` or rate above ``RATE_MAX`` raises
-:class:`ParseError` with the number of the earliest offending line, as a
-line-by-line check would.  A CSV row's line is the line it starts on.
+frame, non-finite value (an integer too large for a float included), time
+above ``TIME_MAX``, coordinate beyond ``COORD_MAX`` or rate above
+``RATE_MAX`` raises :class:`ParseError` with the number of the earliest
+offending line, as a line-by-line check would.  A CSV row's line is the line it starts on.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ COORD_MAX = 1e50
 # rate) is at most 2.83e150 and its square 8.0e300: correlate's sums of
 # squares of per-step means stay finite for up to 2.2e7 steps.
 RATE_MAX = 1e100
+
+# The largest frame time accepted.  Times start at 0, so every duration and
+# lead time a feature takes is at most 1e150, below the mean-speed bound of
+# 2.83e150: correlate's squares of per-step means of any feature stay finite.
+TIME_MAX = 1e150
 
 
 @dataclass
@@ -202,6 +207,7 @@ def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: s
         *checks_before,
         (~np.isfinite(t), lambda i: _not_finite(t_raw[i], "t")),
         (t < 0, lambda i: f"t must be >= 0, got {float(t[i])}"),
+        (t > TIME_MAX, lambda i: f"t exceeds {TIME_MAX:g}: {t_raw[i]!r}"),
         coordinate(ax, ax_raw, "ax"),
         coordinate(ay, ay_raw, "ay"),
         (hx_none != hy_none, lambda i: "hx and hy must be null together"),

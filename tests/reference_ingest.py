@@ -5,8 +5,9 @@ It checks each line completely before reading the next, so its first error
 is by construction the earliest bad line's.  Opening the source and checking
 the header are shared with ``opgaze.ingest``.  It includes the fixes for
 integers too large for a float: ``_finite`` reports them as not finite, and
-a line that fails to decode for any ``ValueError`` is malformed JSON, and
-a coordinate must lie within ``COORD_MAX``.  A CSV row's line is the line
+a line that fails to decode for any ``ValueError`` is malformed JSON, a
+time must not exceed ``TIME_MAX`` and a coordinate must lie within
+``COORD_MAX``.  A CSV row's line is the line
 it starts on, as ``csv.reader.line_num`` counts lines, so a quoted cell
 may span lines.
 """
@@ -18,7 +19,7 @@ import json
 import math
 from typing import IO
 
-from opgaze.ingest import COORD_MAX, FRAME_FIELDS, ParseError, _open_text, _parse_header
+from opgaze.ingest import COORD_MAX, FRAME_FIELDS, TIME_MAX, ParseError, _open_text, _parse_header
 from opgaze.session import FrameRecord, Point2
 
 
@@ -45,6 +46,8 @@ def _frame_from_fields(row, lineno, src):
     t = _finite(row["t"], "t", lineno, src)
     if t < 0:
         raise ParseError(f"t must be >= 0, got {t}", line=lineno, source=src)
+    if t > TIME_MAX:
+        raise ParseError(f"t exceeds {TIME_MAX:g}: {row['t']!r}", line=lineno, source=src)
     ax = _coordinate(row["ax"], "ax", lineno, src)
     ay = _coordinate(row["ay"], "ay", lineno, src)
     hx, hy = row["hx"], row["hy"]

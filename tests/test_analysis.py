@@ -285,6 +285,25 @@ class TestPairwiseComparison:
         assert row.n_pairs == 0 and row.mean_delta_pct is None
         assert any("relative change undefined" in r.message for r in caplog.records)
 
+    def test_overflowing_relative_change_skipped_and_logged(self, caplog):
+        pairs = [pair_with("dur_gazing", 5e-324, 1e150, "a"),
+                 pair_with("dur_gazing", 10.0, 5.0, "b")]
+        with caplog.at_level("WARNING", logger="opgaze.analysis"):
+            row = pairwise_comparison(pairs, features=("dur_gazing",)).row("dur_gazing")
+        assert (row.n_pairs, row.mean_delta_pct, row.deltas_pct) == (1, -50.0, (-50.0,))
+        assert row.n_later_smaller == 1
+        assert any("pair a" in r.getMessage() and "not finite" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_overflowing_mean_change_is_undefined_and_logged(self, caplog):
+        # each change is finite, about 1.4e308, but their sum is not
+        pairs = [pair_with("dur_gazing", 2e-156, 2.8e150, op) for op in ("a", "b")]
+        with caplog.at_level("WARNING", logger="opgaze.analysis"):
+            row = pairwise_comparison(pairs, features=("dur_gazing",)).row("dur_gazing")
+        assert row.n_pairs == 2 and all(math.isfinite(d) for d in row.deltas_pct)
+        assert row.mean_delta_pct is None
+        assert any("mean relative change" in r.getMessage() for r in caplog.records)
+
     def test_scale_invariance(self):
         base = pairwise_comparison([pair_with("dur_gazing", 10.0, 7.0)],
                                    features=("dur_gazing",)).row("dur_gazing")

@@ -477,6 +477,37 @@ class TestAnalyze:
         assert speeds and all(math.isfinite(v * v) for v in speeds), speeds
         assert max(speeds) > 2.8e150  # the bound is reached
 
+    @staticmethod
+    def write_late(d: Path, start: float, step: float) -> None:
+        """40 frames from ``start`` in steps of ``step``; the hand touches
+        over frames 10-29 (lines 12-31)."""
+        d.mkdir()
+        frames = [frame(start + i * step, ax=1.0, ay=2.0, hx=3.0, hy=4.0, touch=10 <= i < 30)
+                  for i in range(40)]
+        write_session(make_session(frames, session_id="late"), d / "late.jsonl")
+
+    def test_time_beyond_time_max_is_a_line_numbered_failure(self, tmp_path):
+        # at t = 1e300 in steps of 1e290 the run once exited 0, and correlate
+        # read its durations as uncorrelated because their squares overflowed
+        self.write_late(tmp_path / "d", 1e300, 1e290)
+        out = tmp_path / "out"
+        proc = run_child(["analyze", tmp_path / "d", "--out", out])
+        assert proc.returncode == 1, proc.stderr
+        assert "late.jsonl:2: t exceeds 1e+150: 1e+300" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_durations_at_the_time_bound_are_finite(self, tmp_path):
+        self.write_late(tmp_path / "d", 0.0, ingest.TIME_MAX / 39)
+        out = tmp_path / "out"
+        proc = run_child(["analyze", tmp_path / "d", "--out", out])
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        with (out / "features.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        durations = [float(r[f"dur_{p}"]) for r in rows for p in ("gazing", "approaching", "operating")]
+        assert rows and max(durations) <= ingest.TIME_MAX
+        assert all(math.isfinite(v * v) for v in durations)
+
     def test_steps_sidecar_not_utf8_names_the_sidecar(self, corpus, tmp_path):
         sidecar = corpus / "sessions" / "op1_earlier.steps.csv"
         sidecar.write_bytes(b"start_t,end_t,step_id\n0.0,3.0,a\n3.0,6.0,b\xe9\n")
@@ -556,6 +587,11 @@ class TestCompareAndCorrelate:
         (lambda header, row: row + ["1"], "expected 26 cells, got 27"),
         (_set("dur_gazing", "abc"), "dur_gazing is not a number: 'abc'"),
         (_set("ou_index", "1.5"), "ou_index is not an integer: '1.5'"),
+        # one nan cell once made compare exit 0 and write NaN into its plot JSON
+        (_set("dur_gazing", "nan"), "dur_gazing is not finite: 'nan'"),
+        (_set("dur_operating", "-inf"), "dur_operating is not finite: '-inf'"),
+        (_set("operating_mean_speed", "2.9e150"), "|operating_mean_speed| exceeds 2.83e+150: '2.9e150'"),
+        (_set("attention_lead_lag", "-1e300"), "|attention_lead_lag| exceeds 2.83e+150: '-1e300'"),
     ])
     def test_bad_features_row_is_a_line_numbered_input_error(self, corpus, analyzed, tmp_path, capsys,
                                                              command, spoil, message):
@@ -564,6 +600,39 @@ class TestCompareAndCorrelate:
         assert self._study(command, features, corpus, tmp_path) == 1
         err = capsys.readouterr().err
         assert f"{features}:2: {message}" in err and "Traceback" not in err
+
+    def test_feature_cell_at_the_bound_is_read(self, corpus, analyzed, tmp_path):
+        features = self._edited(analyzed, tmp_path, lambda rows: [
+            rows[0], *(self._set("operating_mean_speed", "2.83e150")(rows[0], row) for row in rows[1:])])
+        assert self._study("compare", features, corpus, tmp_path) == 0
+
+    def test_overflowing_relative_change_is_undefined(self, tmp_path, caplog):
+        # an earlier mean of 5e-324 and a later one of 1e150 once gave a
+        # relative change of inf, written as Infinity into the plot JSON
+        def row(session_id: str, dur_gazing: str) -> list[str]:
+            cells = dict.fromkeys(cli.FEATURES_HEADER, "")
+            cells.update(session_id=session_id, ou_index="0", gaze_pattern="shift",
+                         shift_kind="undefined", dur_gazing=dur_gazing, dur_operating="2.0")
+            return [cells[name] for name in cli.FEATURES_HEADER]
+
+        features, manifest = tmp_path / "features.csv", tmp_path / "pairs.json"
+        with features.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [cli.FEATURES_HEADER, row("e", "5e-324"), row("l", "1e150")])
+        manifest.write_text(json.dumps({"pairs": [{"operator": "op1", "earlier": "e", "later": "l"}]}))
+        with caplog.at_level("WARNING", logger="opgaze.analysis"):
+            assert run(["compare", features, manifest, "--out", tmp_path / "c"]) == 0
+
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+
+        plot = json.loads((tmp_path / "c" / "comparison_plot.json").read_text(), parse_constant=not_json)
+        gazing, operating = (plot["features"].index(name) for name in ("dur_gazing", "dur_operating"))
+        assert (plot["mean_delta_pct"][gazing], plot["n_pairs"][gazing]) == (None, 0)
+        assert (plot["mean_delta_pct"][operating], plot["n_pairs"][operating]) == (0.0, 1)
+        assert plot["per_pair_deltas_pct"]["dur_gazing"] == []
+        assert any("dur_gazing" in r.getMessage() and "not finite" in r.getMessage()
+                   for r in caplog.records)
 
     def test_features_not_utf8_is_a_line_numbered_input_error(self, corpus, analyzed, tmp_path, capsys):
         features = tmp_path / "features.csv"

@@ -56,6 +56,12 @@ class TestBuildDistanceSeries:
             with pytest.raises(ValueError, match="hotspot"):
                 build_distance_series(s, u, None, kind, "OU")
 
+    def test_unknown_kind_rejected(self, fixture_unit):
+        s, u = fixture_unit
+        for hotspot in (hotspot_at(0, 0), None):
+            with pytest.raises(ValueError, match="kind must be one of"):
+                build_distance_series(s, u, hotspot, "XY", "OU")
+
     def test_gazing_is_half_open(self, fixture_unit):
         s, u = fixture_unit
         d = build_distance_series(s, u, hotspot_at(0.0, 0.0), "AO", "G")

@@ -23,6 +23,7 @@ from opgaze import ingest
 from opgaze.ingest import atomic_write_text, detect_format
 from opgaze.session import DifficultyRatings, Rating, StepLabel
 
+import reference_ingest
 from conftest import frame, make_session
 
 HEADER = '{"id": "s1", "operator": "op1", "ordinal": "earlier", "rate_hz": 30.0, "coord_frame": "scene"}'
@@ -137,6 +138,36 @@ class TestRateBound:
         with pytest.raises(ParseError) as exc:
             parse_session(io.StringIO(self._rate_text(rate, fmt)), format=fmt)
         assert str(exc.value) == f"stream:1: rate_hz exceeds 1e+100: {rate!r}"
+
+
+class TestTimeBound:
+    """A frame time above ``TIME_MAX`` is rejected on its line, in both
+    formats, as a coordinate beyond ``COORD_MAX`` is."""
+
+    @staticmethod
+    def _text(t: float, fmt: str) -> str:
+        """Two frames, the second at ``t``: on line 3 in JSONL, on line 4 in CSV."""
+        if fmt == "jsonl":
+            frame = '{{"t": {!r}, "ax": 1.0, "ay": 2.0, "hx": null, "hy": null, "touch": false}}'
+            return "\n".join([HEADER, frame.format(0.0), frame.format(t)]) + "\n"
+        return "#" + HEADER + "\nt,ax,ay,hx,hy,touch\n0.0,1.0,2.0,,,false\n" + f"{t!r},1.0,2.0,,,false\n"
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_time_at_time_max_parses(self, fmt):
+        s = parse_session(io.StringIO(self._text(ingest.TIME_MAX, fmt)), format=fmt)
+        assert s.times.tolist() == [0.0, 1e150]
+
+    @pytest.mark.parametrize("t", [math.nextafter(1e150, math.inf), 1e300])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_time_beyond_time_max_is_rejected_on_its_line(self, fmt, t):
+        text = self._text(t, fmt)
+        with pytest.raises(ParseError) as exc:
+            parse_session(io.StringIO(text), format=fmt)
+        raw = t if fmt == "jsonl" else repr(t)  # a CSV cell is read as text
+        assert str(exc.value) == f"stream:{3 if fmt == 'jsonl' else 4}: t exceeds 1e+150: {raw!r}"
+        with pytest.raises(ParseError) as want:
+            reference_ingest.parse(io.StringIO(text), fmt)
+        assert str(want.value) == str(exc.value)
 
 
 class TestParserEscapes:

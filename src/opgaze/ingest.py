@@ -21,7 +21,8 @@ included), duplicate or non-monotonic timestamp, contact-without-hand
 frame, non-finite value (an integer too large for a float included), time
 above ``TIME_MAX``, coordinate beyond ``COORD_MAX`` or rate above
 ``RATE_MAX`` raises :class:`ParseError` with the number of the earliest
-offending line, as a line-by-line check would.  A CSV row's line is the line it starts on.
+offending line, as a line-by-line check would.  A CSV row's line is the
+line it starts on.
 """
 
 from __future__ import annotations

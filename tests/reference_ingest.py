@@ -7,9 +7,8 @@ the header are shared with ``opgaze.ingest``.  It includes the fixes for
 integers too large for a float: ``_finite`` reports them as not finite, and
 a line that fails to decode for any ``ValueError`` is malformed JSON, a
 time must not exceed ``TIME_MAX`` and a coordinate must lie within
-``COORD_MAX``.  A CSV row's line is the line
-it starts on, as ``csv.reader.line_num`` counts lines, so a quoted cell
-may span lines.
+``COORD_MAX``.  A CSV row's line is the line it starts on, as
+``csv.reader.line_num`` counts lines, so a quoted cell may span lines.
 """
 
 from __future__ import annotations

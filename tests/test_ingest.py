@@ -148,8 +148,8 @@ class TestTimeBound:
     def _text(t: float, fmt: str) -> str:
         """Two frames, the second at ``t``: on line 3 in JSONL, on line 4 in CSV."""
         if fmt == "jsonl":
-            frame = '{{"t": {!r}, "ax": 1.0, "ay": 2.0, "hx": null, "hy": null, "touch": false}}'
-            return "\n".join([HEADER, frame.format(0.0), frame.format(t)]) + "\n"
+            line = '{{"t": {!r}, "ax": 1.0, "ay": 2.0, "hx": null, "hy": null, "touch": false}}'
+            return "\n".join([HEADER, line.format(0.0), line.format(t)]) + "\n"
         return "#" + HEADER + "\nt,ax,ay,hx,hy,touch\n0.0,1.0,2.0,,,false\n" + f"{t!r},1.0,2.0,,,false\n"
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

@@ -20,6 +20,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import importlib
+import itertools
 import json
 import logging
 import math
@@ -31,10 +32,12 @@ from typing import IO, TYPE_CHECKING, Mapping, Optional, Sequence, TypeVar
 # only numpy-free modules here, so that compare, correlate and --help load no numpy
 from . import analysis
 from .featurerow import FEATURE_MAX, FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
-from .studyio import ParseError, atomic_write_text, csv_rows, csv_text, load_ratings, parse_csv_file
+from .studyio import (
+    ParseError, atomic_write_text, check_fields, csv_rows, csv_text, load_ratings, parse_csv_file,
+)
 
 if TYPE_CHECKING:
-    from .features import FeatureParams
+    from .features import FeatureParams, UnitTraces
     from .hotspot import ClusterParams
     from .segmentation import SegmentationParams
     from .session import Hotspot, OperationUnit, Session
@@ -66,7 +69,8 @@ HOTSPOTS_HEADER = ("id", "cx", "cy", "count", "first_t", "last_t")
 _LAZY = {
     "detect_format": "ingest", "load_step_labels": "ingest", "parse_session": "ingest",
     "validate_session": "ingest",
-    # nothing here calls build_distance_series; perfbench/tracer.py wraps it by this name
+    # analyze_session makes the one unit_traces call of a session; nothing here
+    # calls build_distance_series, which perfbench/tracer.py wraps by this name
     "FeatureParams": "features", "build_distance_series": "features", "feature_vector": "features",
     "unit_traces": "features",
     "ClusterParams": "hotspot", "cluster_touches": "hotspot", "extract_touches": "hotspot",
@@ -109,9 +113,14 @@ def _write_json(path: Path, obj: object) -> None:
 
 def _write_touchdist(path: Path, data: dict) -> None:
     """``_write_json`` of a touch distribution with at least one point, each two finite floats."""
-    block = ",\n".join(map("    [\n      %r,\n      %r\n    ]".__mod__, map(tuple, data["points"])))
+    points = data["points"]
+    item = "    [\n      %r,\n      %r\n    ]"
+    # one format string for all points: a string per point would add about
+    # 100 bytes a touch to the peak memory of analyze
+    block = ",\n".join([item] * len(points)) % tuple(itertools.chain.from_iterable(points))
     text = json.dumps({**data, "points": []}, indent=2, sort_keys=True)
-    atomic_write_text(path, text.replace('"points": []', f'"points": [\n{block}\n  ]') + "\n")
+    head, _, tail = text.partition('"points": []')
+    atomic_write_text(path, "".join((head, '"points": [\n', block, "\n  ]", tail, "\n")))
 
 
 # --- config ------------------------------------------------------------------
@@ -128,34 +137,18 @@ class RunConfig:
 _Params = TypeVar("_Params")
 
 
-# declared type of a params field -> the JSON values it takes; never a bool or a
-# string, and never NaN or an infinity, which Python's json reads as floats
-_CONFIG_TYPES = {
-    "float": ((int, float), "a finite number"),
-    "Optional[float]": ((int, float, type(None)), "a finite number or null"),
-    "int": ((int,), "an integer"),
-}
-
-
 def _section(raw: Mapping[str, object], name: str, params: type[_Params]) -> _Params:
     """Section ``name`` of the config as ``params``, whose fields are its keys.
 
-    A value must have its field's declared type, and a float must be
-    finite.  A ValueError of
-    ``params``, whose message starts with the field's name, is raised again
-    with ``name.`` in front, so that every rejection names ``section.key``.
+    A value must have its field's declared type (``studyio.check_fields``).
+    A ValueError of ``params``, whose message starts with the field's name,
+    is raised again with ``name.`` in front, so that every rejection names
+    ``section.key``.
     """
     data = raw.get(name, {})
     if not isinstance(data, dict):
         raise ValueError(f"config section {name!r} must be an object")
-    fields = {f.name: f.type for f in dataclasses.fields(params)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown {name} config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        kinds, what = _CONFIG_TYPES[fields[key]]
-        if type(value) not in kinds or (type(value) is float and not math.isfinite(value)):
-            raise ValueError(f"{name}.{key} must be {what}, got {value!r}")
+    check_fields(data, params, f"{name} config", f"{name}.")
     try:
         return params(**data)
     except ValueError as exc:
@@ -258,21 +251,21 @@ class SessionResult:
     hotspots: tuple[Hotspot, ...]
     units: tuple[OperationUnit, ...]
     fvs: tuple[FeatureVector, ...]
+    traces: UnitTraces
 
 
 def analyze_session(s: Session, config: RunConfig) -> SessionResult:
-    """Run the full per-session pipeline in memory."""
+    """Run the full per-session pipeline in memory: one distance pass over
+    the units, whose views give the features."""
     _bind()
     touches = extract_touches(s)
     params = config.cluster.resolve([s])
     hotspots = tuple(cluster_touches(touches, params))
     units = tuple(segment_units(s, config.segmentation, hotspots))
+    traces = unit_traces(s, units, hotspots)
+    views = iter(traces.per_unit())
     fvs = tuple(
-        feature_vector(
-            s, ou,
-            hotspots[ou.hotspot_id] if ou.hotspot_id is not None else None,
-            config.features,
-        )
+        feature_vector(s, ou, None if ou.hotspot_id is None else next(views), config.features)
         for ou in units
     )
     return SessionResult(
@@ -281,11 +274,11 @@ def analyze_session(s: Session, config: RunConfig) -> SessionResult:
         hotspots=hotspots,
         units=units,
         fvs=fvs,
+        traces=traces,
     )
 
 
 def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
-    _bind()
     s = result.session
     sdir = out_dir / "sessions" / s.id
     (sdir / "traces").mkdir(parents=True, exist_ok=True)
@@ -316,17 +309,14 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
         FEATURES_HEADER,
         [feature_row(s.id, fv) for fv in result.fvs],
     )
-    traces = unit_traces(s, result.units, result.hotspots)
-    t, ao, ho, ah = (list(map(repr, a.tolist()))
-                     for a in (traces.t, traces.d_ao, traces.d_ho, traces.d_ah))
-    for r in (~traces.hand).nonzero()[0].tolist():
-        ho[r] = ah[r] = ""
-    rows = list(map(",".join, zip(t, ao, ho, ah)))  # no cell needs CSV quoting
-    end = 0
-    for ou, count in zip(traces.units, traces.counts):
-        start, end = end, end + count
-        atomic_write_text(sdir / "traces" / f"{s.id}_{ou.index}.csv",
-                          "\n".join(["t,d_ao,d_ho,d_ah", *rows[start:end]]) + "\n")
+    for trace in result.traces.per_unit():
+        t, ao, ho, ah = (list(map(repr, a.tolist()))
+                         for a in (trace.t, trace.d_ao, trace.d_ho, trace.d_ah))
+        for r in (~trace.hand).nonzero()[0].tolist():
+            ho[r] = ah[r] = ""
+        rows = map(",".join, zip(t, ao, ho, ah))  # no cell needs CSV quoting
+        atomic_write_text(sdir / "traces" / f"{s.id}_{trace.units[0].index}.csv",
+                          "\n".join(["t,d_ao,d_ho,d_ah", *rows]) + "\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -346,7 +336,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = {pool.submit(work, path): path for path in files}
         for future in concurrent.futures.as_completed(futures):
-            path = futures[future]
+            # a future holds its result: popped, the result is held by results alone
+            path = futures.pop(future)
             try:
                 results[path] = future.result()
             except (ParseError, ValueError, OSError) as exc:
@@ -357,6 +348,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 failures[path] = f"{type(exc).__name__}: {exc}"
                 print(f"{path}: {failures[path]}", file=sys.stderr)
                 traceback.print_exception(exc, file=sys.stderr)
+    del future
 
     # a session id names an output directory and keys features.csv rows
     holders: dict[str, list[Path]] = {}
@@ -373,10 +365,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     combined_rows: list[list[object]] = []
     summary_sessions = []
+    ok_sessions: list[Session] = []
     for path in files:
-        if path not in results:
+        # popped, so that a session's traces are freed once it is written,
+        # the last one by the del below
+        result = results.pop(path, None)
+        if result is None:
             continue
-        result = results[path]
         if not result.units:
             print(f"warning: session {result.session.id!r}: no operation units "
                   "(no touches, or all bouts dropped)", file=sys.stderr)
@@ -392,11 +387,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "n_hotspots": len(result.hotspots),
             "resolved_spatial_eps": result.resolved_eps,
         })
+        ok_sessions.append(result.session)
+    del result
     combined_rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(out / "features.csv", FEATURES_HEADER, combined_rows)
     _write_json(out / "config_used.json", dataclasses.asdict(config))
 
-    ok_sessions = [results[p].session for p in files if p in results]
     if any(s.touching_mask.any() for s in ok_sessions):
         dist = touch_distribution(ok_sessions)
         _write_touchdist(out / "touchdist.json", touch_distribution_plot_data(dist, ok_sessions))
@@ -407,10 +403,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "failures": [
             {"source": str(p), "error": failures[p]} for p in sorted(failures)
         ],
-        "n_sessions_ok": len(results),
+        "n_sessions_ok": len(ok_sessions),
         "n_sessions_failed": len(failures),
     })
-    if failures and results:
+    if failures and ok_sessions:
         return EXIT_PARTIAL
     if failures:
         return EXIT_INPUT_ERROR
@@ -480,9 +476,13 @@ def _load_manifest(path: Path) -> list[dict[str, str]]:
     pairs = data.get("pairs") if isinstance(data, dict) else None
     if not isinstance(pairs, list):
         raise ValueError(f"{path}: manifest must be an object with a 'pairs' list")
-    for entry in pairs:
-        if not isinstance(entry, dict) or {"operator", "earlier", "later"} - set(entry):
+    keys = ("operator", "earlier", "later")
+    for k, entry in enumerate(pairs):
+        if not isinstance(entry, dict) or set(keys) - set(entry):
             raise ValueError(f"{path}: each pair needs operator, earlier, later")
+        if not all(isinstance(entry[key], str) for key in keys):
+            raise ValueError(f"{path}: pair {k} needs strings for operator, earlier and later, "
+                             f"got {entry!r}")
     return pairs
 
 
@@ -587,10 +587,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     synth.write_cohort(cohort, out, format=args.format)
-    echo = dataclasses.asdict(spec)
-    echo["injected"] = dict(spec.injected)
-    echo["step_scores"] = list(spec.step_scores)
-    _write_json(out / "synth_spec_used.json", echo)
+    _write_json(out / "synth_spec_used.json", dataclasses.asdict(spec))
     print(f"wrote {len(cohort.sessions)} sessions "
           f"({spec.n_pairs} pairs, {spec.n_steps} steps) to {out}")
     return EXIT_OK

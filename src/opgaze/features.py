@@ -86,20 +86,16 @@ def build_distance_series(
 
     ``period`` is "G", "H", "O", "GH" (gazing + approaching, up to the
     first touch) or "OU" (the whole unit).  The series is the period's
-    window of the unit's trace against ``hotspot`` (:func:`unit_traces`):
-    an "AO" series takes every row, the hand-involving kinds ("HO", "AH")
-    the rows with a hand in sight.
+    window of the unit's trace against ``hotspot`` (:func:`unit_traces`,
+    :meth:`UnitTraces.series`).
     """
     if period not in PERIODS:
         raise ValueError(f"period must be one of {PERIODS}, got {period!r}")
     if kind in ("AO", "HO") and hotspot is None:
         raise ValueError(f"kind {kind!r} needs an assigned hotspot")
     # an "AH" series does not use the hotspot, so any point will do
-    trace = _unit_trace(s, ou, hotspot or _ORIGIN)
-    rows = slice(None) if kind == "AO" else trace.hand
-    values = trace.d_ao if kind == "AO" else trace.d_ho if kind == "HO" else trace.d_ah
-    # the constructor checks the series, and rejects an unknown kind
-    return DistanceSeries(trace.t[rows], values[rows], kind).window(*period_bounds(ou, period))
+    trace = unit_traces(s, (replace(ou, hotspot_id=0),), (hotspot or _ORIGIN,))
+    return trace.series(kind).window(*period_bounds(ou, period))
 
 
 @dataclass(frozen=True)
@@ -121,6 +117,20 @@ class UnitTraces:
     d_ah: np.ndarray
     hand: np.ndarray
 
+    def series(self, kind: str) -> DistanceSeries:
+        """The whole-unit series of ``kind`` of a one-unit trace: every row
+        for "AO", the rows with a hand in sight for "HO" and "AH"."""
+        rows = slice(None) if kind == "AO" else self.hand
+        values = self.d_ao if kind == "AO" else self.d_ho if kind == "HO" else self.d_ah
+        # the constructor checks the series, and rejects an unknown kind
+        return DistanceSeries(self.t[rows], values[rows], kind)
+
+    def per_unit(self) -> list[UnitTraces]:
+        """The one-unit trace of each unit, whose arrays are views of these."""
+        ends = np.cumsum(self.counts, dtype=np.intp)[:-1]
+        columns = (np.split(a, ends) for a in (self.t, self.d_ao, self.d_ho, self.d_ah, self.hand))
+        return [UnitTraces((ou,), (len(t),), t, *rest) for ou, t, *rest in zip(self.units, *columns)]
+
 
 def unit_traces(
     s: Session, units: Sequence[OperationUnit], hotspots: Sequence[Hotspot]
@@ -128,15 +138,17 @@ def unit_traces(
     """The "OU" traces of every unit with a hotspot, computed in one pass.
 
     This is the one place that picks a unit's frames and computes its
-    distances; :func:`build_distance_series` and :func:`feature_vector`
-    take theirs from a one-unit trace.  A unit's rows are the frames of its
-    whole range but stray contacts, and HO is 0 while the hotspot is
-    touched.  The rows need no series checks: a unit's frames are in time
-    order, and ``Session.times`` is strictly increasing.  Every coordinate
-    that reaches the pipeline through the parser is finite with |v| <=
-    ``ingest.COORD_MAX`` = 1e50, and a hotspot centroid is a mean of such
-    hand positions, so each coordinate difference is at most 2e50 and each
-    distance is finite, >= 0 and at most 2 * sqrt(2) * 1e50 < 2.9e50.
+    distances.  ``analyze`` calls it once per session: each unit's
+    :func:`feature_vector` reads its view of the result
+    (:meth:`UnitTraces.per_unit`), and the trace files are written from it;
+    :func:`build_distance_series` traces its one unit.  A unit's rows are
+    the frames of its whole range but stray contacts, and HO is 0 while the
+    hotspot is touched.  The rows need no series checks: a unit's frames
+    are in time order, and ``Session.times`` is strictly increasing.  Every
+    coordinate that reaches the pipeline through the parser is finite with
+    |v| <= ``ingest.COORD_MAX`` = 1e50, and a hotspot centroid is a mean of
+    such hand positions, so each coordinate difference is at most 2e50 and
+    each distance is finite, >= 0 and at most 2 * sqrt(2) * 1e50 < 2.9e50.
     """
     traced = tuple(ou for ou in units if ou.hotspot_id is not None)
     picks = []
@@ -157,12 +169,6 @@ def unit_traces(
                         for delta in (attention - centroids, hand_xy - centroids, attention - hand_xy))
     d_ho[s.touching_mask[frames]] = 0.0
     return UnitTraces(traced, counts, s.times[frames], d_ao, d_ho, d_ah, s.hand_visible_mask[frames])
-
-
-def _unit_trace(s: Session, ou: OperationUnit, hotspot: Hotspot) -> UnitTraces:
-    """The trace of one unit against ``hotspot``, which need not be the one
-    its ``hotspot_id`` names."""
-    return unit_traces(s, (replace(ou, hotspot_id=0),), (hotspot,))
 
 
 def period_bounds(ou: OperationUnit, period: str) -> tuple[float, float, bool]:
@@ -380,26 +386,30 @@ def _arrival_time(d_star: DistanceSeries, threshold_fraction: float) -> Optional
 def feature_vector(
     s: Session,
     ou: OperationUnit,
-    hotspot: Optional[Hotspot],
+    trace: Optional[UnitTraces],
     params: FeatureParams = FeatureParams(),
 ) -> FeatureVector:
-    """All features of one unit; never aborts on degenerate units."""
+    """All features of one unit; never aborts on degenerate units.
+
+    ``trace`` is the unit's one-unit trace (:meth:`UnitTraces.per_unit`),
+    or None for a unit without a hotspot.
+    """
     dur_g, dur_h, dur_o, ratio_g, ratio_h, ratio_o = period_durations(ou)
     row: dict[str, object] = dict(
         ou_index=ou.index, step_id=ou.step_id,
         dur_gazing=dur_g, dur_approaching=dur_h, dur_operating=dur_o,
         ratio_gazing=ratio_g, ratio_approaching=ratio_h, ratio_operating=ratio_o,
     )
-    if hotspot is None:
+    if trace is None:
         return FeatureVector(**row, hotspot_id=None, gaze_pattern="shift", shift_kind="undefined",
                              undefined=dict.fromkeys(_NO_HOTSPOT, "no_hotspot"))
+    if trace.units != (ou,):
+        raise ValueError(f"the trace is not unit {ou.index}'s own")
 
     undefined: dict[str, str] = {}
     # every period lies inside the unit and the frame rule does not depend
     # on the period, so a window of the whole-unit series is a direct build
-    trace = _unit_trace(s, ou, hotspot)
-    ao_ou = DistanceSeries(trace.t, trace.d_ao, "AO")
-    ho_ou = DistanceSeries(trace.t[trace.hand], trace.d_ho[trace.hand], "HO")
+    ao_ou, ho_ou = trace.series("AO"), trace.series("HO")
     ao_g, ao_h, ao_o, ao_gh = (ao_ou.window(*period_bounds(ou, p)) for p in ("G", "H", "O", "GH"))
     ho_gh = ho_ou.window(*period_bounds(ou, "GH"))
 
@@ -442,7 +452,7 @@ def feature_vector(
         undefined["early_shift_ratio"] = undefined["shift_kind"] = reason
 
     return FeatureVector(
-        **row, hotspot_id=hotspot.id, corr_attention_hand=corr, attention_lead_lag=lag,
+        **row, hotspot_id=ou.hotspot_id, corr_attention_hand=corr, attention_lead_lag=lag,
         early_shift_ratio=early,
         gaze_pattern=classify_gaze_pattern(ao_g, params.sign_deadband, params.search_freq_min),
         shift_kind=classify_shift_kind(early, params.early_shift_min), undefined=undefined,

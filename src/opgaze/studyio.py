@@ -2,20 +2,23 @@
 
 Difficulty ratings (:class:`Rating`, :class:`DifficultyRatings`) and their
 ``step_id,rater_id,role,score`` CSV sidecar, :class:`ParseError` for a
-rejected input file, :func:`atomic_write_text` for every output, and the
-one CSV writer and reader of the package.  This module imports only the
-standard library, so ``compare`` and ``correlate`` run without loading
-numpy.  ``opgaze.ingest`` and ``opgaze.session`` import these names from
-here, and they are the same objects there.
+rejected input file, :func:`atomic_write_text` for every output, the one
+CSV writer and reader of the package, and :func:`check_fields`, which
+checks a JSON object against the fields of a config section or a cohort
+spec.  This module imports only the standard library, so ``compare`` and
+``correlate`` run without loading numpy.  ``opgaze.ingest`` and
+``opgaze.session`` import these names from here, and they are the same
+objects there.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -23,6 +26,41 @@ RATER_ROLES = ("expert", "beginner")
 
 SCORE_MIN = -5
 SCORE_MAX = 5
+
+
+# declared type of a config or spec field -> the JSON values it takes, their
+# name, and the declared type of their items; a number is never a bool, NaN or
+# an infinity (Python's json reads the last two as floats)
+FIELD_TYPES = {
+    "float": ((int, float), "a finite number", None),
+    "Optional[float]": ((int, float, type(None)), "a finite number or null", None),
+    "int": ((int,), "an integer", None),
+    "tuple[int, ...]": ((list,), "a list of integers", "int"),
+    "Mapping[str, float]": ((dict,), "an object of finite numbers", "float"),
+}
+
+
+def check_fields(data: Mapping[str, object], cls: type, what: str, prefix: str = "") -> None:
+    """Check the JSON object ``data`` against the fields of the dataclass ``cls``.
+
+    A key that is not a field is rejected as an unknown ``what`` key, and a
+    value must have its field's declared type, a key of :data:`FIELD_TYPES`;
+    the ValueError names the value ``prefix`` + key.
+    """
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(declared)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if not _fits(value, declared[key]):
+            raise ValueError(f"{prefix}{key} must be {FIELD_TYPES[declared[key]][1]}, got {value!r}")
+
+
+def _fits(value: object, declared: str) -> bool:
+    kinds, _, item = FIELD_TYPES[declared]
+    if type(value) not in kinds or (type(value) is float and not math.isfinite(value)):
+        return False
+    return item is None or all(_fits(v, item) for v in (value.values() if type(value) is dict else value))
 
 
 class ParseError(ValueError):

@@ -38,6 +38,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .featurerow import GAZE_PATTERNS
+from .features import count_sign_changes, sign_series
 from .ingest import atomic_write_text, write_ratings, write_session, write_step_labels
 from .session import (
     SCORE_MAX,
@@ -48,6 +49,7 @@ from .session import (
     Session,
     StepLabel,
 )
+from .studyio import check_fields
 
 DEFAULT_SAMPLE_RATE_HZ = 30.0
 
@@ -140,19 +142,6 @@ class PlannedUnit:
     n_frames: int
 
 
-def _reversal_count(values: np.ndarray) -> int:
-    # planning-only counter for the realized clean profile
-    signs = np.sign(np.diff(values))
-    changes, last = 0, 0
-    for sgn in signs:
-        if sgn == 0:
-            continue
-        if last != 0 and sgn != last:
-            changes += 1
-        last = int(sgn)
-    return changes
-
-
 def generate_ou_trace(
     a: ArchetypeSpec,
     seed: Union[int, Sequence[int]],
@@ -186,7 +175,7 @@ def generate_ou_trace(
         )
     else:
         d_gaze = np.full(n_g, a.far_dist)
-    planned_reversals = _reversal_count(d_gaze)
+    planned_reversals = count_sign_changes(sign_series(np.diff(d_gaze)))
 
     # approaching: linear ramp far -> near, then hold; the hand runs the
     # same sampled profile delayed by the planned lag
@@ -432,9 +421,7 @@ def _hotspot_layout(n: int) -> list[Point2]:
     ]
 
 
-def _cohort_archetypes(
-    c: CohortSpec, ordinal: str
-) -> tuple[list[ArchetypeSpec], float]:
+def _cohort_archetypes(c: CohortSpec, ordinal: str) -> list[ArchetypeSpec]:
     """One archetype per step for an earlier or later session."""
     rate = c.sample_rate_hz
     n_g, n_h, n_o = _step_geometry(c)
@@ -468,14 +455,14 @@ def _cohort_archetypes(
             lag_s=lag,
             early_ratio=min(ratio, 0.97),
         ))
-    return specs, lag
+    return specs
 
 
 def generate_cohort(c: CohortSpec) -> Cohort:
     """All sessions, pair references, and ratings for a cohort plan."""
     step_ids = tuple(f"step_{i + 1:02d}" for i in range(c.n_steps))
-    earlier_specs, _ = _cohort_archetypes(c, "earlier")
-    later_specs, _ = _cohort_archetypes(c, "later")
+    earlier_specs = _cohort_archetypes(c, "earlier")
+    later_specs = _cohort_archetypes(c, "later")
     sessions: list[GeneratedSession] = []
     pairs: list[PairRef] = []
     for p in range(c.n_pairs):
@@ -594,20 +581,17 @@ def cohort_spec_from_dict(data: Mapping[str, object], seed_override: Optional[in
     """Build a CohortSpec from a parsed spec file; unknown keys rejected.
 
     ``seed_override`` (from the command line) wins over the file's seed;
-    one of the two must be present.
+    one of the two must be present.  A value must have its field's declared
+    type, as a config value must (``studyio.check_fields``).
     """
-    allowed = set(CohortSpec.__dataclass_fields__)
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown cohort spec keys: {sorted(unknown)}")
+    check_fields(data, CohortSpec, "cohort spec")
     kwargs = dict(data)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     if "seed" not in kwargs:
         raise ValueError("cohort spec needs a seed (file key or --seed)")
-    kwargs["seed"] = int(kwargs["seed"])  # type: ignore[arg-type]
     if "step_scores" in kwargs:
-        kwargs["step_scores"] = tuple(int(v) for v in kwargs["step_scores"])  # type: ignore[union-attr]
+        kwargs["step_scores"] = tuple(kwargs["step_scores"])  # type: ignore[arg-type]
     if "injected" in kwargs:
-        kwargs["injected"] = {str(k): float(v) for k, v in dict(kwargs["injected"]).items()}  # type: ignore[call-overload]
+        kwargs["injected"] = {k: float(v) for k, v in kwargs["injected"].items()}  # type: ignore[union-attr]
     return CohortSpec(**kwargs)  # type: ignore[arg-type]

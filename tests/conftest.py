@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
-from opgaze import DistanceSeries, FrameRecord, Point2, Session
+from opgaze import DistanceSeries, FeatureParams, FeatureVector, FrameRecord, Hotspot, Point2, Session
+from opgaze.features import feature_vector, unit_traces
+from opgaze.session import OperationUnit
 
 
 def frame(
@@ -50,6 +53,22 @@ def make_session(
         step_labels=step_labels,
         **frame_columns(frames),
     )
+
+
+def unit_features(
+    s: Session,
+    ou: OperationUnit,
+    hotspot: Optional[Hotspot],
+    params: FeatureParams = FeatureParams(),
+) -> FeatureVector:
+    """``feature_vector`` of ``ou`` traced against ``hotspot`` on its own,
+    whichever hotspot its ``hotspot_id`` names; None gives the features of a
+    unit without a hotspot."""
+    if hotspot is None:
+        return feature_vector(s, ou, None, params)
+    ou = dataclasses.replace(ou, hotspot_id=hotspot.id)
+    (trace,) = unit_traces(s, (ou,), {hotspot.id: hotspot}).per_unit()
+    return feature_vector(s, ou, trace, params)
 
 
 def series(values: Sequence[float], rate: float = 10.0, kind: str = "AO", t0: float = 0.0) -> DistanceSeries:

@@ -1,7 +1,7 @@
 """The unit generator as it was before synth built columns: one
 ``FrameRecord`` of ``Point2`` positions per frame, touch jitter drawn a
-coordinate at a time.  It is the differential oracle of
-``tests/test_synth.py``; the archetype, the plan and the reversal counter
+coordinate at a time, and gazing reversals counted by a loop.  It is the
+differential oracle of ``tests/test_synth.py``; the archetype and the plan
 are the package's own.
 """
 
@@ -12,7 +12,20 @@ from typing import Sequence, Union
 import numpy as np
 
 from opgaze.session import FrameRecord, Point2
-from opgaze.synth import DEFAULT_SAMPLE_RATE_HZ, ArchetypeSpec, PlannedUnit, _reversal_count
+from opgaze.synth import DEFAULT_SAMPLE_RATE_HZ, ArchetypeSpec, PlannedUnit
+
+
+def _reversal_count(values: np.ndarray) -> int:
+    # planning-only counter for the realized clean profile
+    signs = np.sign(np.diff(values))
+    changes, last = 0, 0
+    for sgn in signs:
+        if sgn == 0:
+            continue
+        if last != 0 and sgn != last:
+            changes += 1
+        last = int(sgn)
+    return changes
 
 
 def generate_ou_trace(

@@ -25,7 +25,6 @@ from opgaze import (
     count_sign_changes,
     early_shift_ratio,
     extract_touches,
-    feature_vector,
     scene_diagonal,
     segment_units,
     sign_series,
@@ -42,7 +41,7 @@ from opgaze.synth import (
     write_cohort,
 )
 
-from conftest import frame_columns
+from conftest import frame_columns, unit_features
 
 RATE = 30.0
 COHORT_SEED = 20260822
@@ -118,7 +117,7 @@ def test_criterion_03_early_shift_ratio_contract():
                     sample_rate_hz=RATE)
         hotspots = cluster_touches(extract_touches(s), ClusterParams().resolve([s]))
         u = segment_units(s, SegmentationParams(), hotspots)[0]
-        fv = feature_vector(s, u, hotspots[u.hotspot_id])
+        fv = unit_features(s, u, hotspots[u.hotspot_id])
         one_sample = (1.0 / RATE) / fv.dur_operating
         assert fv.early_shift_ratio == pytest.approx(planned.early_ratio, abs=1e-9)
         assert abs(fv.early_shift_ratio - requested) <= one_sample + 1e-9
@@ -345,7 +344,7 @@ def _classify_all(sessions, deadband=0.0):
         assert len(units) == len(gen.planned)
         params = FeatureParams(sign_deadband=deadband)
         for u, planned in zip(units, gen.planned):
-            fv = feature_vector(s, u, None if u.hotspot_id is None else hotspots[u.hotspot_id],
+            fv = unit_features(s, u, None if u.hotspot_id is None else hotspots[u.hotspot_id],
                                 params)
             got.append((fv.gaze_pattern, fv.shift_kind))
             want.append((planned.gaze_pattern, planned.shift_kind))

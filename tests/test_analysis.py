@@ -24,8 +24,9 @@ from opgaze import (
 )
 from opgaze.analysis import pairwise_mean, pairwise_sum
 from opgaze.features import _pearson as numpy_pearson
-from opgaze.features import feature_vector
 from opgaze.segmentation import SegmentationParams, segment_units
+
+from conftest import unit_features
 
 
 def make_rows(*partials):
@@ -178,7 +179,7 @@ class TestScalarFeatures:
         touches = extract_touches(simple_ou_session)
         hotspots = cluster_touches(touches, ClusterParams(spatial_eps=5.0))
         u = segment_units(simple_ou_session, SegmentationParams(), hotspots)[0]
-        fv = feature_vector(simple_ou_session, u, hotspots[u.hotspot_id])
+        fv = unit_features(simple_ou_session, u, hotspots[u.hotspot_id])
         assert all(isinstance(getattr(fv, name), float) for name in SCALAR_FEATURES)
         assert fv.dur_gazing == 2.0
         assert fv.ratio_operating == pytest.approx(0.4)
@@ -186,7 +187,7 @@ class TestScalarFeatures:
 
     def test_none_propagates_for_missing_kinematics(self, simple_ou_session):
         u = segment_units(simple_ou_session, SegmentationParams())[0]
-        fv = feature_vector(simple_ou_session, u, None)
+        fv = unit_features(simple_ou_session, u, None)
         assert fv.gazing_sign_changes is None
         assert fv.operating_mean_dist is None
         assert fv.dur_operating == 2.0
@@ -214,7 +215,7 @@ class TestSummarize:
 
     def test_from_feature_vectors(self, simple_ou_session):
         u = segment_units(simple_ou_session, SegmentationParams())[0]
-        fv = feature_vector(simple_ou_session, u, None)
+        fv = unit_features(simple_ou_session, u, None)
         s = summarize_rows("s1", "op1", "earlier", [dataclasses.asdict(fv)])
         assert s.session_id == "s1" and s.n_units == 1
         assert s.feature_means["dur_operating"] == 2.0

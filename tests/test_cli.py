@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from opgaze import cli, ingest, parse_session, write_session, write_step_labels
+from opgaze import cli, features, ingest, parse_session, write_session, write_step_labels
 from opgaze.cli import main
 from opgaze.ingest import COORD_MAX
 
@@ -346,6 +346,25 @@ class TestAnalyze:
         assert "op1_later.jsonl" in summary["failures"][0]["source"]
         assert (out / "sessions" / "op1_earlier" / "features.csv").is_file()
 
+    def test_one_distance_pass_per_session(self, tmp_path, monkeypatch):
+        # the features and the trace files of a session read one unit_traces call
+        spec = tmp_path / "cohort.json"
+        spec.write_text(json.dumps({"n_pairs": 1, "seed": 3}))
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert run(["synth", "--config", spec, "--out", data]) == 0
+        calls = []
+        real = features.unit_traces
+
+        def counted(s, units, hotspots):
+            calls.append(s.id)
+            return real(s, units, hotspots)
+
+        monkeypatch.setattr(cli, "unit_traces", counted)
+        monkeypatch.setattr(features, "unit_traces", counted)
+        assert run(["analyze", data / "sessions", "--out", out, "--jobs", 2]) == 0
+        assert sorted(calls) == ["op01_earlier", "op01_later"]
+        assert len(list(out.glob("sessions/*/traces/*.csv"))) == 30
+
     def test_session_id_cannot_escape_out(self, tmp_path, capsys):
         d = tmp_path / "d"
         d.mkdir()
@@ -634,6 +653,21 @@ class TestCompareAndCorrelate:
         assert any("dur_gazing" in r.getMessage() and "not finite" in r.getMessage()
                    for r in caplog.records)
 
+    @pytest.mark.parametrize("pair", [
+        {"operator": "op1", "earlier": ["x"], "later": "op1_later"},
+        {"operator": 1, "earlier": "op1_earlier", "later": "op1_later"},
+        {"operator": "op1", "earlier": "op1_earlier", "later": None},
+    ])
+    def test_manifest_value_that_is_not_a_string_is_an_input_error(self, analyzed, tmp_path, capsys,
+                                                                   pair):
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"pairs": [
+            {"operator": "a", "earlier": "op1_earlier", "later": "op1_later"}, pair]}))
+        assert run(["compare", analyzed, manifest, "--out", tmp_path / "c"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{manifest}: pair 1 ")
+        assert not (tmp_path / "c").exists()
+
     def test_features_not_utf8_is_a_line_numbered_input_error(self, corpus, analyzed, tmp_path, capsys):
         features = tmp_path / "features.csv"
         lines = (analyzed / "features.csv").read_bytes().splitlines(keepends=True)
@@ -692,6 +726,36 @@ class TestSynthRoundTrip:
         assert int(by_feature["dur_gazing"]["n_steps"]) > 0
         plot = json.loads((tmp_path / "cor" / "correlation_plot.json").read_text())
         assert "by_role" in plot
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"n_pairs": "3"}, "n_pairs must be an integer, got '3'"),
+        ({"n_pairs": True}, "n_pairs must be an integer, got True"),
+        ({"seed": 7.9}, "seed must be an integer, got 7.9"),
+        ({"injected": 5}, "injected must be an object of finite numbers, got 5"),
+        ({"injected": {"dur_gazing": float("nan")}},
+         "injected must be an object of finite numbers, got {'dur_gazing': nan}"),
+        ({"sample_rate_hz": "x"}, "sample_rate_hz must be a finite number, got 'x'"),
+        ({"noise_sigma": float("nan")}, "noise_sigma must be a finite number, got nan"),
+        ({"lag_later_s": float("inf")}, "lag_later_s must be a finite number or null, got inf"),
+        ({"step_scores": [1.5]}, "step_scores must be a list of integers, got [1.5]"),
+        ({"step_scores": 3}, "step_scores must be a list of integers, got 3"),
+    ])
+    def test_bad_spec_value_is_an_input_error(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps({"seed": 1, "n_pairs": 1, **spec}))
+        assert run(["synth", "--config", path, "--out", tmp_path / "data"]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "data").exists()
+
+    def test_spec_values_of_every_declared_type_are_read(self, tmp_path):
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps({"seed": 1, "n_pairs": 1, "step_scores": [-1, 0, 1],
+                                    "injected": {"dur_gazing": -20}, "noise_sigma": 0,
+                                    "lag_later_s": None}))
+        assert run(["synth", "--config", path, "--out", tmp_path / "data"]) == 0
+        used = json.loads((tmp_path / "data" / "synth_spec_used.json").read_text())
+        assert (used["step_scores"], used["injected"], used["noise_sigma"], used["lag_later_s"]) == \
+            ([-1, 0, 1], {"dur_gazing": -20.0}, 0, None)
 
     def test_synth_deterministic_across_runs(self, tmp_path):
         spec = tmp_path / "cohort.json"

@@ -7,25 +7,33 @@ oracle in ``tests/reference_features.py``, whose nested vector is
 flattened for the comparison.  Sessions and units are drawn directly, so
 units may hold hand-absent runs, touching frames outside their operating
 period, frames exactly on period bounds, empty or one-sample periods, or
-no hotspot at all.
+no hotspot at all.  ``analyze_session`` gives each unit of a multi-unit
+session its view of one distance pass; its vectors must equal the oracle's
+too.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import reference_features
+from conftest import unit_features
+from opgaze import cli
 from opgaze.featurerow import SCALAR_FEATURES
 from opgaze.features import (
     PERIODS,
     FeatureParams,
     build_distance_series,
     compensate_offset,
-    feature_vector,
     period_bounds,
 )
+from opgaze.hotspot import ClusterParams
+from opgaze.segmentation import SegmentationParams
 from opgaze.session import DistanceSeries, Hotspot, Interval, OperationUnit, Point2, Session
+from test_writers import multi_unit_results
 
 coords = st.one_of(st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1e-300, -123456.789, 3.5e7]),
                    st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False))
@@ -100,8 +108,11 @@ def check_windows(s, ou, hotspot, params) -> None:
 
 
 def check_feature_vector(s, ou, hotspot, params) -> None:
-    got = feature_vector(s, ou, hotspot, params)
-    want = reference_features.feature_vector(s, ou, hotspot, params)
+    assert_equal_features(unit_features(s, ou, hotspot, params),
+                          reference_features.feature_vector(s, ou, hotspot, params))
+
+
+def assert_equal_features(got, want) -> None:
     flat = reference_features.scalar_features(want)
     assert repr([getattr(got, name) for name in SCALAR_FEATURES]) == \
         repr([flat[name] for name in SCALAR_FEATURES])
@@ -126,6 +137,22 @@ def test_windows_of_the_unit_equal_direct_builds(case):
 @given(units_of_sessions())
 def test_feature_vectors_equal_the_oracle(case):
     check_feature_vector(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_unit_results(), st.sampled_from([
+    FeatureParams(), FeatureParams(sign_deadband=0.5, min_operating_for_early_shift=1e-3)]))
+def test_analyze_session_vectors_of_many_units_equal_the_oracle(result, params):
+    # analyze_session runs on the drawn hotspots and units, which share
+    # hotspots and frames and hold stray touches and hand-absent runs
+    s = result.session
+    with mock.patch.object(cli, "cluster_touches", lambda touches, p: result.hotspots), \
+            mock.patch.object(cli, "segment_units", lambda s, p, hotspots: result.units):
+        got = cli.analyze_session(s, cli.RunConfig(ClusterParams(), SegmentationParams(), params))
+    assert got.units == result.units and len(got.fvs) == len(result.units)
+    for ou, fv in zip(result.units, got.fvs):
+        hotspot = None if ou.hotspot_id is None else result.hotspots[ou.hotspot_id]
+        assert_equal_features(fv, reference_features.feature_vector(s, ou, hotspot, params))
 
 
 def test_frames_on_every_bound():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,8 +30,9 @@ from opgaze import (
     sign_series,
     trailing_positive_run,
 )
+from opgaze.features import unit_traces
 
-from conftest import frame, make_session, series
+from conftest import frame, make_session, series, unit_features
 
 
 def hotspot_at(x, y, hid=0):
@@ -336,7 +338,7 @@ class TestFeatureParams:
 class TestFeatureVector:
     def test_fixture_unit_fully_defined(self, fixture_unit):
         s, u = fixture_unit
-        fv = feature_vector(s, u, hotspot_at(10.0, 20.0))
+        fv = unit_features(s, u, hotspot_at(10.0, 20.0))
         assert fv.undefined == {}
         assert (fv.dur_gazing, fv.dur_approaching, fv.dur_operating) == (2.0, 1.0, 2.0)
         assert (fv.ratio_gazing, fv.ratio_approaching, fv.ratio_operating) == \
@@ -350,9 +352,17 @@ class TestFeatureVector:
         assert fv.corr_attention_hand is not None and 0.0 < fv.corr_attention_hand <= 1.0
         assert fv.attention_lead_lag is not None
 
+    def test_trace_of_another_unit_is_rejected(self, fixture_unit):
+        s, u = fixture_unit
+        u = dataclasses.replace(u, hotspot_id=0)
+        (trace,) = unit_traces(s, (u,), (hotspot_at(10.0, 20.0),)).per_unit()
+        assert feature_vector(s, u, trace).undefined == {}
+        with pytest.raises(ValueError, match="not unit 5's own"):
+            feature_vector(s, dataclasses.replace(u, index=5), trace)
+
     def test_no_hotspot_degrades_gracefully(self, fixture_unit):
         s, u = fixture_unit
-        fv = feature_vector(s, u, None)
+        fv = unit_features(s, u, None)
         assert fv.hotspot_id is None
         assert fv.operating_mean_dist is None
         assert fv.corr_attention_hand is None
@@ -375,7 +385,7 @@ class TestFeatureVector:
         s = make_session(frames)
         u = segment_units(s, SegmentationParams(min_operating=0.2))[0]
         assert u.operating.duration == pytest.approx(0.5)
-        fv = feature_vector(s, u, hotspot_at(0.0, 0.0))
+        fv = unit_features(s, u, hotspot_at(0.0, 0.0))
         assert fv.early_shift_ratio is None
         assert fv.undefined["early_shift_ratio"] == "operating_below_min_duration"
         assert fv.shift_kind == "undefined"
@@ -389,7 +399,7 @@ class TestFeatureVector:
                             touch=f.touching) for f in simple_ou_session.frames]
             s = make_session(frames)
             u = segment_units(s, SegmentationParams())[0]
-            return feature_vector(s, u, hotspot_at(10.0 * k, 20.0 * k))
+            return unit_features(s, u, hotspot_at(10.0 * k, 20.0 * k))
 
         base, big = scaled(1.0), scaled(3.0)
         assert big.dur_operating == base.dur_operating

@@ -6,7 +6,8 @@ records no span, breaks the benchmark's per-layer run while every other
 test passes.  This traces ``analyze``, ``compare`` and ``correlate`` on a
 one-pair cohort in child processes, as the benchmark does, and checks that
 ``layer_metrics`` gives every per-layer metric that ``BENCHMARK.json``
-declares, except the two that ``perfbench/run.py`` adds itself.
+declares, except the two that ``perfbench/run.py`` adds itself, and one
+``feature_vector`` span per unit.
 """
 
 from __future__ import annotations
@@ -53,3 +54,6 @@ def test_traced_commands_give_every_layer_metric(tmp_path, monkeypatch):
     assert set(metrics) == declared - ADDED_BY_RUNNER
     assert all(math.isfinite(v) for v in metrics.values())
     assert metrics["segmentation.units"] == inputs.n_units
+    # the command line makes one feature_vector call per unit, through its globals
+    vectors = [s for s in spans["analyze"]["spans"] if s["name"] == "features.feature_vector"]
+    assert len(vectors) == inputs.n_units

@@ -16,7 +16,6 @@ from opgaze import (
     SegmentationParams,
     cluster_touches,
     extract_touches,
-    feature_vector,
     segment_units,
     validate_session,
 )
@@ -36,7 +35,7 @@ from opgaze.synth import (
 )
 
 import reference_synth
-from conftest import frame_columns
+from conftest import frame_columns, unit_features
 
 
 def run_pipeline(gen, rate=30.0):
@@ -45,7 +44,7 @@ def run_pipeline(gen, rate=30.0):
     touches = extract_touches(s)
     hotspots = cluster_touches(touches, ClusterParams().resolve([s]))
     units = segment_units(s, SegmentationParams(), hotspots)
-    fvs = [feature_vector(s, u, None if u.hotspot_id is None else hotspots[u.hotspot_id])
+    fvs = [unit_features(s, u, None if u.hotspot_id is None else hotspots[u.hotspot_id])
            for u in units]
     return units, fvs
 

@@ -43,6 +43,13 @@ def make(times, attention, hand, visible, touching) -> Session:
                    hand_xy=hand_xy, touching_mask=np.array(touching, dtype=bool))
 
 
+def result_of(s: Session, hotspots, units) -> cli.SessionResult:
+    """What ``analyze_session`` gives for these hotspots and units, less the
+    features."""
+    units = tuple(units)
+    return cli.SessionResult(s, 1.0, hotspots, units, (), unit_traces(s, units, hotspots))
+
+
 @st.composite
 def session_results(draw) -> cli.SessionResult:
     times = draw(times_lists)
@@ -59,7 +66,7 @@ def session_results(draw) -> cli.SessionResult:
         hotspot_id = draw(st.one_of(st.none(), st.integers(0, len(hotspots) - 1)))
         units.append(OperationUnit(index, Interval(b[0], b[1]), Interval(b[1], b[2]),
                                    Interval(b[2], b[3]), hotspot_id=hotspot_id))
-    return cli.SessionResult(s, 1.0, hotspots, tuple(units), ())
+    return result_of(s, hotspots, units)
 
 
 def written_traces(result: cli.SessionResult) -> dict[str, bytes]:
@@ -114,7 +121,7 @@ class TestTraces:
             OperationUnit(0, Interval(0.0, 1.0), Interval(1.0, 1.5), Interval(1.5, 2.0), hotspot_id=0),
             OperationUnit(1, Interval(2.0, 2.5), Interval(2.5, 2.5), Interval(2.5, 3.0)),
         )
-        result = cli.SessionResult(s, 1.0, (Hotspot(0, Point2(5e-324, 1e16), 0, 0.0, 0.0, ()),), units, ())
+        result = result_of(s, (Hotspot(0, Point2(5e-324, 1e16), 0, 0.0, 0.0, ()),), units)
         written = written_traces(result)
         assert written == expected_traces(result) and list(written) == ["s1_0.csv"]
         lines = written["s1_0.csv"].decode().splitlines()
@@ -154,7 +161,7 @@ def multi_unit_results(draw) -> cli.SessionResult:
         hotspot_id = draw(st.one_of(st.none(), st.integers(0, len(hotspots) - 1)))
         units.append(OperationUnit(index, Interval(t[0], t[1]), Interval(t[1], t[2]),
                                    Interval(t[2], t[3]), hotspot_id=hotspot_id))
-    return cli.SessionResult(s, 1.0, hotspots, tuple(units), ())
+    return result_of(s, hotspots, units)
 
 
 def bits(a) -> bytes:
@@ -209,7 +216,7 @@ class TestUnitTraces:
         units = tuple(
             OperationUnit(k, Interval(g, h), Interval(h, o[0]), Interval(*o), hotspot_id=hid)
             for k, ((g, h), o, hid) in enumerate(zip(bounds, operating, (0, None, 0, 1, 1))))
-        result = cli.SessionResult(s, 1.0, hotspots, units, ())
+        result = result_of(s, hotspots, units)
         written = written_traces(result)
         assert written == expected_traces(result)
         assert sorted(written) == ["s1_0.csv", "s1_2.csv", "s1_3.csv", "s1_4.csv"]
@@ -227,7 +234,7 @@ class TestUnitTraces:
                                     hotspot_id=hid) for k, hid in enumerate(hotspot_ids))
         traces = unit_traces(s, units, ())
         assert (traces.units, traces.counts, len(traces.t)) == ((), (), 0)
-        assert written_traces(cli.SessionResult(s, 1.0, (), units, ())) == {}
+        assert written_traces(result_of(s, (), units)) == {}
 
 
 points_lists = st.lists(st.lists(coords, min_size=2, max_size=2), min_size=1, max_size=300)

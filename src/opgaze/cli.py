@@ -8,16 +8,16 @@ Commands::
     opgaze correlate FEATURES_DIR RATINGS    feature-difficulty correlations per step
     opgaze synth                             generate a seeded synthetic cohort
 
-Every command takes ``--config``, ``--out``, ``--jobs``, and ``--seed``.
-Exit codes are a stable contract: 0 success, 1 input error, 2 empty
-input, 3 partial failure.  All outputs are written atomically and are
+Every command takes ``--config``, ``--out``, ``--jobs`` (>= 1; ``analyze``
+runs its sessions one after another at any value) and ``--seed``.  Exit
+codes are a stable contract: 0 success, 1 input error, 2 empty input,
+3 partial failure.  All outputs are written atomically and are
 byte-identical across reruns and ``--jobs`` values.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import importlib
 import itertools
@@ -67,8 +67,8 @@ HOTSPOTS_HEADER = ("id", "cx", "cy", "count", "first_t", "last_t")
 # lookup on this module, or by _bind() at the top of each function that can
 # be the first to call one.  A name bound already is kept.
 _LAZY = {
-    "detect_format": "ingest", "load_step_labels": "ingest", "parse_session": "ingest",
-    "validate_session": "ingest",
+    "check_rate": "ingest", "detect_format": "ingest", "load_step_labels": "ingest",
+    "parse_session": "ingest", "validate_session": "ingest",
     # analyze_session makes the one unit_traces call of a session; nothing here
     # calls build_distance_series, which perfbench/tracer.py wraps by this name
     "FeatureParams": "features", "build_distance_series": "features", "feature_vector": "features",
@@ -101,6 +101,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse override
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _out_dir(arg: str) -> Path:
+    """``--out`` made a directory; a ValueError if it is a file or lies under one."""
+    out = Path(arg)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"--out {arg} is not a directory") from None
+    return out
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
@@ -210,6 +220,9 @@ def _load_session(path: Path) -> Session:
 # --- validate ----------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.expected_rate is not None:
+        _bind()
+        check_rate(args.expected_rate, "--expected-rate")
     files = find_session_files(args.paths)
     if not files:
         print("no sessions found", file=sys.stderr)
@@ -236,8 +249,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         reports.append(entry)
         print(f"{session.id}: OK ({report.stats['frame_count']} frames, "
               f"{len(report.warnings)} warnings)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _write_json(out / "validation_report.json", sorted(reports, key=lambda r: r["source"]))
     return EXIT_INPUT_ERROR if had_errors else EXIT_OK
 
@@ -325,30 +337,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not files:
         print("no sessions found", file=sys.stderr)
         return EXIT_EMPTY
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def work(path: Path) -> SessionResult:
-        return analyze_session(_load_session(path), config)
+    out = _out_dir(args.out)
 
     results: dict[Path, SessionResult] = {}
     failures: dict[Path, str] = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {pool.submit(work, path): path for path in files}
-        for future in concurrent.futures.as_completed(futures):
-            # a future holds its result: popped, the result is held by results alone
-            path = futures.pop(future)
-            try:
-                results[path] = future.result()
-            except (ParseError, ValueError, OSError) as exc:
-                failures[path] = str(exc)
-                print(f"{path}: {exc}", file=sys.stderr)
-            except Exception as exc:
-                # a fault in the pipeline fails this session, not the run
-                failures[path] = f"{type(exc).__name__}: {exc}"
-                print(f"{path}: {failures[path]}", file=sys.stderr)
-                traceback.print_exception(exc, file=sys.stderr)
-    del future
+    for path in files:
+        try:
+            results[path] = analyze_session(_load_session(path), config)
+        except (ParseError, ValueError, OSError) as exc:
+            failures[path] = str(exc)
+            print(f"{path}: {exc}", file=sys.stderr)
+        except Exception as exc:
+            # a fault in the pipeline fails this session, not the run
+            failures[path] = f"{type(exc).__name__}: {exc}"
+            print(f"{path}: {failures[path]}", file=sys.stderr)
+            traceback.print_exception(exc, file=sys.stderr)
 
     # a session id names an output directory and keys features.csv rows
     holders: dict[str, list[Path]] = {}
@@ -509,8 +512,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         pairs.append(analysis.SessionPair(earlier=earlier, later=later))
 
     report = analysis.pairwise_comparison(pairs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _write_csv(
         out / "comparison.csv",
         ("feature", "mean_delta_pct", "n_pairs", "n_later_smaller"),
@@ -543,8 +545,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             "only %d step(s) shared between features and ratings; correlations undefined",
             len(report.step_ids),
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _write_csv(
         out / "correlation.csv",
         ("feature", "r_vs_difficulty", "r_vs_score", "n_steps"),
@@ -584,8 +585,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError("synth spec must be a JSON object")
     spec = synth.cohort_spec_from_dict(raw, seed_override=args.seed)
     cohort = synth.generate_cohort(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     synth.write_cohort(cohort, out, format=args.format)
     _write_json(out / "synth_spec_used.json", dataclasses.asdict(spec))
     print(f"wrote {len(cohort.sessions)} sessions "
@@ -598,7 +598,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser, out_default: str = "out") -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", default=out_default, help="output directory (default: %(default)s)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sessions (default: %(default)s)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="must be >= 1; analyze runs its sessions one after another "
+                        "(default: %(default)s)")
     p.add_argument("--seed", type=int, default=None, help="RNG seed where applicable")
     p.add_argument("--log-level", default="WARNING",
                    help="logging level (default: %(default)s)")

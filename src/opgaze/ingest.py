@@ -141,6 +141,17 @@ def _floats(values: Sequence[object], absent: Optional[np.ndarray] = None) -> np
         return np.array([_as_float(v) for v in values], dtype=float)  # None -> NaN
 
 
+def check_rate(value: object, what: str) -> float:
+    """``value`` as a sample rate: a finite number above 0 and at most
+    ``RATE_MAX``, else a ValueError whose message starts with ``what``."""
+    rate = _finite(value, what)
+    if rate <= 0:
+        raise ValueError(f"{what} must be positive, got {rate}")
+    if rate > RATE_MAX:
+        raise ValueError(f"{what} exceeds {RATE_MAX:g}: {value!r}")
+    return rate
+
+
 def _parse_header(obj: object, lineno: int, src: str) -> dict:
     try:
         if not isinstance(obj, dict):
@@ -150,11 +161,7 @@ def _parse_header(obj: object, lineno: int, src: str) -> dict:
             raise ValueError(f"session header missing fields: {missing}")
         if obj["ordinal"] not in ORDINALS:
             raise ValueError(f"ordinal must be one of {ORDINALS}, got {obj['ordinal']!r}")
-        rate = _finite(obj["rate_hz"], "rate_hz")
-        if rate <= 0:
-            raise ValueError(f"rate_hz must be positive, got {rate}")
-        if rate > RATE_MAX:
-            raise ValueError(f"rate_hz exceeds {RATE_MAX:g}: {obj['rate_hz']!r}")
+        rate = check_rate(obj["rate_hz"], "rate_hz")
         session_id = str(obj["id"])
         # the id names the session's output directory, which must stay under --out
         if session_id in ("", ".", "..") or any(c in session_id for c in "/\\\0"):
@@ -419,9 +426,7 @@ def validate_session(s: Session, expected_rate: Optional[float] = None) -> Valid
     nominal by more than 20% are aggregated into one warning.  Warnings
     never block downstream processing.
     """
-    rate = expected_rate if expected_rate is not None else s.sample_rate_hz
-    if rate <= 0:
-        raise ValueError("expected_rate must be positive")
+    rate = s.sample_rate_hz if expected_rate is None else check_rate(expected_rate, "expected_rate")
     report = ValidationReport(session_id=s.id)
 
     nominal = 1.0 / rate

@@ -180,6 +180,69 @@ class TestValidate:
     def test_missing_path_is_input_error(self, tmp_path):
         assert run(["validate", tmp_path / "absent", "--out", tmp_path / "o"]) == 1
 
+    @pytest.mark.parametrize("rate, message", [
+        # inf once gave a gap warning per interval (threshold 0.0000s), nan
+        # one "deviate more than 20% from 1/nan s" warning; both exited 0
+        ("inf", "--expected-rate is not finite: inf"),
+        ("nan", "--expected-rate is not finite: nan"),
+        ("-inf", "--expected-rate is not finite: -inf"),
+        ("0", "--expected-rate must be positive, got 0.0"),
+        ("-1", "--expected-rate must be positive, got -1.0"),
+        ("1.0000000000000002e100", "--expected-rate exceeds 1e+100: 1.0000000000000002e+100"),
+    ])
+    def test_bad_expected_rate_is_rejected_before_any_session(self, corpus, tmp_path, capsys,
+                                                              monkeypatch, rate, message):
+        def unread(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "_load_session", unread)
+        out = tmp_path / "o"
+        assert run(["validate", corpus / "sessions", "--out", out, f"--expected-rate={rate}"]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["10", "1e-300", "1e100"])
+    def test_expected_rate_within_the_rule_is_used(self, corpus, tmp_path, rate):
+        out = tmp_path / "o"
+        assert run(["validate", corpus / "sessions", "--out", out, f"--expected-rate={rate}"]) == 0
+        report = json.loads((out / "validation_report.json").read_text())
+        # the corpus is sampled at 10 Hz: any other rate warns on every file
+        assert all(bool(e["warnings"]) == (rate != "10") for e in report)
+
+
+class TestOutDir:
+    """``--out`` naming a file, or a path under a file, is an input error of
+    every command, reported on one line before anything is written."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory) -> dict[str, list[str]]:
+        """The arguments before ``--out`` of each command, on a one-pair cohort."""
+        root = tmp_path_factory.mktemp("inputs")
+        spec = root / "spec.json"
+        spec.write_text(json.dumps({"n_pairs": 1, "seed": 7}))
+        data, analyzed = root / "data", root / "analyzed"
+        assert run(["synth", "--config", spec, "--out", data]) == 0
+        assert run(["analyze", data / "sessions", "--out", analyzed]) == 0
+        return {
+            "validate": ["validate", data / "sessions"],
+            "analyze": ["analyze", data / "sessions"],
+            "compare": ["compare", analyzed, data / "pairs.json"],
+            "correlate": ["correlate", analyzed, data / "ratings.csv"],
+            "synth": ["synth", "--config", spec],
+        }
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command", ["validate", "analyze", "compare", "correlate", "synth"])
+    def test_out_that_is_not_a_directory_is_an_input_error(self, inputs, tmp_path, capsys,
+                                                            command, under):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if under else blocker
+        assert run([*inputs[command], "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"--out {out} is not a directory"]
+        assert blocker.read_text() == "keep\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+
 
 class TestAnalyze:
     def test_happy_path_layout(self, corpus, tmp_path):
@@ -328,7 +391,26 @@ class TestAnalyze:
                 used["features"]["sign_deadband"]] == [eps, 0, 1]
         assert type(used["segmentation"]["touch_merge_gap"]) is int
 
-    def test_unexpected_worker_error_is_a_session_failure(self, corpus, tmp_path, monkeypatch, capsys):
+    def test_failures_are_reported_in_path_order(self, corpus, tmp_path, capsys):
+        # the first bad file fails only at its last line, 30,000 frames in,
+        # the second at its first; a pool once reported them as they finished
+        sessions = corpus / "sessions"
+        header = (sessions / "op1_later.jsonl").read_text().splitlines()[0]
+        lines = [json.dumps({"t": i / 10.0, "ax": 1.0, "ay": 2.0, "hx": None, "hy": None, "touch": False})
+                 for i in range(30_000)]
+        (sessions / "a_slow.jsonl").write_text("\n".join([header, *lines, "{not json"]) + "\n")
+        (sessions / "z_fast.jsonl").write_text("{not json\n")
+        (sessions / "op1_later.jsonl").unlink()
+        err = {}
+        for jobs in (1, 2):
+            assert run(["analyze", sessions, "--out", tmp_path / f"o{jobs}", "--jobs", jobs]) == 3
+            err[jobs] = capsys.readouterr().err.splitlines()
+        assert [Path(line.split(":")[0]).name for line in err[2]] == ["a_slow.jsonl", "z_fast.jsonl"]
+        assert err[2] == err[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_worker_error_is_a_session_failure(self, corpus, tmp_path, monkeypatch, capsys,
+                                                          jobs):
         real = cli.analyze_session
 
         def flaky(s, config):
@@ -338,7 +420,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(cli, "analyze_session", flaky)
         out = tmp_path / "out"
-        assert run(["analyze", corpus / "sessions", "--out", out]) == 3
+        assert run(["analyze", corpus / "sessions", "--out", out, "--jobs", jobs]) == 3
         assert "boom" in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_sessions_ok"] == 1

@@ -1,9 +1,10 @@
 """What a fresh interpreter loads.
 
 The study commands and ``--help`` load no numpy, ``analyze`` loads no
-``synth``, and every name the package exports resolves, on first use, to
-the object its submodule defines.  Each check runs in a new interpreter,
-because this test process has loaded numpy already.
+``synth`` and starts no thread, and every name the package exports
+resolves, on first use, to the object its submodule defines.  Each check
+runs in a new interpreter, because this test process has loaded numpy
+already.
 """
 
 from __future__ import annotations
@@ -102,6 +103,18 @@ def test_analyze_loads_no_synth(cohort):
         f" '--out', {str(cohort / 'again')!r}]) == 0\n"
     )
     assert not loaded_after(code, "opgaze.synth")
+
+
+def test_analyze_starts_no_thread(cohort):
+    # a thread pool once ran the sessions of --jobs 2, slower than one loop
+    code = (
+        "import sys, threading\n"
+        "from opgaze import cli\n"
+        f"assert cli.main(['analyze', {str(cohort / 'data' / 'sessions')!r},"
+        f" '--out', {str(cohort / 'jobs2')!r}, '--jobs', '2']) == 0\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    assert fresh(code).splitlines()[-1] == "False 1"
 
 
 def test_every_export_resolves_to_its_submodules_object():

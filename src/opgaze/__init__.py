@@ -25,15 +25,15 @@ _EXPORTS = {
         "FeatureParams", "attention_hand_correlation", "attention_lead_lag",
         "build_distance_series", "classify_gaze_pattern", "classify_shift_kind",
         "compensate_offset", "count_sign_changes", "early_shift_ratio", "feature_vector",
-        "kinematics", "sign_series", "trailing_positive_run",
+        "kinematics", "sign_series", "trailing_positive_run", "unit_traces",
     ),
     "hotspot": (
         "ClusterParams", "TouchDistribution", "cluster_touches", "extract_touches",
-        "touch_distribution",
+        "touch_distribution", "touch_distribution_plot_data",
     ),
     "ingest": (
-        "ValidationReport", "load_step_labels", "parse_session", "validate_session",
-        "write_session", "write_step_labels",
+        "ValidationReport", "check_rate", "detect_format", "load_step_labels", "parse_session",
+        "validate_session", "write_session", "write_step_labels",
     ),
     "segmentation": ("SegmentationParams", "period_durations", "segment_units"),
     "session": (

@@ -8,18 +8,19 @@ Commands::
     opgaze correlate FEATURES_DIR RATINGS    feature-difficulty correlations per step
     opgaze synth                             generate a seeded synthetic cohort
 
-Every command takes ``--config``, ``--out``, ``--jobs`` (>= 1; ``analyze``
-runs its sessions one after another at any value) and ``--seed``.  Exit
-codes are a stable contract: 0 success, 1 input error, 2 empty input,
-3 partial failure.  All outputs are written atomically and are
-byte-identical across reruns and ``--jobs`` values.
+Every command takes ``--out``, ``--jobs`` (>= 1; ``analyze`` runs its
+sessions one after another at any value) and ``--log-level``.  ``--config``
+is the pipeline config of ``analyze`` and the cohort spec of ``synth``;
+``--seed`` overrides that spec's seed.  Exit codes are a stable contract:
+0 success, 1 input error, 2 empty input, 3 partial failure.  All outputs
+are written atomically and are byte-identical across reruns and ``--jobs``
+values.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import itertools
 import json
 import logging
@@ -61,30 +62,28 @@ UNITS_HEADER = (
 )
 HOTSPOTS_HEADER = ("id", "cx", "cy", "count", "first_t", "last_t")
 
-# The analyze and validate paths call these through this module's globals,
-# where tools (perfbench/tracer.py, tests) may rebind them.  They live in
-# modules that load numpy, so they are bound on first use: by an attribute
-# lookup on this module, or by _bind() at the top of each function that can
-# be the first to call one.  A name bound already is kept.
-_LAZY = {
-    "check_rate": "ingest", "detect_format": "ingest", "load_step_labels": "ingest",
-    "parse_session": "ingest", "validate_session": "ingest",
+# The analyze and validate paths call these package exports through this
+# module's globals, where tools (perfbench/tracer.py, tests) may rebind them.
+# They live in modules that load numpy, so they are bound on first use: by an
+# attribute lookup on this module, or by _bind() at the top of each function
+# that can be the first to call one.  A name bound already is kept.
+_LAZY = (
+    "check_rate", "detect_format", "load_step_labels", "parse_session", "validate_session",
     # analyze_session makes the one unit_traces call of a session; nothing here
     # calls build_distance_series, which perfbench/tracer.py wraps by this name
-    "FeatureParams": "features", "build_distance_series": "features", "feature_vector": "features",
-    "unit_traces": "features",
-    "ClusterParams": "hotspot", "cluster_touches": "hotspot", "extract_touches": "hotspot",
-    "touch_distribution": "hotspot", "touch_distribution_plot_data": "hotspot",
-    "SegmentationParams": "segmentation", "segment_units": "segmentation",
-}
+    "FeatureParams", "build_distance_series", "feature_vector", "unit_traces",
+    "ClusterParams", "cluster_touches", "extract_touches", "touch_distribution",
+    "touch_distribution_plot_data",
+    "SegmentationParams", "segment_units",
+)
 
 
 def _bind() -> None:
-    """Bind each name of ``_LAZY`` that is still unbound."""
-    scope = globals()
-    for name, module in _LAZY.items():
+    """Bind each name of ``_LAZY`` that is still unbound, from the package."""
+    scope, package = globals(), sys.modules[__package__]
+    for name in _LAZY:
         if name not in scope:
-            scope[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+            scope[name] = getattr(package, name)
 
 
 def __getattr__(name: str) -> object:
@@ -227,6 +226,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not files:
         print("no sessions found", file=sys.stderr)
         return EXIT_EMPTY
+    out = _out_dir(args.out)
     reports = []
     had_errors = False
     for path in files:
@@ -249,7 +249,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         reports.append(entry)
         print(f"{session.id}: OK ({report.stats['frame_count']} frames, "
               f"{len(report.warnings)} warnings)")
-    out = _out_dir(args.out)
     _write_json(out / "validation_report.json", sorted(reports, key=lambda r: r["source"]))
     return EXIT_INPUT_ERROR if had_errors else EXIT_OK
 
@@ -503,7 +502,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for entry in sorted(manifest, key=lambda e: e["operator"]):
         for key in ("earlier", "later"):
             if entry[key] not in by_session:
-                print(f"manifest references missing session {entry[key]!r}", file=sys.stderr)
+                print(f"session {entry[key]!r} has no rows in features.csv: it was not analyzed, "
+                      "or it has no operation units", file=sys.stderr)
                 return EXIT_INPUT_ERROR
         earlier, later = (
             analysis.summarize_rows(entry[key], entry["operator"], key, by_session[entry[key]])
@@ -595,14 +595,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # --- entry point -------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, out_default: str = "out") -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", default=out_default, help="output directory (default: %(default)s)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default="out", help="output directory (default: %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
                    help="must be >= 1; analyze runs its sessions one after another "
                         "(default: %(default)s)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed where applicable")
-    p.add_argument("--log-level", default="WARNING",
+    p.add_argument("--log-level", type=str.upper, default="WARNING",
+                   choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
                    help="logging level (default: %(default)s)")
 
 
@@ -620,6 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="segment, cluster, and extract features")
     p.add_argument("paths", nargs="+", help="session files or directories")
+    p.add_argument("--config", help="pipeline config JSON (cluster, segmentation, features)")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -638,6 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic cohort")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
                    help="session file format (default: %(default)s)")
+    p.add_argument("--config", help="cohort spec JSON")
+    p.add_argument("--seed", type=int, default=None, help="cohort seed, in place of the spec's")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
@@ -646,14 +648,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=args.log_level.upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
-    if args.jobs is not None and args.jobs < 1:
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
+    if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -61,7 +61,7 @@ class ClusterParams:
         if not self.min_points > 0:
             raise ValueError("min_points must be strictly positive")
 
-    def resolve(self, sessions: Session | Sequence[Session]) -> "ClusterParams":
+    def resolve(self, sessions: Sequence[Session]) -> "ClusterParams":
         """Return params with a concrete spatial_eps for these sessions."""
         if self.spatial_eps is not None:
             return self
@@ -231,15 +231,13 @@ def assign_operating_hotspot(ou_touches: Touches, hotspots: Sequence[Hotspot]) -
     return best_id
 
 
-def _touching_points(sessions: Session | Sequence[Session]) -> np.ndarray:
+def _touching_points(sessions: Sequence[Session]) -> np.ndarray:
     """(hand x, hand y, attention x, attention y) of every touching frame."""
-    if isinstance(sessions, Session):
-        sessions = [sessions]
     rows = [np.hstack((s.hand_xy, s.attention_xy))[s.touching_mask] for s in sessions]
     return np.concatenate(rows or [np.empty((0, 4))])
 
 
-def touch_distribution(sessions: Session | Sequence[Session]) -> TouchDistribution:
+def touch_distribution(sessions: Sequence[Session]) -> TouchDistribution:
     """Accumulated touch centroid, bias, and covariance across sessions.
 
     The bias vector is the touch centroid minus the mean attention point
@@ -265,9 +263,7 @@ def touch_distribution(sessions: Session | Sequence[Session]) -> TouchDistributi
     )
 
 
-def touch_distribution_plot_data(
-    dist: TouchDistribution, sessions: Session | Sequence[Session]
-) -> dict:
+def touch_distribution_plot_data(dist: TouchDistribution, sessions: Sequence[Session]) -> dict:
     """Plot-ready payload: the distribution plus the raw touch points."""
     points = _touching_points(sessions)[:, :2].tolist()
     return {

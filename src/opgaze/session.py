@@ -180,13 +180,11 @@ class Session:
 _SESSION_FIELDS = tuple(f.name for f in fields(Session))
 
 
-def scene_diagonal(sessions: Session | Sequence[Session]) -> float:
+def scene_diagonal(sessions: Sequence[Session]) -> float:
     """Diagonal of the bounding box of every observed point (attention and hand).
 
     Used to scale spatial defaults; 0.0 when all points coincide.
     """
-    if isinstance(sessions, Session):
-        sessions = [sessions]
     if not sessions:
         return 0.0
     points = np.concatenate([xy for s in sessions for xy in (s.attention_xy, s.hand_xy)])

@@ -255,7 +255,6 @@ class GeneratedSession:
     """A generated session with its planned ground truth."""
 
     session: Session
-    step_labels: tuple[StepLabel, ...]
     planned: tuple[PlannedUnit, ...]
 
 
@@ -306,9 +305,7 @@ def generate_session(
         step_labels=tuple(labels) if labels else None,
         **{name: np.concatenate([u[name] for u in units]) for name in units[0]},
     )
-    return GeneratedSession(
-        session=session, step_labels=tuple(labels), planned=tuple(planned)
-    )
+    return GeneratedSession(session=session, planned=tuple(planned))
 
 
 @dataclass(frozen=True)
@@ -511,8 +508,8 @@ def write_cohort(cohort: Cohort, out_dir: Union[str, Path], format: str = "jsonl
         spath = session_dir / f"{sid}.{format}"
         write_session(gen.session, spath, format=format)
         paths[sid] = spath
-        if gen.step_labels:
-            write_step_labels(gen.step_labels, session_dir / f"{sid}.steps.csv")
+        if gen.session.step_labels:
+            write_step_labels(gen.session.step_labels, session_dir / f"{sid}.steps.csv")
     manifest = {
         "pairs": [
             {"operator": p.operator, "earlier": p.earlier_id, "later": p.later_id}

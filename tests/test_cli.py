@@ -239,9 +239,88 @@ class TestOutDir:
         blocker.write_text("keep\n")
         out = blocker / "sub" if under else blocker
         assert run([*inputs[command], "--out", out]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"--out {out} is not a directory"]
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"--out {out} is not a directory"]
+        # validate once read and reported every session before it tried --out
+        assert captured.out == ""
         assert blocker.read_text() == "keep\n"
         assert list(tmp_path.iterdir()) == [blocker]
+
+
+# the options of each command, with a value and what it parses to
+KEPT_FLAGS = {
+    "validate": {"--expected-rate": ("10", 10.0), "--out": ("o", "o"), "--jobs": ("2", 2),
+                 "--log-level": ("info", "INFO")},
+    "analyze": {"--config": ("c.json", "c.json"), "--out": ("o", "o"), "--jobs": ("2", 2),
+                "--log-level": ("debug", "DEBUG")},
+    "compare": {"--out": ("o", "o"), "--jobs": ("2", 2), "--log-level": ("error", "ERROR")},
+    "correlate": {"--out": ("o", "o"), "--jobs": ("2", 2), "--log-level": ("Critical", "CRITICAL")},
+    "synth": {"--format": ("csv", "csv"), "--config": ("c.json", "c.json"), "--seed": ("7", 7),
+              "--out": ("o", "o"), "--jobs": ("2", 2), "--log-level": ("warning", "WARNING")},
+}
+# the positional arguments of each command; parsing does not open them
+POSITIONALS = {
+    "validate": ["p"], "analyze": ["p"], "compare": ["f", "m"], "correlate": ["f", "r"], "synth": [],
+}
+
+
+class TestFlags:
+    """Each command takes exactly the options it reads."""
+
+    @pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
+    def test_each_kept_flag_parses(self, command):
+        argv = [command, *POSITIONALS[command]]
+        for flag, (value, _) in KEPT_FLAGS[command].items():
+            argv += [flag, value]
+        args = vars(cli.build_parser().parse_args(argv))
+        options = {k: v for k, v in args.items() if k not in ("command", "func", "paths",
+                                                                "features", "manifest", "ratings")}
+        assert options == {flag[2:].replace("-", "_"): parsed
+                           for flag, (_, parsed) in KEPT_FLAGS[command].items()}
+
+    # --config and --seed were once accepted, and ignored, by every command
+    @pytest.mark.parametrize("command, flag", [
+        ("validate", "--config"), ("validate", "--seed"), ("analyze", "--seed"),
+        ("compare", "--config"), ("compare", "--seed"), ("correlate", "--config"),
+        ("correlate", "--seed"),
+    ])
+    def test_removed_flag_is_a_usage_error(self, capsys, command, flag):
+        assert run([command, *POSITIONALS[command], flag, "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        # argparse reports an unknown option with the top-level usage
+        assert err[0].startswith("usage: opgaze ")
+        assert err[-1] == f"opgaze: error: unrecognized arguments: {flag} 1"
+
+    def test_log_level_outside_the_standard_names_is_a_usage_error(self, capsys):
+        # it once reached logging.basicConfig and raised a ValueError traceback
+        assert run(["analyze", "p", "--log-level", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --log-level: invalid choice: 'BOGUS'" in err and "Traceback" not in err
+
+
+class TestInputThatIsADirectory:
+    """A directory where a command reads a file is a one-line input error,
+    not an IsADirectoryError traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze --config", "synth --config", "compare", "correlate"])
+    def test_directory_is_a_one_line_input_error(self, corpus, tmp_path, capsys, command):
+        blocker = tmp_path / "adir"
+        blocker.mkdir()
+        analyzed = tmp_path / "analyzed"
+        if command in ("compare", "correlate"):
+            assert run(["analyze", corpus / "sessions", "--out", analyzed]) == 0
+            capsys.readouterr()
+        args = {
+            "analyze --config": ["analyze", corpus / "sessions", "--config", blocker],
+            "synth --config": ["synth", "--config", blocker],
+            "compare": ["compare", analyzed, blocker],
+            "correlate": ["correlate", analyzed, blocker],
+        }[command]
+        out = tmp_path / "out"
+        assert run([*args, "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Is a directory" in err[0]
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -657,6 +736,29 @@ class TestCompareAndCorrelate:
             {"operator": "op1", "earlier": "ghost", "later": "op1_later"}]}))
         assert run(["compare", analyzed, manifest, "--out", tmp_path / "c"]) == 1
         assert "ghost" in capsys.readouterr().err
+
+    def test_compare_session_without_units_is_not_called_missing(self, tmp_path, capsys):
+        # a session analyze handled without error, but with no units, has no
+        # features.csv rows; it was once reported as "missing"
+        d, out = tmp_path / "d", tmp_path / "out"
+        d.mkdir()
+        for sid, touch in (("e", False), ("l", True)):
+            frames = [frame(i / 10.0, hx=7.0, hy=1.0, touch=touch and 1.0 <= i / 10.0 <= 2.5)
+                      for i in range(40)]
+            write_session(make_session(frames, session_id=sid, ordinal="earlier" if sid == "e"
+                                       else "later"), d / f"{sid}.jsonl")
+        assert run(["analyze", d, "--out", out]) == 0
+        assert json.loads((out / "summary.json").read_text())["n_sessions_ok"] == 2
+        rows = (out / "features.csv").read_text().splitlines()
+        assert {row.split(",")[0] for row in rows} == {"session_id", "l"}
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"pairs": [{"operator": "op1", "earlier": "e", "later": "l"}]}))
+        capsys.readouterr()
+        assert run(["compare", out, manifest, "--out", tmp_path / "c"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "session 'e' has no rows in features.csv: it was not analyzed, "
+            "or it has no operation units"]
+        assert not (tmp_path / "c").exists()
 
     @staticmethod
     def _edited(analyzed: Path, tmp_path: Path, edit) -> Path:

@@ -308,7 +308,7 @@ class TestAssignHotspot:
 class TestTouchDistribution:
     def test_touch_at_attention_point_zero_bias(self):
         s = make_session([frame(0.0, ax=7.0, ay=7.0, hx=7.0, hy=7.0, touch=True)])
-        dist = touch_distribution(s)
+        dist = touch_distribution([s])
         assert (dist.bias_vector.x, dist.bias_vector.y) == (0.0, 0.0)
 
     def test_hand_computed_moments(self):
@@ -317,25 +317,25 @@ class TestTouchDistribution:
             frame(0.0, ax=0.0, ay=0.0, hx=1.0, hy=0.0, touch=True),
             frame(0.1, ax=0.0, ay=0.0, hx=-1.0, hy=0.0, touch=True),
         ])
-        dist = touch_distribution(s)
+        dist = touch_distribution([s])
         assert (dist.centroid.x, dist.centroid.y) == (0.0, 0.0)
         assert dist.covariance == ((1.0, 0.0), (0.0, 0.0))
 
     def test_single_touch_bias(self):
         s = make_session([frame(0.0, ax=0.0, ay=0.0, hx=3.0, hy=4.0, touch=True)])
-        dist = touch_distribution(s)
+        dist = touch_distribution([s])
         assert (dist.bias_vector.x, dist.bias_vector.y) == (3.0, 4.0)
         assert dist.touch_count == 1
 
     def test_zero_touches_error(self):
         with pytest.raises(ValueError, match="no touches"):
-            touch_distribution(make_session([frame(0.0)]))
+            touch_distribution([make_session([frame(0.0)])])
 
     def test_collinear_touches_accepted(self):
         # two touches: a rank-1 covariance whose determinant rounds to -1.49e-08
         s = make_session([frame(0.0, hx=633.1, hy=1513.8, touch=True),
                           frame(0.1, hx=582.1, hy=870.7, touch=True)])
-        (cxx, cxy), (_, cyy) = touch_distribution(s).covariance
+        (cxx, cxy), (_, cyy) = touch_distribution([s]).covariance
         assert cxx * cyy - cxy * cxy < -1e-9
 
     def test_indefinite_covariance_rejected(self):

@@ -131,3 +131,14 @@ def test_every_export_resolves_to_its_submodules_object():
         "print(json.dumps(wrong))\n"
     )
     assert json.loads(fresh(code)) == []
+
+
+def test_cli_binds_each_lazy_name_to_the_package_export():
+    # cli holds no map of its own from a name to its submodule
+    code = (
+        "import json, opgaze\n"
+        "from opgaze import cli\n"
+        "cli._bind()\n"
+        "print(json.dumps([n for n in cli._LAZY if vars(cli)[n] is not getattr(opgaze, n)]))\n"
+    )
+    assert json.loads(fresh(code)) == []

@@ -121,7 +121,7 @@ class TestSession:
 
 def test_scene_diagonal_covers_attention_and_hand():
     s = make_session([frame(0.0, ax=0.0, ay=0.0), frame(0.1, ax=1.0, ay=0.0, hx=3.0, hy=4.0)])
-    assert scene_diagonal(s) == pytest.approx(5.0)
+    assert scene_diagonal([s]) == pytest.approx(5.0)
 
 
 def test_scene_diagonal_degenerate_is_zero():

@@ -165,7 +165,7 @@ class TestGenerateSession:
         gen = generate_session("s_two", "op", "later", specs, seed=4,
                                step_ids=["stepA", "stepB"])
         assert len(gen.planned) == 2
-        assert [l.step_id for l in gen.step_labels] == ["stepA", "stepB"]
+        assert [l.step_id for l in gen.session.step_labels] == ["stepA", "stepB"]
         units, _ = run_pipeline(gen)
         assert [u.step_id for u in units] == ["stepA", "stepB"]
         report = validate_session(gen.session, expected_rate=30.0)
@@ -202,7 +202,7 @@ class TestCohort:
 
     def test_every_step_rated_by_both_roles(self, small_cohort):
         ratings = small_cohort.ratings
-        step_ids = {l.step_id for g in small_cohort.sessions for l in g.step_labels}
+        step_ids = {l.step_id for g in small_cohort.sessions for l in g.session.step_labels}
         for sid in step_ids:
             roles = {r.role for r in ratings.by_step[sid]}
             assert roles == {"expert", "beginner"}

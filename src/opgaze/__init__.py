@@ -16,9 +16,8 @@ import importlib
 
 _EXPORTS = {
     "analysis": (
-        "ComparisonReport", "CorrelationReport", "SessionPair", "SessionSummary",
-        "difficulty_correlation", "pairwise_comparison", "pearson", "step_feature_means",
-        "summarize_rows",
+        "ComparisonReport", "CorrelationReport", "difficulty_correlation", "pairwise_comparison",
+        "pearson", "step_feature_means", "summarize_rows",
     ),
     "featurerow": ("CATEGORICAL_FEATURES", "SCALAR_FEATURES", "FeatureVector"),
     "features": (

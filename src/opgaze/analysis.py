@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -90,79 +89,24 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     return max(-1.0, min(1.0, r))
 
 
-@dataclass(frozen=True)
-class SessionSummary:
-    """Per-session feature means over units where each feature is defined."""
-
-    session_id: str
-    operator: str
-    ordinal: str
-    n_units: int
-    feature_means: Mapping[str, Optional[float]]
-    feature_counts: Mapping[str, int]
-    n_search: int = 0
-    n_shift: int = 0
-    n_early: int = 0
-    n_non_early: int = 0
-    n_shift_undefined: int = 0
-
-
 def summarize_rows(
-    session_id: str,
-    operator: str,
-    ordinal: str,
+    group: str,
     rows: Sequence[Row],
-) -> SessionSummary:
-    """Mean of each scalar feature over a session's unit rows, and counts
-    of their gaze patterns and shift kinds.
+    features: Sequence[str] = SCALAR_FEATURES,
+) -> dict[str, Optional[float]]:
+    """Mean of each feature over a group's unit rows (a session's, or a
+    step's), keyed by feature name.
 
     Undefined unit values are left out of the mean; a feature undefined in
-    every unit gets a None mean with count 0.  Raises on sessions without
-    units.
+    every row gets None.  Raises on a group without rows.
     """
     if not rows:
-        raise ValueError(f"session {session_id!r} has no operation units to summarize")
+        raise ValueError(f"{group!r} has no operation units to summarize")
     means: dict[str, Optional[float]] = {}
-    counts: dict[str, int] = {}
-    for name in SCALAR_FEATURES:
+    for name in features:
         defined = [r[name] for r in rows if r.get(name) is not None]
-        counts[name] = len(defined)
         means[name] = pairwise_mean(defined) if defined else None
-    patterns = Counter(r["gaze_pattern"] for r in rows)
-    kinds = Counter(r["shift_kind"] for r in rows)
-    return SessionSummary(
-        session_id=session_id,
-        operator=operator,
-        ordinal=ordinal,
-        n_units=len(rows),
-        feature_means=means,
-        feature_counts=counts,
-        n_search=patterns["search"],
-        n_shift=patterns["shift"],
-        n_early=kinds["early"],
-        n_non_early=kinds["non-early"],
-        n_shift_undefined=kinds["undefined"],
-    )
-
-
-@dataclass(frozen=True)
-class SessionPair:
-    """Earlier and later session of the same operator."""
-
-    earlier: SessionSummary
-    later: SessionSummary
-
-    def __post_init__(self) -> None:
-        if self.earlier.operator != self.later.operator:
-            raise ValueError(
-                f"pair mixes operators {self.earlier.operator!r} and {self.later.operator!r}"
-            )
-        if self.earlier.ordinal != "earlier" or self.later.ordinal != "later":
-            raise ValueError("pair sessions must be ordered earlier, later")
-
-    @property
-    def operator(self) -> str:
-        return self.earlier.operator
+    return means
 
 
 @dataclass(frozen=True)
@@ -194,11 +138,13 @@ class ComparisonReport:
 
 
 def pairwise_comparison(
-    pairs: Sequence[SessionPair],
+    pairs: Sequence[tuple[str, Mapping[str, Optional[float]], Mapping[str, Optional[float]]]],
     features: Sequence[str] = SCALAR_FEATURES,
 ) -> ComparisonReport:
     """Relative earlier-to-later change of each feature's session mean.
 
+    ``pairs`` holds an ``(operator, earlier_means, later_means)`` triple
+    per operator, each means as ``summarize_rows`` gives them.
     Pairs where a feature's mean is undefined in either session, or zero
     in the earlier one (no relative change exists), or whose relative
     change overflows, are skipped for that feature and logged.  A mean
@@ -208,26 +154,26 @@ def pairwise_comparison(
     for name in features:
         deltas: list[float] = []
         n_smaller = 0
-        for pair in pairs:
-            e = pair.earlier.feature_means.get(name)
-            l = pair.later.feature_means.get(name)
+        for operator, earlier, later in pairs:
+            e = earlier.get(name)
+            l = later.get(name)
             if e is None or l is None:
                 logger.warning(
                     "pair %s: feature %s undefined in %s session, skipped",
-                    pair.operator, name, "earlier" if e is None else "later",
+                    operator, name, "earlier" if e is None else "later",
                 )
                 continue
             if e == 0.0:
                 logger.warning(
                     "pair %s: feature %s is 0 in the earlier session, "
-                    "relative change undefined, skipped", pair.operator, name,
+                    "relative change undefined, skipped", operator, name,
                 )
                 continue
             delta = (l - e) / e * 100.0
             if not math.isfinite(delta):
                 logger.warning(
                     "pair %s: feature %s changes by a factor that is not finite, "
-                    "relative change undefined, skipped", pair.operator, name,
+                    "relative change undefined, skipped", operator, name,
                 )
                 continue
             deltas.append(delta)
@@ -257,15 +203,7 @@ def step_feature_means(
     for row in rows:
         if row["step_id"] is not None:
             by_step.setdefault(row["step_id"], []).append(row)
-    out: dict[str, dict[str, Optional[float]]] = {}
-    for step_id in sorted(by_step):
-        group = by_step[step_id]
-        means: dict[str, Optional[float]] = {}
-        for name in features:
-            defined = [r[name] for r in group if r.get(name) is not None]
-            means[name] = pairwise_mean(defined) if defined else None
-        out[step_id] = means
-    return out
+    return {step: summarize_rows(step, by_step[step], features) for step in sorted(by_step)}
 
 
 @dataclass(frozen=True)

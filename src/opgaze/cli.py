@@ -185,12 +185,20 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 # --- input discovery ---------------------------------------------------------
 
+def _is_trace_file(path: Path) -> bool:
+    """Whether ``path`` lies where ``analyze`` writes a unit trace:
+    ``sessions/<id>/traces/<id>_<k>.csv``."""
+    sdir = path.parent.parent
+    return (path.suffix == ".csv" and path.parent.name == "traces" and sdir.parent.name == "sessions"
+            and path.stem.startswith(f"{sdir.name}_") and path.stem[len(sdir.name) + 1:].isdigit())
+
+
 def _is_session_file(path: Path) -> bool:
     if path.suffix not in SESSION_SUFFIXES:
         return False
     if path.name in NON_SESSION_NAMES or path.name.endswith(".steps.csv"):
         return False
-    return True
+    return not _is_trace_file(path)
 
 
 def find_session_files(paths: Sequence[str]) -> list[Path]:
@@ -479,12 +487,21 @@ def _load_manifest(path: Path) -> list[dict[str, str]]:
     if not isinstance(pairs, list):
         raise ValueError(f"{path}: manifest must be an object with a 'pairs' list")
     keys = ("operator", "earlier", "later")
+    # where each operator and session id is first named: a second naming
+    # would weigh an operator twice, or compare a session with itself
+    first_named: dict[tuple[str, str], str] = {}
     for k, entry in enumerate(pairs):
         if not isinstance(entry, dict) or set(keys) - set(entry):
             raise ValueError(f"{path}: each pair needs operator, earlier, later")
         if not all(isinstance(entry[key], str) for key in keys):
             raise ValueError(f"{path}: pair {k} needs strings for operator, earlier and later, "
                              f"got {entry!r}")
+        for kind, name, where in (("operator", entry["operator"], f"pair {k}"),
+                                  ("session", entry["earlier"], f"pair {k} earlier"),
+                                  ("session", entry["later"], f"pair {k} later")):
+            first = first_named.setdefault((kind, name), where)
+            if first != where:
+                raise ValueError(f"{path}: {kind} {name!r} is named by {first} and by {where}")
     return pairs
 
 
@@ -505,11 +522,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 print(f"session {entry[key]!r} has no rows in features.csv: it was not analyzed, "
                       "or it has no operation units", file=sys.stderr)
                 return EXIT_INPUT_ERROR
-        earlier, later = (
-            analysis.summarize_rows(entry[key], entry["operator"], key, by_session[entry[key]])
-            for key in ("earlier", "later")
-        )
-        pairs.append(analysis.SessionPair(earlier=earlier, later=later))
+        earlier, later = (analysis.summarize_rows(entry[key], by_session[entry[key]])
+                          for key in ("earlier", "later"))
+        pairs.append((entry["operator"], earlier, later))
 
     report = analysis.pairwise_comparison(pairs)
     out = _out_dir(args.out)

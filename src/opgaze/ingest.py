@@ -18,7 +18,8 @@ Frames are parsed straight into the Session's columns.  Rejected inputs
 never produce a Session: any malformed line (bytes that are not UTF-8, JSON
 nested past the recursion limit and a CSV cell over the field size limit
 included), duplicate or non-monotonic timestamp, contact-without-hand
-frame, non-finite value (an integer too large for a float included), time
+frame, value that is not a number (in JSON a bool or a string included),
+non-finite value (an integer too large for a float included), time
 above ``TIME_MAX``, coordinate beyond ``COORD_MAX`` or rate above
 ``RATE_MAX`` raises :class:`ParseError` with the number of the earliest
 offending line, as a line-by-line check would.  A CSV row's line is the
@@ -101,49 +102,59 @@ def _open_text(source: Source) -> tuple[IO[str], str]:
     return io.StringIO(data), str(name)
 
 
-def _as_float(value: object) -> Optional[float]:
-    """``float(value)``; None when it is not a number, inf when it overflows."""
+def _as_float(value: object, text: bool = False) -> Optional[float]:
+    """``float(value)`` of a JSON number (an int or a float, not a bool), or
+    with ``text`` of a string; None when it is not a number, inf when it
+    overflows."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number or text and isinstance(value, str)):
+        return None
     try:
-        return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+        return float(value)
+    except ValueError:
         return None
     except OverflowError:  # an int too large for a float
         return math.inf
 
 
-def _not_finite(value: object, what: str) -> str:
-    return f"{what} is not {'a number' if _as_float(value) is None else 'finite'}: {value!r}"
+def _not_finite(value: object, what: str, text: bool = False) -> str:
+    return f"{what} is not {'a number' if _as_float(value, text) is None else 'finite'}: {value!r}"
 
 
-def _bad_coordinate(value: object, what: str) -> str:
-    out = _as_float(value)
+def _bad_coordinate(value: object, what: str, text: bool = False) -> str:
+    out = _as_float(value, text)
     if out is None or not math.isfinite(out):
-        return _not_finite(value, what)
+        return _not_finite(value, what, text)
     return f"|{what}| exceeds {COORD_MAX:g}: {value!r}"
 
 
-def _finite(value: object, what: str) -> float:
-    out = _as_float(value)
+def _finite(value: object, what: str, text: bool = False) -> float:
+    out = _as_float(value, text)
     if out is None or not math.isfinite(out):
-        raise ValueError(_not_finite(value, what))
+        raise ValueError(_not_finite(value, what, text))
     return out
 
 
-def _floats(values: Sequence[object], absent: Optional[np.ndarray] = None) -> np.ndarray:
-    """``float()`` of each value as an array; NaN where it is absent or not a number."""
+def _floats(values: Sequence[object], text: bool, absent: Optional[np.ndarray] = None) -> np.ndarray:
+    """``_as_float`` of each value as an array; NaN where it is absent or not a number."""
     if absent is not None and absent.any():
         out = np.full(len(values), np.nan)
-        out[~absent] = _floats(list(itertools.compress(values, (~absent).tolist())))
+        out[~absent] = _floats(list(itertools.compress(values, (~absent).tolist())), text)
         return out
-    try:
-        return np.fromiter(map(float, values), dtype=float, count=len(values))
-    except (TypeError, ValueError, OverflowError):
-        return np.array([_as_float(v) for v in values], dtype=float)  # None -> NaN
+    # float() takes a bool or a string too, so JSON values go this fast way
+    # only when each is an int or a float
+    if text or {int, float}.issuperset(map(type, values)):
+        try:
+            return np.fromiter(map(float, values), dtype=float, count=len(values))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return np.array([_as_float(v, text) for v in values], dtype=float)  # None -> NaN
 
 
 def check_rate(value: object, what: str) -> float:
-    """``value`` as a sample rate: a finite number above 0 and at most
-    ``RATE_MAX``, else a ValueError whose message starts with ``what``."""
+    """``value`` as a sample rate: a finite int or float (not a bool) above 0
+    and at most ``RATE_MAX``, else a ValueError whose message starts with
+    ``what``."""
     rate = _finite(value, what)
     if rate <= 0:
         raise ValueError(f"{what} must be positive, got {rate}")
@@ -185,18 +196,19 @@ def _columns(rows: Sequence[Sequence[object]]) -> Sequence[Sequence[object]]:
 
 
 def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: str,
-                   *checks_before: Check) -> dict[str, np.ndarray]:
+                   *checks_before: Check, text: bool = False) -> dict[str, np.ndarray]:
     """Check raw frame values column by column and convert them.
 
     ``raw`` holds the ``FRAME_FIELDS`` columns as read, with None for an
-    absent hand; ``lines`` the line of each frame.  A check is a mask over
-    all frames and the error message for one frame; each line is checked in
-    list order.  Returns the Session columns.
+    absent hand; ``lines`` the line of each frame.  A number is a JSON
+    number, or with ``text`` a string that ``float()`` reads.  A check is a
+    mask over all frames and the error message for one frame; each line is
+    checked in list order.  Returns the Session columns.
     """
     t_raw, ax_raw, ay_raw, hx_raw, hy_raw, touch_raw = raw
     hx_none, hy_none = (np.array([v is None for v in col], dtype=bool) for col in (hx_raw, hy_raw))
-    t, ax, ay = (_floats(col) for col in raw[:3])
-    hx, hy = _floats(hx_raw, hx_none), _floats(hy_raw, hy_none)
+    t, ax, ay = (_floats(col, text) for col in raw[:3])
+    hx, hy = _floats(hx_raw, text, hx_none), _floats(hy_raw, text, hy_none)
     touch_bool = np.array([type(v) is bool for v in touch_raw], dtype=bool)
     touching = np.array([v is True for v in touch_raw], dtype=bool)
     out_of_order = np.zeros(len(t), dtype=bool)
@@ -204,7 +216,7 @@ def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: s
 
     def coordinate(values: np.ndarray, raw_col: Sequence[object], what: str, present=True) -> Check:
         # NaN and infinities fail the comparison as well
-        return ~(np.abs(values) <= COORD_MAX) & present, lambda i: _bad_coordinate(raw_col[i], what)
+        return ~(np.abs(values) <= COORD_MAX) & present, lambda i: _bad_coordinate(raw_col[i], what, text)
 
     def order_message(i: int) -> str:
         cur, prev = float(t[i]), float(t[i - 1])
@@ -213,7 +225,7 @@ def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: s
 
     checks = [
         *checks_before,
-        (~np.isfinite(t), lambda i: _not_finite(t_raw[i], "t")),
+        (~np.isfinite(t), lambda i: _not_finite(t_raw[i], "t", text)),
         (t < 0, lambda i: f"t must be >= 0, got {float(t[i])}"),
         (t > TIME_MAX, lambda i: f"t exceeds {TIME_MAX:g}: {t_raw[i]!r}"),
         coordinate(ax, ax_raw, "ax"),
@@ -357,7 +369,7 @@ def _csv_frame_columns(rows: list[list[str]], lines: list[int], src: str) -> dic
     touch_word = (np.array([c not in ("true", "false") for c in touch], dtype=bool),
                   lambda i: f"touch must be 'true' or 'false', got {touch[i]!r}")
     raw = (t, ax, ay, [c or None for c in hx], [c or None for c in hy], [c == "true" for c in touch])
-    return _frame_columns(raw, lines, src, touch_word)
+    return _frame_columns(raw, lines, src, touch_word, text=True)
 
 
 def detect_format(path: Union[str, Path]) -> str:
@@ -408,7 +420,7 @@ STEP_FIELDS = ("start_t", "end_t", "step_id")
 def load_step_labels(path: Union[str, Path]) -> tuple[StepLabel, ...]:
     """Load a step-label sidecar CSV: ``start_t,end_t,step_id``."""
     return tuple(read_sidecar(path, STEP_FIELDS, lambda start_t, end_t, step_id: StepLabel(
-        _finite(start_t, "start_t"), _finite(end_t, "end_t"), step_id)))
+        _finite(start_t, "start_t", True), _finite(end_t, "end_t", True), step_id)))
 
 
 def write_step_labels(labels: Iterable[StepLabel], path: Union[str, Path]) -> None:

@@ -7,7 +7,8 @@ the header are shared with ``opgaze.ingest``.  It includes the fixes for
 integers too large for a float: ``_finite`` reports them as not finite, and
 a line that fails to decode for any ``ValueError`` is malformed JSON, a
 time must not exceed ``TIME_MAX`` and a coordinate must lie within
-``COORD_MAX``.  A CSV row's line is the line it starts on, as
+``COORD_MAX``.  A JSONL frame's numbers must be JSON numbers (an int or a
+float, not a bool or a string).  A CSV row's line is the line it starts on, as
 ``csv.reader.line_num`` counts lines, so a quoted cell may span lines.
 """
 
@@ -22,7 +23,11 @@ from opgaze.ingest import COORD_MAX, FRAME_FIELDS, TIME_MAX, ParseError, _open_t
 from opgaze.session import FrameRecord, Point2
 
 
-def _finite(value, what, lineno, src):
+def _finite(value, what, lineno, src, text):
+    # a JSON number is an int or a float, not a bool; a CSV cell is text
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number or text and isinstance(value, str)):
+        raise ParseError(f"{what} is not a number: {value!r}", line=lineno, source=src)
     try:
         out = float(value)
     except (TypeError, ValueError):
@@ -34,27 +39,27 @@ def _finite(value, what, lineno, src):
     return out
 
 
-def _coordinate(value, what, lineno, src):
-    out = _finite(value, what, lineno, src)
+def _coordinate(value, what, lineno, src, text):
+    out = _finite(value, what, lineno, src, text)
     if abs(out) > COORD_MAX:
         raise ParseError(f"|{what}| exceeds {COORD_MAX:g}: {value!r}", line=lineno, source=src)
     return out
 
 
-def _frame_from_fields(row, lineno, src):
-    t = _finite(row["t"], "t", lineno, src)
+def _frame_from_fields(row, lineno, src, text):
+    t = _finite(row["t"], "t", lineno, src, text)
     if t < 0:
         raise ParseError(f"t must be >= 0, got {t}", line=lineno, source=src)
     if t > TIME_MAX:
         raise ParseError(f"t exceeds {TIME_MAX:g}: {row['t']!r}", line=lineno, source=src)
-    ax = _coordinate(row["ax"], "ax", lineno, src)
-    ay = _coordinate(row["ay"], "ay", lineno, src)
+    ax = _coordinate(row["ax"], "ax", lineno, src, text)
+    ay = _coordinate(row["ay"], "ay", lineno, src, text)
     hx, hy = row["hx"], row["hy"]
     if (hx is None) != (hy is None):
         raise ParseError("hx and hy must be null together", line=lineno, source=src)
     hand = None
     if hx is not None:
-        hand = Point2(_coordinate(hx, "hx", lineno, src), _coordinate(hy, "hy", lineno, src))
+        hand = Point2(_coordinate(hx, "hx", lineno, src, text), _coordinate(hy, "hy", lineno, src, text))
     touch = row["touch"]
     if not isinstance(touch, bool):
         raise ParseError(f"touch must be a boolean, got {touch!r}", line=lineno, source=src)
@@ -103,7 +108,7 @@ def _parse_jsonl(stream: IO[str], src: str):
         missing = [k for k in FRAME_FIELDS if k not in obj]
         if missing:
             raise ParseError(f"frame missing fields: {missing}", line=lineno, source=src)
-        frames.append(_frame_from_fields(obj, lineno, src))
+        frames.append(_frame_from_fields(obj, lineno, src, text=False))
         _check_monotonic(frames, lineno, src)
     if header is None:
         raise ParseError("empty file: missing session header", source=src)
@@ -155,6 +160,6 @@ def _parse_csv(stream: IO[str], src: str):
             "hy": hy if hy else None,
             "touch": touch == "true",
         }
-        frames.append(_frame_from_fields(fields, lineno, src))
+        frames.append(_frame_from_fields(fields, lineno, src, text=True))
         _check_monotonic(frames, lineno, src)
     return header, frames

@@ -15,7 +15,6 @@ from opgaze import (
     SCALAR_FEATURES,
     DifficultyRatings,
     Rating,
-    SessionPair,
     difficulty_correlation,
     pairwise_comparison,
     pearson,
@@ -41,9 +40,8 @@ def make_rows(*partials):
     return rows
 
 
-def make_summary(operator, ordinal, means, session_id=None):
-    rows = make_rows(means)
-    return summarize_rows(session_id or f"{operator}_{ordinal}", operator, ordinal, rows)
+def make_summary(means):
+    return summarize_rows("s", make_rows(means))
 
 
 class TestPearson:
@@ -198,54 +196,24 @@ class TestSummarize:
         rows = make_rows({"dur_gazing": 2.0, "early_shift_ratio": 0.4,
                           "gaze_pattern": "search", "shift_kind": "early"},
                          {"dur_gazing": 4.0, "early_shift_ratio": None})
-        s = summarize_rows("s", "op", "earlier", rows)
-        assert s.n_units == 2
-        assert s.feature_means["dur_gazing"] == 3.0
-        assert s.feature_counts["dur_gazing"] == 2
-        assert s.feature_means["early_shift_ratio"] == 0.4
-        assert s.feature_counts["early_shift_ratio"] == 1
-        assert s.feature_means["corr_attention_hand"] is None
-        assert s.feature_counts["corr_attention_hand"] == 0
-        assert (s.n_search, s.n_shift) == (1, 1)
-        assert (s.n_early, s.n_non_early, s.n_shift_undefined) == (1, 0, 1)
+        s = summarize_rows("s", rows)
+        assert s["dur_gazing"] == 3.0
+        assert s["early_shift_ratio"] == 0.4
+        assert s["corr_attention_hand"] is None
 
     def test_empty_rows_raise(self):
         with pytest.raises(ValueError, match="no operation units"):
-            summarize_rows("s", "op", "earlier", [])
+            summarize_rows("s", [])
 
     def test_from_feature_vectors(self, simple_ou_session):
         u = segment_units(simple_ou_session, SegmentationParams())[0]
         fv = unit_features(simple_ou_session, u, None)
-        s = summarize_rows("s1", "op1", "earlier", [dataclasses.asdict(fv)])
-        assert s.session_id == "s1" and s.n_units == 1
-        assert s.feature_means["dur_operating"] == 2.0
-        assert s.n_shift == 1 and s.n_shift_undefined == 1
-
-
-class TestSessionPair:
-    def test_operator_mismatch_rejected(self):
-        a = make_summary("op1", "earlier", {})
-        b = make_summary("op2", "later", {})
-        with pytest.raises(ValueError, match="operator"):
-            SessionPair(earlier=a, later=b)
-
-    def test_ordinal_order_enforced(self):
-        a = make_summary("op1", "later", {})
-        b = make_summary("op1", "earlier", {})
-        with pytest.raises(ValueError, match="ordered"):
-            SessionPair(earlier=a, later=b)
-
-    def test_valid_pair(self):
-        p = SessionPair(earlier=make_summary("op1", "earlier", {}),
-                        later=make_summary("op1", "later", {}))
-        assert p.operator == "op1"
+        s = summarize_rows("s1", [dataclasses.asdict(fv)])
+        assert s["dur_operating"] == 2.0
 
 
 def pair_with(feature, earlier_value, later_value, operator="op1"):
-    return SessionPair(
-        earlier=make_summary(operator, "earlier", {feature: earlier_value}),
-        later=make_summary(operator, "later", {feature: later_value}),
-    )
+    return (operator, make_summary({feature: earlier_value}), make_summary({feature: later_value}))
 
 
 class TestPairwiseComparison:

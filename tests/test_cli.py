@@ -708,6 +708,30 @@ class TestAnalyze:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+    def test_rerun_into_the_input_directory_reads_no_output_as_a_session(self, corpus, tmp_path):
+        # --out under the input: the rerun finds the first run's outputs,
+        # trace files included, and must read none of them as a session
+        d = tmp_path / "d"
+        d.mkdir()
+        for path in (corpus / "sessions").iterdir():
+            (d / path.name).write_bytes(path.read_bytes())
+        assert run(["analyze", d, "--out", d / "run"]) == 0
+        assert list((d / "run" / "sessions" / "op1_earlier" / "traces").glob("*.csv"))
+        first = (d / "run" / "summary.json").read_bytes()
+        assert run(["analyze", d, "--out", d / "run"]) == 0
+        assert (d / "run" / "summary.json").read_bytes() == first
+        assert run(["validate", d, "--out", d / "val"]) == 0
+        report = json.loads((d / "val" / "validation_report.json").read_text())
+        assert [entry["session_id"] for entry in report] == ["op1_earlier", "op1_later"]
+
+    def test_a_trace_like_name_elsewhere_is_a_session(self, corpus, tmp_path):
+        d = tmp_path / "traces"
+        d.mkdir()
+        src = corpus / "sessions" / "op1_earlier.jsonl"
+        write_session(parse_session(src), d / "op1_earlier_0.csv")
+        assert cli.find_session_files([str(d)]) == [(d / "op1_earlier_0.csv").resolve()]
+
+
 class TestCompareAndCorrelate:
     @pytest.fixture
     def analyzed(self, corpus, tmp_path):
@@ -850,6 +874,25 @@ class TestCompareAndCorrelate:
         assert run(["compare", analyzed, manifest, "--out", tmp_path / "c"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"{manifest}: pair 1 ")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("pairs, message", [
+        # the same pair twice would weigh op1's deltas twice
+        ([("op1", "op1_earlier", "op1_later")] * 2, "operator 'op1' is named by pair 0 and by pair 1"),
+        ([("op1", "op1_earlier", "op1_later"), ("op1", "x", "y")],
+         "operator 'op1' is named by pair 0 and by pair 1"),
+        ([("op1", "op1_earlier", "op1_later"), ("op2", "x", "op1_later")],
+         "session 'op1_later' is named by pair 0 later and by pair 1 later"),
+        ([("op1", "op1_earlier", "op1_earlier")],
+         "session 'op1_earlier' is named by pair 0 earlier and by pair 0 later"),
+    ])
+    def test_manifest_naming_an_operator_or_session_twice_is_an_input_error(
+            self, analyzed, tmp_path, capsys, pairs, message):
+        manifest = tmp_path / "pairs.json"
+        manifest.write_text(json.dumps({"pairs": [
+            {"operator": op, "earlier": e, "later": l} for op, e, l in pairs]}))
+        assert run(["compare", analyzed, manifest, "--out", tmp_path / "c"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"{manifest}: {message}"]
         assert not (tmp_path / "c").exists()
 
     def test_features_not_utf8_is_a_line_numbered_input_error(self, corpus, analyzed, tmp_path, capsys):

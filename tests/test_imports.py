@@ -23,9 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the names opgaze/__init__.py imported eagerly, by the submodule they came from
 EXPORTS = {
-    "analysis": ("ComparisonReport", "CorrelationReport", "SessionPair", "SessionSummary",
-                 "difficulty_correlation", "pairwise_comparison", "pearson",
-                 "step_feature_means", "summarize_rows"),
+    "analysis": ("ComparisonReport", "CorrelationReport", "difficulty_correlation",
+                 "pairwise_comparison", "pearson", "step_feature_means", "summarize_rows"),
     "featurerow": ("CATEGORICAL_FEATURES", "SCALAR_FEATURES", "FeatureVector"),
     "features": ("FeatureParams", "attention_hand_correlation", "attention_lead_lag",
                  "build_distance_series", "classify_gaze_pattern", "classify_shift_kind",

@@ -140,6 +140,42 @@ class TestRateBound:
         assert str(exc.value) == f"stream:1: rate_hz exceeds 1e+100: {rate!r}"
 
 
+class TestJsonNumbers:
+    """A JSONL frame's ``t``, ``ax``, ``ay``, ``hx`` and ``hy``, and the
+    header's ``rate_hz`` in both formats, must be JSON numbers: a bool or a
+    string is rejected on its line, by the reference parser as well."""
+
+    FRAME = {"t": 0.0, "ax": 1.0, "ay": 2.0, "hx": 3.0, "hy": 4.0, "touch": False}
+
+    @staticmethod
+    def _raises(text: str, fmt: str = "jsonl") -> str:
+        with pytest.raises(ParseError) as exc:
+            parse_session(io.StringIO(text), format=fmt)
+        with pytest.raises(ParseError) as ref:
+            reference_ingest.parse(io.StringIO(text), format=fmt)
+        assert (ref.value.line, str(ref.value)) == (exc.value.line, str(exc.value))
+        return str(exc.value)
+
+    @pytest.mark.parametrize("value", [True, False, "2", "1_0", " 1.5 ", "nan"])
+    @pytest.mark.parametrize("key", ["t", "ax", "ay", "hx", "hy"])
+    def test_frame_value_that_is_not_a_number(self, key, value):
+        bad = {**self.FRAME, "t": 0.1, key: value}
+        text = jsonl(json.dumps(self.FRAME), json.dumps(bad)).getvalue()
+        assert self._raises(text) == f"stream:3: {key} is not a number: {value!r}"
+
+    def test_first_value_that_is_not_a_number_is_named(self):
+        text = jsonl('{"t": false, "ax": true, "ay": "2", "hx": null, "hy": null, "touch": false}')
+        assert self._raises(text.getvalue()) == "stream:2: t is not a number: False"
+
+    @pytest.mark.parametrize("rate", [True, "30"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_header_rate_that_is_not_a_number(self, fmt, rate):
+        header = HEADER.replace("30.0", json.dumps(rate))
+        text = (header + "\n" + json.dumps(self.FRAME) + "\n" if fmt == "jsonl"
+                else "#" + header + "\nt,ax,ay,hx,hy,touch\n0.0,1,2,3,4,false\n")
+        assert self._raises(text, fmt) == f"stream:1: rate_hz is not a number: {rate!r}"
+
+
 class TestTimeBound:
     """A frame time above ``TIME_MAX`` is rejected on its line, in both
     formats, as a coordinate beyond ``COORD_MAX`` is."""

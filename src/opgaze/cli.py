@@ -8,13 +8,16 @@ Commands::
     opgaze correlate FEATURES_DIR RATINGS    feature-difficulty correlations per step
     opgaze synth                             generate a seeded synthetic cohort
 
-Every command takes ``--out``, ``--jobs`` (>= 1; ``analyze`` runs its
-sessions one after another at any value) and ``--log-level``.  ``--config``
-is the pipeline config of ``analyze`` and the cohort spec of ``synth``;
-``--seed`` overrides that spec's seed.  Exit codes are a stable contract:
-0 success, 1 input error, 2 empty input, 3 partial failure.  All outputs
-are written atomically and are byte-identical across reruns and ``--jobs``
-values.
+Every command takes ``--out``, ``--jobs`` (>= 1) and ``--log-level``.
+``analyze`` parses its sessions in one process, then analyzes and writes
+them in a pool of min(``--jobs``, sessions parsed, usable cores) forked
+workers; with one, or where the platform has no fork, it runs them in
+process.  It reports failures in path order; worker log lines may
+interleave on stderr.  ``--config`` is the pipeline config of ``analyze``
+and the cohort spec of ``synth``; ``--seed`` overrides that spec's seed.
+Exit codes are a stable contract: 0 success, 1 input error, 2 empty input,
+3 partial failure.  All outputs are written atomically and are
+byte-identical across reruns and ``--jobs`` values.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import itertools
 import json
 import logging
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping, Optional, Sequence, TypeVar
+from typing import IO, TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 # only numpy-free modules here, so that compare, correlate and --help load no numpy
 from . import analysis
@@ -338,7 +342,52 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
                           "\n".join(["t,d_ao,d_ho,d_ah", *rows]) + "\n")
 
 
+class _Failure(NamedTuple):
+    """A session's failure: its error and, for an unexpected exception, the
+    formatted traceback."""
+
+    error: str
+    traceback: str = ""
+
+
+def _failure(exc: Exception) -> _Failure:
+    if isinstance(exc, (ParseError, ValueError, OSError)):
+        return _Failure(str(exc))
+    # a fault in the pipeline fails this session, not the run
+    return _Failure(f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc)))
+
+
+# The parsed sessions by path, the config and --out of the running analyze,
+# which forked workers inherit, so that no Session is pickled; None outside
+# cmd_analyze.
+_batch: Optional[tuple[Sequence[tuple[Path, Session]], RunConfig, Path]] = None
+
+
+def _analyze_and_write(index: int) -> tuple[list[list[object]], dict[str, object]] | _Failure:
+    """Analyze session ``index`` of the batch and write its directory; return
+    its ``features.csv`` rows and ``summary.json`` entry.  A write error is
+    raised, and ends the run."""
+    sessions, config, out = _batch
+    path, s = sessions[index]
+    try:
+        result = analyze_session(s, config)
+    except Exception as exc:
+        return _failure(exc)
+    _write_session_outputs(out, result)
+    return [feature_row(s.id, fv) for fv in result.fvs], {
+        "id": s.id,
+        "source": str(path),
+        "operator": s.operator,
+        "ordinal": s.ordinal,
+        "n_frames": len(s),
+        "n_units": len(result.units),
+        "n_hotspots": len(result.hotspots),
+        "resolved_spatial_eps": result.resolved_eps,
+    }
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    global _batch
     config = load_config(args.config)
     files = find_session_files(args.paths)
     if not files:
@@ -346,59 +395,67 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_EMPTY
     out = _out_dir(args.out)
 
-    results: dict[Path, SessionResult] = {}
-    failures: dict[Path, str] = {}
+    # phase 1, here: parse every file, then fail every holder of a repeated
+    # id, because a session id names an output directory and keys
+    # features.csv rows
+    parsed: dict[Path, Session] = {}
+    failures: dict[Path, _Failure] = {}
     for path in files:
         try:
-            results[path] = analyze_session(_load_session(path), config)
-        except (ParseError, ValueError, OSError) as exc:
-            failures[path] = str(exc)
-            print(f"{path}: {exc}", file=sys.stderr)
+            parsed[path] = _load_session(path)
         except Exception as exc:
-            # a fault in the pipeline fails this session, not the run
-            failures[path] = f"{type(exc).__name__}: {exc}"
-            print(f"{path}: {failures[path]}", file=sys.stderr)
-            traceback.print_exception(exc, file=sys.stderr)
-
-    # a session id names an output directory and keys features.csv rows
+            failures[path] = _failure(exc)
     holders: dict[str, list[Path]] = {}
-    for path in sorted(results):
-        holders.setdefault(results[path].session.id, []).append(path)
+    for path, s in parsed.items():
+        holders.setdefault(s.id, []).append(path)
     for sid, paths in holders.items():
         if len(paths) == 1:
             continue
         for path in paths:
             others = ", ".join(str(p) for p in paths if p != path)
-            failures[path] = f"duplicate session id {sid!r}: also in {others}"
-            print(f"{path}: {failures[path]}", file=sys.stderr)
-            del results[path]
+            failures[path] = _Failure(f"duplicate session id {sid!r}: also in {others}")
+            del parsed[path]
 
+    # phase 2, in forked workers or here: analyze and write each session;
+    # results come back in path order
     combined_rows: list[list[object]] = []
     summary_sessions = []
     ok_sessions: list[Session] = []
-    for path in files:
-        # popped, so that a session's traces are freed once it is written,
-        # the last one by the del below
-        result = results.pop(path, None)
-        if result is None:
-            continue
-        if not result.units:
-            print(f"warning: session {result.session.id!r}: no operation units "
-                  "(no touches, or all bouts dropped)", file=sys.stderr)
-        _write_session_outputs(out, result)
-        combined_rows.extend(feature_row(result.session.id, fv) for fv in result.fvs)
-        summary_sessions.append({
-            "id": result.session.id,
-            "source": str(path),
-            "operator": result.session.operator,
-            "ordinal": result.session.ordinal,
-            "n_frames": len(result.session),
-            "n_units": len(result.units),
-            "n_hotspots": len(result.hotspots),
-            "resolved_spatial_eps": result.resolved_eps,
-        })
-        ok_sessions.append(result.session)
-    del result
+    tasks = range(len(parsed))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = min(args.jobs, len(tasks), cores or 1)
+    pool = None
+    _batch = (list(parsed.items()), config, out)
+    try:
+        if size > 1:
+            import multiprocessing
+
+            # fork is named, as POSIX's default start method changed in Python 3.14
+            if "fork" in multiprocessing.get_all_start_methods():
+                pool = multiprocessing.get_context("fork").Pool(size)
+        outcomes = (map if pool is None else pool.imap)(_analyze_and_write, tasks)
+        for path in files:
+            outcome = next(outcomes) if path in parsed else failures[path]
+            if isinstance(outcome, _Failure):
+                failures[path] = outcome
+                print(f"{path}: {outcome.error}", file=sys.stderr)
+                sys.stderr.write(outcome.traceback)
+                continue
+            rows, entry = outcome
+            if not entry["n_units"]:
+                print(f"warning: session {entry['id']!r}: no operation units "
+                      "(no touches, or all bouts dropped)", file=sys.stderr)
+            combined_rows.extend(rows)
+            summary_sessions.append(entry)
+            ok_sessions.append(parsed[path])
+        if pool is not None:
+            pool.close()
+            pool.join()
+    finally:
+        _batch = None
+        if pool is not None:
+            pool.terminate()  # after an error; after join it has nothing left to stop
+
     combined_rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(out / "features.csv", FEATURES_HEADER, combined_rows)
     _write_json(out / "config_used.json", dataclasses.asdict(config))
@@ -411,7 +468,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _write_json(out / "summary.json", {
         "sessions": summary_sessions,
         "failures": [
-            {"source": str(p), "error": failures[p]} for p in sorted(failures)
+            {"source": str(p), "error": failures[p].error} for p in sorted(failures)
         ],
         "n_sessions_ok": len(ok_sessions),
         "n_sessions_failed": len(failures),
@@ -613,8 +670,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory (default: %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="must be >= 1; analyze runs its sessions one after another "
-                        "(default: %(default)s)")
+                   help="must be >= 1; analyze analyzes and writes its sessions in up to "
+                        "this many forked workers, capped by the sessions and usable cores, "
+                        "with the same outputs at any value (default: %(default)s)")
     p.add_argument("--log-level", type=str.upper, default="WARNING",
                    choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
                    help="logging level (default: %(default)s)")

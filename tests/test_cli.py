@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -513,17 +515,18 @@ class TestAnalyze:
         spec.write_text(json.dumps({"n_pairs": 1, "seed": 3}))
         data, out = tmp_path / "data", tmp_path / "out"
         assert run(["synth", "--config", spec, "--out", data]) == 0
-        calls = []
+        calls = tmp_path / "calls.txt"  # a file, which forked workers append to too
         real = features.unit_traces
 
         def counted(s, units, hotspots):
-            calls.append(s.id)
+            with calls.open("a") as fh:
+                fh.write(f"{s.id}\n")
             return real(s, units, hotspots)
 
         monkeypatch.setattr(cli, "unit_traces", counted)
         monkeypatch.setattr(features, "unit_traces", counted)
         assert run(["analyze", data / "sessions", "--out", out, "--jobs", 2]) == 0
-        assert sorted(calls) == ["op01_earlier", "op01_later"]
+        assert sorted(calls.read_text().splitlines()) == ["op01_earlier", "op01_later"]
         assert len(list(out.glob("sessions/*/traces/*.csv"))) == 30
 
     def test_session_id_cannot_escape_out(self, tmp_path, capsys):
@@ -554,6 +557,30 @@ class TestAnalyze:
         with (out / "features.csv").open() as fh:
             assert {r["session_id"] for r in csv.DictReader(fh)} == {"op1_later"}
         assert "zz_copy.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_id_fails_a_holder_whose_twin_fails_analysis(self, corpus, tmp_path,
+                                                                   monkeypatch, jobs):
+        # the rule was once applied only among the sessions whose analysis succeeded
+        sessions = corpus / "sessions"
+        twin = dataclasses.replace(parse_session(sessions / "op1_earlier.jsonl"), operator="op9")
+        write_session(twin, sessions / "zz_copy.jsonl")
+        real = cli.analyze_session
+
+        def flaky(s, config):
+            if s.operator == "op9":
+                raise RuntimeError("boom")
+            return real(s, config)
+
+        monkeypatch.setattr(cli, "analyze_session", flaky)
+        out = tmp_path / "out"
+        assert run(["analyze", sessions, "--out", out, "--jobs", jobs]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        errors = {Path(f["source"]).name: f["error"] for f in summary["failures"]}
+        assert sorted(errors) == ["op1_earlier.jsonl", "zz_copy.jsonl"]
+        assert all(e.startswith("duplicate session id 'op1_earlier'") for e in errors.values())
+        assert [s["id"] for s in summary["sessions"]] == ["op1_later"]
+        assert not (out / "sessions" / "op1_earlier").exists()
 
     def test_only_duplicate_ids_is_input_error(self, corpus, tmp_path):
         sessions = corpus / "sessions"
@@ -730,6 +757,73 @@ class TestAnalyze:
         src = corpus / "sessions" / "op1_earlier.jsonl"
         write_session(parse_session(src), d / "op1_earlier_0.csv")
         assert cli.find_session_files([str(d)]) == [(d / "op1_earlier_0.csv").resolve()]
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` by its relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestAnalyzePool:
+    """``analyze --jobs N``: sessions parsed here, analyzed and written by forked workers."""
+
+    def test_unexpected_error_in_a_worker(self, corpus, tmp_path, monkeypatch, capsys):
+        sessions = corpus / "sessions"
+        (sessions / "a_bad.jsonl").write_text("{not json\n")
+        (sessions / "zz_bad.jsonl").write_text("{not json\n")
+        real = cli.analyze_session
+
+        def flaky(s, config):
+            if s.id == "op1_later":
+                raise RuntimeError("boom")
+            return real(s, config)
+
+        monkeypatch.setattr(cli, "analyze_session", flaky)  # forked workers inherit the patch
+        err = {}
+        for jobs in (1, 2):
+            assert run(["analyze", sessions, "--out", tmp_path / f"o{jobs}", "--jobs", jobs]) == 3
+            err[jobs] = capsys.readouterr().err
+        failed = [Path(line.split(":")[0]).name for line in err[2].splitlines()
+                  if line.startswith(str(sessions))]
+        assert failed == ["a_bad.jsonl", "op1_later.jsonl", "zz_bad.jsonl"]
+        assert "Traceback (most recent call last)" in err[2] and "in flaky" in err[2]
+        assert err[2] == err[1]
+        summary = json.loads((tmp_path / "o2" / "summary.json").read_text())
+        assert {Path(f["source"]).name: f["error"] for f in summary["failures"]}[
+            "op1_later.jsonl"] == "RuntimeError: boom"
+        assert tree(tmp_path / "o2") == tree(tmp_path / "o1")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_write_error_is_an_input_error(self, corpus, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        (out / "sessions").mkdir(parents=True)
+        (out / "sessions" / "op1_later").write_text("a file where a session directory goes\n")
+        assert run(["analyze", corpus / "sessions", "--out", out, "--jobs", jobs]) == 1
+        assert "op1_later" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_sessions, jobs", [(2, 64), (1, 2)])
+    def test_pool_size_is_capped_by_sessions_and_cores(self, corpus, tmp_path, monkeypatch,
+                                                       n_sessions, jobs):
+        sessions = corpus / "sessions"
+        if n_sessions == 1:
+            (sessions / "op1_later.jsonl").unlink()
+        sizes = []
+
+        class Recording(multiprocessing.pool.Pool):
+            def __init__(self, processes=None, *args, **kwargs):
+                sizes.append(processes)
+                super().__init__(processes, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", Recording)
+        assert run(["analyze", sessions, "--out", tmp_path / "one", "--jobs", 1]) == 0
+        assert run(["analyze", sessions, "--out", tmp_path / "many", "--jobs", jobs]) == 0
+        size = min(jobs, n_sessions, len(os.sched_getaffinity(0)))
+        assert sizes == ([size] if size > 1 else [])
+        assert tree(tmp_path / "many") == tree(tmp_path / "one")
+        assert multiprocessing.active_children() == []
 
 
 class TestCompareAndCorrelate:

@@ -1,10 +1,11 @@
 """What a fresh interpreter loads.
 
-The study commands and ``--help`` load no numpy, ``analyze`` loads no
-``synth`` and starts no thread, and every name the package exports
-resolves, on first use, to the object its submodule defines.  Each check
-runs in a new interpreter, because this test process has loaded numpy
-already.
+The study commands and ``--help`` load no numpy; ``analyze`` loads no
+``synth``, starts no thread and loads no ``multiprocessing`` at ``--jobs 1``,
+and leaves no thread or worker process running at ``--jobs 2``; and every
+name the package exports resolves, on first use, to the object its
+submodule defines.  Each check runs in a new interpreter, because this test
+process has loaded numpy already.
 """
 
 from __future__ import annotations
@@ -105,15 +106,25 @@ def test_analyze_loads_no_synth(cohort):
 
 
 def test_analyze_starts_no_thread(cohort):
-    # a thread pool once ran the sessions of --jobs 2, slower than one loop
+    # a thread pool once ran the sessions of --jobs 2, slower than one loop;
+    # --jobs 1 runs them here, and --jobs 2 in forked workers joined before main returns
     code = (
-        "import sys, threading\n"
+        "import json, sys, threading\n"
         "from opgaze import cli\n"
-        f"assert cli.main(['analyze', {str(cohort / 'data' / 'sessions')!r},"
-        f" '--out', {str(cohort / 'jobs2')!r}, '--jobs', '2']) == 0\n"
-        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        "seen = {}\n"
+        "for jobs in ('1', '2'):\n"
+        f"    assert cli.main(['analyze', {str(cohort / 'data' / 'sessions')!r},"
+        f" '--out', {str(cohort / 'jobs')!r} + jobs, '--jobs', jobs]) == 0\n"
+        "    seen[jobs] = ['multiprocessing' in sys.modules, threading.active_count(),\n"
+        "                  'concurrent.futures' in sys.modules]\n"
+        "import multiprocessing\n"
+        "seen['children'] = len(multiprocessing.active_children())\n"
+        "print(json.dumps(seen))\n"
     )
-    assert fresh(code).splitlines()[-1] == "False 1"
+    pool = len(os.sched_getaffinity(0)) > 1  # the cohort has two sessions
+    # compared as JSON text, in which false is not 0
+    assert fresh(code).splitlines()[-1] == json.dumps(
+        {"1": [False, 1, False], "2": [pool, 1, False], "children": 0})
 
 
 def test_every_export_resolves_to_its_submodules_object():

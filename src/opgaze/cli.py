@@ -9,12 +9,14 @@ Commands::
     opgaze synth                             generate a seeded synthetic cohort
 
 Every command takes ``--out``, ``--jobs`` (>= 1) and ``--log-level``.
-``analyze`` parses its sessions in one process, then analyzes and writes
-them in a pool of min(``--jobs``, sessions parsed, usable cores) forked
-workers; with one, or where the platform has no fork, it runs them in
-process.  It reports failures in path order; worker log lines may
-interleave on stderr.  ``--config`` is the pipeline config of ``analyze``
-and the cohort spec of ``synth``; ``--seed`` overrides that spec's seed.
+``analyze`` parses its sessions in one process, then hands each parsed
+session to a pool of min(``--jobs``, sessions parsed, usable cores) forked
+workers, which analyze and write it; with one, or where the platform has
+no fork, it runs them in process.  It reports failures in path order;
+worker log lines may interleave on stderr.  A write error or a worker
+that dies ends the run with exit 1 and no ``summary.json``.  ``--config``
+is the pipeline config of ``analyze`` and the cohort spec of ``synth``;
+``--seed`` overrides that spec's seed.
 Exit codes are a stable contract: 0 success, 1 input error, 2 empty input,
 3 partial failure.  All outputs are written atomically and are
 byte-identical across reruns and ``--jobs`` values.
@@ -357,18 +359,11 @@ def _failure(exc: Exception) -> _Failure:
     return _Failure(f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc)))
 
 
-# The parsed sessions by path, the config and --out of the running analyze,
-# which forked workers inherit, so that no Session is pickled; None outside
-# cmd_analyze.
-_batch: Optional[tuple[Sequence[tuple[Path, Session]], RunConfig, Path]] = None
-
-
-def _analyze_and_write(index: int) -> tuple[list[list[object]], dict[str, object]] | _Failure:
-    """Analyze session ``index`` of the batch and write its directory; return
-    its ``features.csv`` rows and ``summary.json`` entry.  A write error is
-    raised, and ends the run."""
-    sessions, config, out = _batch
-    path, s = sessions[index]
+def _analyze_and_write(path: Path, s: Session, config: RunConfig,
+                       out: Path) -> tuple[list[list[object]], dict[str, object]] | _Failure:
+    """Analyze session ``s``, parsed from ``path``, and write its directory
+    under ``out``; return its ``features.csv`` rows and ``summary.json``
+    entry.  A write error is raised, and ends the run."""
     try:
         result = analyze_session(s, config)
     except Exception as exc:
@@ -387,7 +382,6 @@ def _analyze_and_write(index: int) -> tuple[list[list[object]], dict[str, object
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    global _batch
     config = load_config(args.config)
     files = find_session_files(args.paths)
     if not files:
@@ -421,19 +415,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     combined_rows: list[list[object]] = []
     summary_sessions = []
     ok_sessions: list[Session] = []
-    tasks = range(len(parsed))
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = min(args.jobs, len(tasks), cores or 1)
+    size = min(args.jobs, len(parsed), cores or 1)
     pool = None
-    _batch = (list(parsed.items()), config, out)
+    broken: tuple[type[Exception], ...] = ()  # what a dead worker raises; nothing in process
     try:
         if size > 1:
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-            # fork is named, as POSIX's default start method changed in Python 3.14
+            # fork is named, as POSIX's default start method changed in Python
+            # 3.14, and spawn would import numpy again in every worker; the
+            # executor forks all its workers before it starts a thread
             if "fork" in multiprocessing.get_all_start_methods():
-                pool = multiprocessing.get_context("fork").Pool(size)
-        outcomes = (map if pool is None else pool.imap)(_analyze_and_write, tasks)
+                pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+                broken = (BrokenProcessPool,)
+        outcomes = (map if pool is None else pool.map)(
+            _analyze_and_write, parsed, parsed.values(), itertools.repeat(config), itertools.repeat(out))
         for path in files:
             outcome = next(outcomes) if path in parsed else failures[path]
             if isinstance(outcome, _Failure):
@@ -448,13 +447,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             combined_rows.extend(rows)
             summary_sessions.append(entry)
             ok_sessions.append(parsed[path])
-        if pool is not None:
-            pool.close()
-            pool.join()
+    except broken as exc:
+        print(f"a worker process died, which ends the run: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     finally:
-        _batch = None
         if pool is not None:
-            pool.terminate()  # after an error; after join it has nothing left to stop
+            pool.shutdown(cancel_futures=True)
 
     combined_rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(out / "features.csv", FEATURES_HEADER, combined_rows)

@@ -3,7 +3,8 @@
 Two touches are neighbors when they are within ``spatial_eps`` scene units
 AND within ``temporal_gap_max`` seconds of each other; hotspots are the
 connected components of that neighbor graph with at least ``min_points``
-members.  Touches in smaller components are noise but stay countable.
+members.  Touches in smaller components are noise: they are the touches
+that no hotspot's ``member_touch_indices`` names.
 
 Clustering is array code.  Touches are put in a canonical (t, x, y, input
 index) order; a binary search on the sorted times gives each touch the
@@ -201,14 +202,6 @@ def cluster_touches(touches: Touches, params: ClusterParams) -> list[Hotspot]:
             member_touch_indices=tuple(np.sort(order[m]).tolist()),
         ))
     return hotspots
-
-
-def noise_indices(touches: Touches, hotspots: Sequence[Hotspot]) -> list[int]:
-    """Input indices of touches that belong to no hotspot."""
-    member = set()
-    for h in hotspots:
-        member.update(h.member_touch_indices)
-    return [i for i in range(len(touches)) if i not in member]
 
 
 def assign_operating_hotspot(ou_touches: Touches, hotspots: Sequence[Hotspot]) -> Optional[int]:

@@ -418,9 +418,16 @@ STEP_FIELDS = ("start_t", "end_t", "step_id")
 
 
 def load_step_labels(path: Union[str, Path]) -> tuple[StepLabel, ...]:
-    """Load a step-label sidecar CSV: ``start_t,end_t,step_id``."""
+    """Load a step-label sidecar CSV: ``start_t,end_t,step_id``; a row whose
+    interval overlaps an earlier row's is an error on its line."""
     return tuple(read_sidecar(path, STEP_FIELDS, lambda start_t, end_t, step_id: StepLabel(
-        _finite(start_t, "start_t", True), _finite(end_t, "end_t", True), step_id)))
+        _finite(start_t, "start_t", True), _finite(end_t, "end_t", True), step_id), _overlap))
+
+
+def _overlap(label: StepLabel, earlier: StepLabel, earlier_line: int) -> Optional[str]:
+    if label.start_t < earlier.end_t and earlier.start_t < label.end_t:
+        return f"step {label.step_id!r} overlaps step {earlier.step_id!r} of line {earlier_line}"
+    return None
 
 
 def write_step_labels(labels: Iterable[StepLabel], path: Union[str, Path]) -> None:

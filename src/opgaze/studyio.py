@@ -172,12 +172,16 @@ def parse_csv_file(path: Union[str, Path], parse: Callable[[IO[str], str], objec
     raise not_utf8(data, parse, src, csv_from=1)
 
 
-def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[..., object]) -> list:
+def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[..., object],
+                 clash: Callable[[object, object, int], Optional[str]]) -> list:
     """``make(*cells)`` of each row, stripped, of a sidecar CSV with these
-    ``columns``, skipping blank rows and a header on line 1; a row with other
-    columns, or that ``make`` rejects with a ValueError, is a ParseError."""
+    ``columns``, skipping blank rows and a header on line 1.  A row with
+    other columns, or that ``make`` rejects with a ValueError, is a
+    ParseError on its line, and so is a row whose item clashes with an
+    earlier row's: ``clash(item, earlier, earlier_line)`` returns the
+    message of a clash, or None."""
     def parse(stream: IO[str], src: str) -> list:
-        out = []
+        out: list[tuple[int, object]] = []
         for line, cells in csv_rows(stream, src):
             cells = [c.strip() for c in cells]
             if not any(cells) or (line == 1 and cells[0] == columns[0]):
@@ -185,10 +189,15 @@ def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[
             try:
                 if len(cells) != len(columns):
                     raise ValueError(f"expected {','.join(columns)}")
-                out.append(make(*cells))
+                item = make(*cells)
+                for earlier_line, earlier in out:
+                    problem = clash(item, earlier, earlier_line)
+                    if problem:
+                        raise ValueError(problem)
+                out.append((line, item))
             except ValueError as exc:
                 raise ParseError(str(exc), line=line, source=src) from None
-        return out
+        return [item for _, item in out]
 
     return parse_csv_file(path, parse)
 
@@ -247,11 +256,20 @@ class DifficultyRatings:
 RATING_FIELDS = ("step_id", "rater_id", "role", "score")
 
 
+def _same_rater(row: tuple[str, Rating], earlier: tuple[str, Rating], earlier_line: int) -> Optional[str]:
+    # a second score would count the rater twice in the step's mean
+    (step_id, rating), (earlier_step, earlier_rating) = row, earlier
+    if (step_id, rating.rater_id) == (earlier_step, earlier_rating.rater_id):
+        return f"rater {rating.rater_id!r} scores step {step_id!r} twice: first on line {earlier_line}"
+    return None
+
+
 def load_ratings(path: Union[str, Path]) -> DifficultyRatings:
     """Load a ratings CSV: ``step_id,rater_id,role,score``."""
     by_step: dict[str, list[Rating]] = {}
     rows = read_sidecar(path, RATING_FIELDS, lambda step_id, rater_id, role, score:
-                        (step_id, Rating(rater_id=rater_id, role=role, score=int(score))))
+                        (step_id, Rating(rater_id=rater_id, role=role, score=int(score))),
+                        _same_rater)
     for step_id, rating in rows:
         by_step.setdefault(step_id, []).append(rating)
     if not by_step:

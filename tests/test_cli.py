@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
-import multiprocessing.pool
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -173,6 +174,20 @@ class TestValidate:
         assert run(["validate", sessions, "--out", out]) == 1
         text = (out / "validation_report.json").read_text()
         assert text.replace(str(sessions.resolve()), "DIR") == VALIDATION_REPORT
+
+    def test_overlapping_steps_name_the_sidecar_and_line(self, corpus, tmp_path, capsys):
+        sidecar = corpus / "sessions" / "op1_earlier.steps.csv"
+        sidecar.write_text("start_t,end_t,step_id\n0.0,3.0,step_01\n3.0,6.0,step_02\n0.5,3.0,step_xx\n")
+        message = f"{sidecar}:4: step 'step_xx' overlaps step 'step_01' of line 2"
+        out = tmp_path / "o"
+        assert run(["validate", corpus / "sessions", "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        report = json.loads((out / "validation_report.json").read_text())
+        assert [(e["session_id"], e["errors"]) for e in report] == [
+            (None, [[4, message]]), ("op1_later", [])]
+        assert run(["analyze", corpus / "sessions", "--out", tmp_path / "a"]) == 3
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert summary["failures"][0]["error"] == message
 
     def test_empty_directory_is_distinct_failure(self, tmp_path):
         empty = tmp_path / "nothing"
@@ -804,6 +819,32 @@ class TestAnalyzePool:
         assert not (out / "summary.json").exists()
         assert multiprocessing.active_children() == []
 
+    def test_a_dead_worker_ends_the_run(self, corpus, tmp_path):
+        # in a child interpreter, because the worker's death must not take
+        # this one down; a pool of two on any machine
+        out = tmp_path / "out"
+        code = (
+            "import json, multiprocessing, os\n"
+            "from opgaze import cli\n"
+            "real = cli.analyze_session\n"
+            "def dying(s, config):\n"
+            "    if s.id == 'op1_later':\n"
+            "        os._exit(9)\n"
+            "    return real(s, config)\n"
+            "cli.analyze_session = dying\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"code = cli.main(['analyze', {str(corpus / 'sessions')!r}, '--out', {str(out)!r},"
+            " '--jobs', '2'])\n"
+            "print(json.dumps([code, len(multiprocessing.active_children())]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [1, 0]
+        [line] = proc.stderr.splitlines()
+        assert "worker process died" in line
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("n_sessions, jobs", [(2, 64), (1, 2)])
     def test_pool_size_is_capped_by_sessions_and_cores(self, corpus, tmp_path, monkeypatch,
                                                        n_sessions, jobs):
@@ -812,12 +853,12 @@ class TestAnalyzePool:
             (sessions / "op1_later.jsonl").unlink()
         sizes = []
 
-        class Recording(multiprocessing.pool.Pool):
-            def __init__(self, processes=None, *args, **kwargs):
-                sizes.append(processes)
-                super().__init__(processes, *args, **kwargs)
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
 
-        monkeypatch.setattr(multiprocessing.pool, "Pool", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         assert run(["analyze", sessions, "--out", tmp_path / "one", "--jobs", 1]) == 0
         assert run(["analyze", sessions, "--out", tmp_path / "many", "--jobs", jobs]) == 0
         size = min(jobs, n_sessions, len(os.sched_getaffinity(0)))

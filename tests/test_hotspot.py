@@ -12,9 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from opgaze import ClusterParams, Hotspot, Point2, cluster_touches, extract_touches, touch_distribution
 from opgaze import hotspot
-from opgaze.hotspot import TouchDistribution, assign_operating_hotspot, noise_indices
+from opgaze.hotspot import TouchDistribution, assign_operating_hotspot
 
 from conftest import frame, make_session
+
+
+def noise(touches, hotspots) -> list[int]:
+    """Indices of the touches that belong to no hotspot."""
+    members = {i for h in hotspots for i in h.member_touch_indices}
+    return [i for i in range(len(touches)) if i not in members]
 
 
 def touches_at(points, t0=0.0, dt=0.1):
@@ -120,7 +126,7 @@ class TestClusterTouches:
         touches = touches_at([(0.0, 0.0)])
         got = cluster_touches(touches, ClusterParams(spatial_eps=5.0, min_points=3))
         assert got == []
-        assert noise_indices(touches, got) == [0]
+        assert noise(touches, got) == [0]
 
     def test_temporal_split_of_colocated_groups(self):
         early = touches_at([(0.0, 0.0)] * 5, t0=0.0)
@@ -188,7 +194,7 @@ class TestClusterTouches:
             for b in member_sets:
                 assert a is b or not (a & b)
         covered = set().union(*member_sets) if member_sets else set()
-        assert covered | set(noise_indices(touches, got)) == set(range(60))
+        assert covered | set(noise(touches, got)) == set(range(60))
 
 
 class TestMultiChunk:
@@ -238,7 +244,7 @@ class TestMultiChunk:
         candidate_pairs = int((np.arange(n) - np.searchsorted(ts, ts - 3.0)).sum())
         assert candidate_pairs > 100 * hotspot._PAIR_CHUNK
         got = cluster_touches(touches, params)
-        assert len(got) > 10 and noise_indices(touches, got)
+        assert len(got) > 10 and noise(touches, got)
         assert got == matrix_oracle(touches, params)
 
 

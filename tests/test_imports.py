@@ -2,7 +2,8 @@
 
 The study commands and ``--help`` load no numpy; ``analyze`` loads no
 ``synth``, starts no thread and loads no ``multiprocessing`` at ``--jobs 1``,
-and leaves no thread or worker process running at ``--jobs 2``; and every
+and loads no thread pool and leaves no thread or worker process running at
+``--jobs 2``; and every
 name the package exports resolves, on first use, to the object its
 submodule defines.  Each check runs in a new interpreter, because this test
 process has loaded numpy already.
@@ -107,7 +108,8 @@ def test_analyze_loads_no_synth(cohort):
 
 def test_analyze_starts_no_thread(cohort):
     # a thread pool once ran the sessions of --jobs 2, slower than one loop;
-    # --jobs 1 runs them here, and --jobs 2 in forked workers joined before main returns
+    # --jobs 1 runs them here, and --jobs 2 on a process pool, whose threads
+    # and forked workers end before main returns
     code = (
         "import json, sys, threading\n"
         "from opgaze import cli\n"
@@ -116,7 +118,8 @@ def test_analyze_starts_no_thread(cohort):
         f"    assert cli.main(['analyze', {str(cohort / 'data' / 'sessions')!r},"
         f" '--out', {str(cohort / 'jobs')!r} + jobs, '--jobs', jobs]) == 0\n"
         "    seen[jobs] = ['multiprocessing' in sys.modules, threading.active_count(),\n"
-        "                  'concurrent.futures' in sys.modules]\n"
+        "                  'concurrent.futures' in sys.modules,\n"
+        "                  'concurrent.futures.thread' in sys.modules]\n"
         "import multiprocessing\n"
         "seen['children'] = len(multiprocessing.active_children())\n"
         "print(json.dumps(seen))\n"
@@ -124,7 +127,7 @@ def test_analyze_starts_no_thread(cohort):
     pool = len(os.sched_getaffinity(0)) > 1  # the cohort has two sessions
     # compared as JSON text, in which false is not 0
     assert fresh(code).splitlines()[-1] == json.dumps(
-        {"1": [False, 1, False], "2": [pool, 1, False], "children": 0})
+        {"1": [False, 1, False, False], "2": [pool, 1, pool, False], "children": 0})
 
 
 def test_every_export_resolves_to_its_submodules_object():

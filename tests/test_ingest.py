@@ -380,7 +380,9 @@ class TestRoundTrip:
 
 class TestSidecars:
     def test_step_labels_round_trip(self, tmp_path):
-        labels = (StepLabel(0.0, 2.0, "step_01"), StepLabel(2.0, 4.5, "step_02"))
+        # intervals are half-open, so steps that touch do not overlap, in either order
+        labels = (StepLabel(2.0, 4.5, "step_02"), StepLabel(0.0, 2.0, "step_01"),
+                  StepLabel(4.5, 5.0, "step_03"))
         path = tmp_path / "s.steps.csv"
         write_step_labels(labels, path)
         assert load_step_labels(path) == labels
@@ -405,6 +407,39 @@ class TestSidecars:
         path.write_text("s1,e01,manager,1\n")
         with pytest.raises(ParseError, match="role"):
             load_ratings(path)
+
+    @pytest.mark.parametrize("rows, line, message", [
+        # in file order, the row that overlaps any earlier row's interval
+        ("0.0,3.0,step_01\n3.0,6.0,step_02\n0.5,3.0,step_xx\n", 4,
+         "step 'step_xx' overlaps step 'step_01' of line 2"),
+        ("3.0,6.0,step_02\n0.0,3.0,step_01\n2.0,4.0,step_xx\n", 4,
+         "step 'step_xx' overlaps step 'step_02' of line 2"),
+        ("0.0,1.0,a\n2.0,3.0,b\n0.0,9.0,c\n", 4, "step 'c' overlaps step 'a' of line 2"),
+    ])
+    def test_overlapping_step_is_an_error_on_its_line(self, tmp_path, rows, line, message):
+        path = tmp_path / "s.steps.csv"
+        path.write_text("start_t,end_t,step_id\n" + rows)
+        with pytest.raises(ParseError) as exc:
+            load_step_labels(path)
+        assert str(exc.value) == f"{path}:{line}: {message}"
+        assert exc.value.line == line
+
+    def test_a_rater_scoring_a_step_twice_is_an_error_on_the_second_line(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text("step_id,rater_id,role,score\nstep_01,e01,expert,1\n"
+                        "step_02,e01,expert,2\nstep_01,b01,beginner,3\nstep_01,e01,expert,1\n")
+        with pytest.raises(ParseError) as exc:
+            load_ratings(path)
+        assert str(exc.value) == f"{path}:5: rater 'e01' scores step 'step_01' twice: first on line 2"
+
+    @pytest.mark.parametrize("name, rows", [
+        ("ratings.csv", "s1,e01,expert,1\n"),
+        ("s.steps.csv", "0.5,2.0,b\n"),
+    ])
+    def test_earlier_clash_wins_over_bad_bytes(self, tmp_path, name, rows):
+        _, head, good, _ = self.SIDECARS[name]
+        err = self._raises(tmp_path, name, (head + good + rows + good).encode() + b"\xe9\n")
+        assert err.line == 3 and "line 2" in str(err)
 
     # a good row, then a row carrying the fault, for each sidecar
     SIDECARS = {

@@ -16,8 +16,8 @@ import importlib
 
 _EXPORTS = {
     "analysis": (
-        "ComparisonReport", "CorrelationReport", "difficulty_correlation", "pairwise_comparison",
-        "pearson", "step_feature_means", "summarize_rows",
+        "CorrelationReport", "difficulty_correlation", "pairwise_comparison", "pearson",
+        "step_feature_means", "summarize_rows",
     ),
     "featurerow": ("CATEGORICAL_FEATURES", "SCALAR_FEATURES", "FeatureVector"),
     "features": (
@@ -31,8 +31,8 @@ _EXPORTS = {
         "touch_distribution", "touch_distribution_plot_data",
     ),
     "ingest": (
-        "ValidationReport", "check_rate", "detect_format", "load_step_labels", "parse_session",
-        "validate_session", "write_session", "write_step_labels",
+        "check_rate", "detect_format", "load_step_labels", "parse_session", "validate_session",
+        "write_session", "write_step_labels",
     ),
     "segmentation": ("SegmentationParams", "period_durations", "segment_units"),
     "session": (

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence
@@ -89,13 +89,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     return max(-1.0, min(1.0, r))
 
 
-def summarize_rows(
-    group: str,
-    rows: Sequence[Row],
-    features: Sequence[str] = SCALAR_FEATURES,
-) -> dict[str, Optional[float]]:
-    """Mean of each feature over a group's unit rows (a session's, or a
-    step's), keyed by feature name.
+def summarize_rows(group: str, rows: Sequence[Row]) -> dict[str, Optional[float]]:
+    """Mean of each scalar feature over a group's unit rows (a session's, or
+    a step's), keyed by feature name.
 
     Undefined unit values are left out of the mean; a feature undefined in
     every row gets None.  Raises on a group without rows.
@@ -103,7 +99,7 @@ def summarize_rows(
     if not rows:
         raise ValueError(f"{group!r} has no operation units to summarize")
     means: dict[str, Optional[float]] = {}
-    for name in features:
+    for name in SCALAR_FEATURES:
         defined = [r[name] for r in rows if r.get(name) is not None]
         means[name] = pairwise_mean(defined) if defined else None
     return means
@@ -122,26 +118,14 @@ class ComparisonRow:
     mean_delta_pct: Optional[float]
     n_pairs: int
     n_later_smaller: int
-    deltas_pct: tuple[float, ...] = field(default=())
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]
-    n_pairs_total: int
-
-    def row(self, feature: str) -> ComparisonRow:
-        for r in self.rows:
-            if r.feature == feature:
-                return r
-        raise KeyError(feature)
+    deltas_pct: tuple[float, ...] = ()
 
 
 def pairwise_comparison(
     pairs: Sequence[tuple[str, Mapping[str, Optional[float]], Mapping[str, Optional[float]]]],
-    features: Sequence[str] = SCALAR_FEATURES,
-) -> ComparisonReport:
-    """Relative earlier-to-later change of each feature's session mean.
+) -> tuple[ComparisonRow, ...]:
+    """Relative earlier-to-later change of each scalar feature's session
+    mean, one row per feature.
 
     ``pairs`` holds an ``(operator, earlier_means, later_means)`` triple
     per operator, each means as ``summarize_rows`` gives them.
@@ -151,7 +135,7 @@ def pairwise_comparison(
     change that overflows is undefined, and logged.
     """
     rows = []
-    for name in features:
+    for name in SCALAR_FEATURES:
         deltas: list[float] = []
         n_smaller = 0
         for operator, earlier, later in pairs:
@@ -190,20 +174,17 @@ def pairwise_comparison(
             n_later_smaller=n_smaller,
             deltas_pct=tuple(deltas),
         ))
-    return ComparisonReport(rows=tuple(rows), n_pairs_total=len(pairs))
+    return tuple(rows)
 
 
-def step_feature_means(
-    rows: Iterable[Row],
-    features: Sequence[str] = SCALAR_FEATURES,
-) -> dict[str, dict[str, Optional[float]]]:
-    """Per-step mean of each feature over all unit rows labeled with the
+def step_feature_means(rows: Iterable[Row]) -> dict[str, dict[str, Optional[float]]]:
+    """Per-step mean of each scalar feature over all unit rows labeled with the
     step, across sessions.  Rows without a step label are ignored."""
     by_step: dict[str, list[Row]] = {}
     for row in rows:
         if row["step_id"] is not None:
             by_step.setdefault(row["step_id"], []).append(row)
-    return {step: summarize_rows(step, by_step[step], features) for step in sorted(by_step)}
+    return {step: summarize_rows(step, by_step[step]) for step in sorted(by_step)}
 
 
 @dataclass(frozen=True)
@@ -227,32 +208,22 @@ class CorrelationReport:
     rows: tuple[CorrelationRow, ...]
     step_ids: tuple[str, ...]
 
-    def row(self, feature: str) -> CorrelationRow:
-        for r in self.rows:
-            if r.feature == feature:
-                return r
-        raise KeyError(feature)
-
 
 def difficulty_correlation(
     rows: Iterable[Row],
     ratings: DifficultyRatings,
-    features: Sequence[str] = SCALAR_FEATURES,
     role: Optional[str] = None,
 ) -> CorrelationReport:
-    """Correlate per-step feature means with mean rated difficulty.
+    """Correlate per-step scalar feature means with mean rated difficulty.
 
     ``rows`` are unit rows, grouped by their ``step_id``.  Only steps
-    present in both the rows and the ratings contribute.
-    ``role`` restricts the ratings to one rater role.
+    present in both the rows and the ratings contribute; ``step_ids`` of
+    the report names them.  ``role`` restricts the ratings to one rater role.
     """
-    step_means = step_feature_means(rows, features)
+    step_means = step_feature_means(rows)
     steps = tuple(sid for sid in sorted(step_means) if sid in ratings.by_step)
-    missing = sorted(set(step_means) - set(steps))
-    if missing:
-        logger.warning("steps without ratings ignored: %s", ", ".join(missing))
     rows = []
-    for name in features:
+    for name in SCALAR_FEATURES:
         xs: list[float] = []
         scores: list[float] = []
         for sid in steps:

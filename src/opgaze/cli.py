@@ -257,12 +257,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 "stats": {},
             })
             continue
-        report = validate_session(session, expected_rate=args.expected_rate)
-        entry = report.to_dict()
+        entry = validate_session(session, expected_rate=args.expected_rate)
         entry["source"] = str(path)
         reports.append(entry)
-        print(f"{session.id}: OK ({report.stats['frame_count']} frames, "
-              f"{len(report.warnings)} warnings)")
+        print(f"{session.id}: OK ({entry['stats']['frame_count']} frames, "
+              f"{len(entry['warnings'])} warnings)")
     _write_json(out / "validation_report.json", sorted(reports, key=lambda r: r["source"]))
     return EXIT_INPUT_ERROR if had_errors else EXIT_OK
 
@@ -586,16 +585,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write_csv(
         out / "comparison.csv",
         ("feature", "mean_delta_pct", "n_pairs", "n_later_smaller"),
-        [[r.feature, r.mean_delta_pct, r.n_pairs, r.n_later_smaller] for r in report.rows],
+        [[r.feature, r.mean_delta_pct, r.n_pairs, r.n_later_smaller] for r in report],
     )
     _write_json(out / "comparison_plot.json", {
         "kind": "earlier_vs_later_bar",
-        "n_pairs_total": report.n_pairs_total,
-        "features": [r.feature for r in report.rows],
-        "mean_delta_pct": [r.mean_delta_pct for r in report.rows],
-        "n_pairs": [r.n_pairs for r in report.rows],
-        "n_later_smaller": [r.n_later_smaller for r in report.rows],
-        "per_pair_deltas_pct": {r.feature: list(r.deltas_pct) for r in report.rows},
+        "n_pairs_total": len(pairs),
+        "features": [r.feature for r in report],
+        "mean_delta_pct": [r.mean_delta_pct for r in report],
+        "n_pairs": [r.n_pairs for r in report],
+        "n_later_smaller": [r.n_later_smaller for r in report],
+        "per_pair_deltas_pct": {r.feature: list(r.deltas_pct) for r in report},
     })
     return EXIT_OK
 

@@ -33,7 +33,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
@@ -69,26 +68,6 @@ RATE_MAX = 1e100
 # lead time a feature takes is at most 1e150, below the mean-speed bound of
 # 2.83e150: correlate's squares of per-step means of any feature stay finite.
 TIME_MAX = 1e150
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of checking one parsed session: sampling warnings, which
-    never block downstream use, and summary stats."""
-
-    session_id: str
-    warnings: list[str] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        # a session that parsed has no errors; the key keeps every report
-        # entry, parse failures included, in one shape
-        return {
-            "session_id": self.session_id,
-            "errors": [],
-            "warnings": list(self.warnings),
-            "stats": dict(self.stats),
-        }
 
 
 def _open_text(source: Source) -> tuple[IO[str], str]:
@@ -437,8 +416,11 @@ def write_step_labels(labels: Iterable[StepLabel], path: Union[str, Path]) -> No
 
 # --- validation --------------------------------------------------------------
 
-def validate_session(s: Session, expected_rate: Optional[float] = None) -> ValidationReport:
-    """Check sampling regularity and fill summary stats.
+def validate_session(s: Session, expected_rate: Optional[float] = None) -> dict:
+    """The ``validation_report.json`` entry of a parsed session:
+    ``session_id``, ``errors`` (none, as the session parsed; the key gives
+    every entry, parse failures included, one shape), sampling ``warnings``
+    and summary ``stats``.
 
     ``expected_rate`` defaults to the session's own declared rate.  Gaps
     longer than two nominal intervals warn individually; intervals off the
@@ -446,7 +428,7 @@ def validate_session(s: Session, expected_rate: Optional[float] = None) -> Valid
     never block downstream processing.
     """
     rate = s.sample_rate_hz if expected_rate is None else check_rate(expected_rate, "expected_rate")
-    report = ValidationReport(session_id=s.id)
+    warnings: list[str] = []
 
     nominal = 1.0 / rate
     gap_threshold = 2.0 * nominal
@@ -454,24 +436,24 @@ def validate_session(s: Session, expected_rate: Optional[float] = None) -> Valid
     dt = np.diff(times)
     gap = dt > gap_threshold
     for i in np.flatnonzero(gap).tolist():
-        report.warnings.append(
+        warnings.append(
             f"sampling gap of {float(dt[i]):.4f}s at t={float(times[i])!r} (threshold {gap_threshold:.4f}s)"
         )
     irregular = int(np.count_nonzero(~gap & ~((0.8 * nominal <= dt) & (dt <= 1.2 * nominal))))
     if irregular:
-        report.warnings.append(
+        warnings.append(
             f"{irregular} sample intervals deviate more than 20% from 1/{rate} s"
         )
 
     touch_count = int(np.count_nonzero(s.touching_mask))
     hand_frames = int(np.count_nonzero(s.hand_visible_mask))
     if hand_frames == 0:
-        report.warnings.append("no hand frames: hand never visible in this session")
-    report.stats = {
+        warnings.append("no hand frames: hand never visible in this session")
+    stats = {
         "frame_count": len(s),
         "touch_count": touch_count,
         "hand_visible_fraction": hand_frames / len(s),
         "duration_s": float(times[-1] - times[0]),
         "sample_rate_hz": s.sample_rate_hz,
     }
-    return report
+    return {"session_id": s.id, "errors": [], "warnings": warnings, "stats": stats}

@@ -247,11 +247,6 @@ class DifficultyRatings:
                 raise ValueError(f"step {step_id!r} has no raters with role {role!r}")
         return sum(r.score for r in ratings) / len(ratings)
 
-    def mean_difficulty(self, step_id: str, role: Optional[str] = None) -> float:
-        """Mean rated difficulty: the negated score (the scale runs from
-        most difficult at -5 to easiest at +5)."""
-        return -self.mean_score(step_id, role)
-
 
 RATING_FIELDS = ("step_id", "rater_id", "role", "score")
 

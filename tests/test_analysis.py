@@ -212,6 +212,11 @@ class TestSummarize:
         assert s["dur_operating"] == 2.0
 
 
+def row_of(rows, feature):
+    """The row of ``feature`` among a study's rows."""
+    return next(r for r in rows if r.feature == feature)
+
+
 def pair_with(feature, earlier_value, later_value, operator="op1"):
     return (operator, make_summary({feature: earlier_value}), make_summary({feature: later_value}))
 
@@ -219,21 +224,20 @@ def pair_with(feature, earlier_value, later_value, operator="op1"):
 class TestPairwiseComparison:
     def test_identical_sessions_zero_delta(self):
         pairs = [pair_with("dur_gazing", 5.0, 5.0)]
-        report = pairwise_comparison(pairs, features=("dur_gazing",))
-        row = report.row("dur_gazing")
+        row = row_of(pairwise_comparison(pairs), "dur_gazing")
         assert row.mean_delta_pct == 0.0
         assert row.n_pairs == 1 and row.n_later_smaller == 0
 
     def test_injected_reduction(self):
         pairs = [pair_with("dur_gazing", 10.0, 8.0, operator=f"op{i}") for i in range(3)]
-        row = pairwise_comparison(pairs, features=("dur_gazing",)).row("dur_gazing")
+        row = row_of(pairwise_comparison(pairs), "dur_gazing")
         assert row.mean_delta_pct == pytest.approx(-20.0)
         assert row.n_pairs == 3 and row.n_later_smaller == 3
 
     def test_mixed_directions(self):
         pairs = [pair_with("dur_gazing", 10.0, 5.0, "a"),   # -50 %
                  pair_with("dur_gazing", 10.0, 20.0, "b")]  # +100 %
-        row = pairwise_comparison(pairs, features=("dur_gazing",)).row("dur_gazing")
+        row = row_of(pairwise_comparison(pairs), "dur_gazing")
         assert row.mean_delta_pct == pytest.approx(25.0)
         assert row.n_later_smaller == 1
         assert row.deltas_pct == pytest.approx((-50.0, 100.0))
@@ -242,49 +246,42 @@ class TestPairwiseComparison:
         pairs = [pair_with("dur_gazing", None, 5.0, "a"),
                  pair_with("dur_gazing", 10.0, 5.0, "b")]
         with caplog.at_level("WARNING", logger="opgaze.analysis"):
-            row = pairwise_comparison(pairs, features=("dur_gazing",)).row("dur_gazing")
+            row = row_of(pairwise_comparison(pairs), "dur_gazing")
         assert row.n_pairs == 1
         assert row.mean_delta_pct == pytest.approx(-50.0)
-        assert any("undefined" in r.message for r in caplog.records)
+        assert "pair a: feature dur_gazing undefined in earlier session, skipped" in caplog.messages
 
     def test_zero_earlier_skipped_and_logged(self, caplog):
         pairs = [pair_with("dur_gazing", 0.0, 5.0)]
         with caplog.at_level("WARNING", logger="opgaze.analysis"):
-            row = pairwise_comparison(pairs, features=("dur_gazing",)).row("dur_gazing")
+            row = row_of(pairwise_comparison(pairs), "dur_gazing")
         assert row.n_pairs == 0 and row.mean_delta_pct is None
-        assert any("relative change undefined" in r.message for r in caplog.records)
+        assert any("feature dur_gazing is 0" in m and "relative change undefined" in m
+                   for m in caplog.messages)
 
     def test_overflowing_relative_change_skipped_and_logged(self, caplog):
         pairs = [pair_with("dur_gazing", 5e-324, 1e150, "a"),
                  pair_with("dur_gazing", 10.0, 5.0, "b")]
         with caplog.at_level("WARNING", logger="opgaze.analysis"):
-            row = pairwise_comparison(pairs, features=("dur_gazing",)).row("dur_gazing")
+            row = row_of(pairwise_comparison(pairs), "dur_gazing")
         assert (row.n_pairs, row.mean_delta_pct, row.deltas_pct) == (1, -50.0, (-50.0,))
         assert row.n_later_smaller == 1
-        assert any("pair a" in r.getMessage() and "not finite" in r.getMessage()
-                   for r in caplog.records)
+        assert any(m.startswith("pair a: feature dur_gazing ") and "not finite" in m
+                   for m in caplog.messages)
 
     def test_overflowing_mean_change_is_undefined_and_logged(self, caplog):
         # each change is finite, about 1.4e308, but their sum is not
         pairs = [pair_with("dur_gazing", 2e-156, 2.8e150, op) for op in ("a", "b")]
         with caplog.at_level("WARNING", logger="opgaze.analysis"):
-            row = pairwise_comparison(pairs, features=("dur_gazing",)).row("dur_gazing")
+            row = row_of(pairwise_comparison(pairs), "dur_gazing")
         assert row.n_pairs == 2 and all(math.isfinite(d) for d in row.deltas_pct)
         assert row.mean_delta_pct is None
-        assert any("mean relative change" in r.getMessage() for r in caplog.records)
+        assert "feature dur_gazing: mean relative change is not finite, undefined" in caplog.messages
 
     def test_scale_invariance(self):
-        base = pairwise_comparison([pair_with("dur_gazing", 10.0, 7.0)],
-                                   features=("dur_gazing",)).row("dur_gazing")
-        scaled = pairwise_comparison([pair_with("dur_gazing", 30.0, 21.0)],
-                                     features=("dur_gazing",)).row("dur_gazing")
+        base = row_of(pairwise_comparison([pair_with("dur_gazing", 10.0, 7.0)]), "dur_gazing")
+        scaled = row_of(pairwise_comparison([pair_with("dur_gazing", 30.0, 21.0)]), "dur_gazing")
         assert scaled.mean_delta_pct == pytest.approx(base.mean_delta_pct)
-
-    def test_unknown_feature_lookup_raises(self):
-        report = pairwise_comparison([], features=("dur_gazing",))
-        with pytest.raises(KeyError):
-            report.row("nope")
-        assert report.n_pairs_total == 0
 
 
 def unit(step_id, **features):
@@ -295,13 +292,13 @@ class TestStepFeatureMeans:
     def test_groups_by_step(self):
         units = [unit("a", dur_gazing=1.0), unit("a", dur_gazing=3.0),
                  unit("b", dur_gazing=10.0), unit(None, dur_gazing=99.0)]
-        means = step_feature_means(units, features=("dur_gazing",))
+        means = step_feature_means(units)
         assert list(means) == ["a", "b"]
         assert means["a"]["dur_gazing"] == 2.0
         assert means["b"]["dur_gazing"] == 10.0
 
     def test_all_undefined_feature(self):
-        means = step_feature_means([unit("a")], features=("dur_gazing",))
+        means = step_feature_means([unit("a")])
         assert means["a"]["dur_gazing"] is None
 
 
@@ -317,8 +314,8 @@ class TestDifficultyCorrelation:
         units = [unit("s1", dur_gazing=1.0), unit("s2", dur_gazing=2.0),
                  unit("s3", dur_gazing=3.0), unit("s4", dur_gazing=4.0)]
         ratings = ratings_for({"s1": 4, "s2": 2, "s3": 0, "s4": -2})
-        report = difficulty_correlation(units, ratings, features=("dur_gazing",))
-        row = report.row("dur_gazing")
+        report = difficulty_correlation(units, ratings)
+        row = row_of(report.rows, "dur_gazing")
         assert row.r_vs_difficulty == pytest.approx(1.0)
         assert row.r_vs_score == pytest.approx(-1.0)
         assert row.n_steps == 4
@@ -327,23 +324,23 @@ class TestDifficultyCorrelation:
     def test_difficulty_is_negated_score(self):
         units = [unit(f"s{i}", dur_gazing=float(i)) for i in range(1, 5)]
         ratings = ratings_for({f"s{i}": i - 2 for i in range(1, 5)})
-        row = difficulty_correlation(units, ratings, features=("dur_gazing",)).row("dur_gazing")
+        row = row_of(difficulty_correlation(units, ratings).rows, "dur_gazing")
         assert row.r_vs_difficulty == pytest.approx(-row.r_vs_score)
 
     def test_fewer_than_three_steps_undefined(self):
         units = [unit("s1", dur_gazing=1.0), unit("s2", dur_gazing=2.0)]
         ratings = ratings_for({"s1": 1, "s2": 2})
-        row = difficulty_correlation(units, ratings, features=("dur_gazing",)).row("dur_gazing")
+        row = row_of(difficulty_correlation(units, ratings).rows, "dur_gazing")
         assert row.r_vs_difficulty is None and row.n_steps == 2
 
-    def test_unrated_steps_logged_and_ignored(self, caplog):
+    def test_unrated_steps_ignored(self):
+        # correlate, which knows the steps it passed, logs the unrated ones
         units = [unit("s1", dur_gazing=1.0), unit("s2", dur_gazing=2.0),
                  unit("s3", dur_gazing=3.0), unit("zz", dur_gazing=9.0)]
         ratings = ratings_for({"s1": 1, "s2": 0, "s3": -1})
-        with caplog.at_level("WARNING", logger="opgaze.analysis"):
-            report = difficulty_correlation(units, ratings, features=("dur_gazing",))
+        report = difficulty_correlation(units, ratings)
         assert report.step_ids == ("s1", "s2", "s3")
-        assert any("zz" in r.message for r in caplog.records)
+        assert row_of(report.rows, "dur_gazing").n_steps == 3
 
     def test_role_filter_changes_scores(self):
         step_scores = {"s1": {"expert": 4, "beginner": -4},
@@ -355,7 +352,7 @@ class TestDifficultyCorrelation:
             for sid, rs in step_scores.items()
         })
         units = [unit(sid, dur_gazing=float(i)) for i, sid in enumerate(sorted(step_scores), 1)]
-        expert = difficulty_correlation(units, ratings, ("dur_gazing",), role="expert")
-        beginner = difficulty_correlation(units, ratings, ("dur_gazing",), role="beginner")
-        assert expert.row("dur_gazing").r_vs_score == pytest.approx(-1.0)
-        assert beginner.row("dur_gazing").r_vs_score == pytest.approx(1.0)
+        expert = difficulty_correlation(units, ratings, role="expert")
+        beginner = difficulty_correlation(units, ratings, role="beginner")
+        assert row_of(expert.rows, "dur_gazing").r_vs_score == pytest.approx(-1.0)
+        assert row_of(beginner.rows, "dur_gazing").r_vs_score == pytest.approx(1.0)

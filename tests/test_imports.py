@@ -25,8 +25,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the names opgaze/__init__.py imported eagerly, by the submodule they came from
 EXPORTS = {
-    "analysis": ("ComparisonReport", "CorrelationReport", "difficulty_correlation",
-                 "pairwise_comparison", "pearson", "step_feature_means", "summarize_rows"),
+    "analysis": ("CorrelationReport", "difficulty_correlation", "pairwise_comparison", "pearson",
+                 "step_feature_means", "summarize_rows"),
     "featurerow": ("CATEGORICAL_FEATURES", "SCALAR_FEATURES", "FeatureVector"),
     "features": ("FeatureParams", "attention_hand_correlation", "attention_lead_lag",
                  "build_distance_series", "classify_gaze_pattern", "classify_shift_kind",
@@ -34,9 +34,8 @@ EXPORTS = {
                  "feature_vector", "kinematics", "sign_series", "trailing_positive_run"),
     "hotspot": ("ClusterParams", "TouchDistribution", "cluster_touches", "extract_touches",
                 "touch_distribution"),
-    "ingest": ("ParseError", "ValidationReport", "load_ratings", "load_step_labels",
-               "parse_session", "validate_session", "write_ratings", "write_session",
-               "write_step_labels"),
+    "ingest": ("ParseError", "load_ratings", "load_step_labels", "parse_session",
+               "validate_session", "write_ratings", "write_session", "write_step_labels"),
     "segmentation": ("SegmentationParams", "period_durations", "segment_units"),
     "session": ("DifficultyRatings", "DistanceSeries", "FrameRecord", "Hotspot", "Interval",
                 "OperationUnit", "Point2", "Rating", "Session", "StepLabel", "scene_diagonal"),

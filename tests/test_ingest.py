@@ -513,28 +513,28 @@ class TestValidate:
     def test_uniform_session_clean(self):
         s = make_session([frame(i / 30.0, hx=1.0, hy=1.0) for i in range(30)], rate=30.0)
         report = validate_session(s)
-        assert report.warnings == []
-        assert report.stats["frame_count"] == 30
+        assert report["warnings"] == []
+        assert report["stats"]["frame_count"] == 30
 
     def test_gap_warning(self):
         frames = [frame(0.0), frame(1 / 30.0), frame(1 / 30.0 + 0.5)]
         report = validate_session(make_session(frames, rate=30.0))
-        assert any("gap" in w for w in report.warnings)
+        assert any("gap" in w for w in report["warnings"])
 
     def test_gap_warning_names_a_plain_float_time(self):
         # 10 Hz with a 1-s gap after t=0.9; the report shows the time as JSON would
         times = [i / 10 for i in range(10)] + [1.9 + i / 10 for i in range(5)]
         report = validate_session(make_session([frame(t) for t in times], rate=10.0))
-        assert report.warnings[0] == "sampling gap of 1.0000s at t=0.9 (threshold 0.2000s)"
+        assert report["warnings"][0] == "sampling gap of 1.0000s at t=0.9 (threshold 0.2000s)"
 
     def test_no_hand_warning_and_fraction(self):
         s = make_session([frame(i / 30.0) for i in range(10)], rate=30.0)
         report = validate_session(s)
-        assert any("no hand frames" in w for w in report.warnings)
-        assert report.stats["hand_visible_fraction"] == 0.0
+        assert any("no hand frames" in w for w in report["warnings"])
+        assert report["stats"]["hand_visible_fraction"] == 0.0
 
     def test_explicit_expected_rate(self):
         s = make_session([frame(i / 15.0, hx=1.0, hy=1.0) for i in range(10)], rate=30.0)
         # at the declared 30 Hz every interval deviates; at 15 Hz none do
-        assert validate_session(s).warnings
-        assert validate_session(s, expected_rate=15.0).warnings == []
+        assert validate_session(s)["warnings"]
+        assert validate_session(s, expected_rate=15.0)["warnings"] == []

@@ -208,10 +208,6 @@ class TestDifficultyRatings:
         assert r.mean_score("s1", role="expert") == -4.0
         assert r.mean_score("s1", role="beginner") == -2.0
 
-    def test_difficulty_is_negated_score(self):
-        # scale runs -5 (most difficult) .. 5 (easiest)
-        assert self._ratings().mean_difficulty("s1") == 3.0
-
     def test_missing_role_raises(self):
         with pytest.raises(ValueError, match="no raters"):
             self._ratings().mean_score("s2", role="beginner")

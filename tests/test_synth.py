@@ -169,7 +169,7 @@ class TestGenerateSession:
         units, _ = run_pipeline(gen)
         assert [u.step_id for u in units] == ["stepA", "stepB"]
         report = validate_session(gen.session, expected_rate=30.0)
-        assert report.warnings == []
+        assert report["warnings"] == []
 
     def test_empty_archetypes_rejected(self):
         with pytest.raises(ValueError):
@@ -198,7 +198,7 @@ class TestCohort:
     def test_all_sessions_validate_clean(self, small_cohort):
         for gen in small_cohort.sessions:
             report = validate_session(gen.session, expected_rate=30.0)
-            assert report.warnings == [], gen.session.id
+            assert report["warnings"] == [], gen.session.id
 
     def test_every_step_rated_by_both_roles(self, small_cohort):
         ratings = small_cohort.ratings
@@ -264,7 +264,7 @@ class TestClassificationSet:
             for p in gen.planned:
                 assert (p.gaze_pattern, p.shift_kind) == (pattern, kind)
             report = validate_session(gen.session, expected_rate=10.0)
-            assert report.warnings == []
+            assert report["warnings"] == []
             units, fvs = run_pipeline(gen, rate=10.0)
             for fv in fvs:
                 seen.append((fv.gaze_pattern, fv.shift_kind))

@@ -41,6 +41,7 @@ from . import analysis
 from .featurerow import FEATURE_MAX, FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
 from .studyio import (
     ParseError, atomic_write_text, check_fields, csv_rows, csv_text, load_ratings, parse_csv_file,
+    read_json,
 )
 
 if TYPE_CHECKING:
@@ -176,7 +177,7 @@ def load_config(path: Optional[str]) -> RunConfig:
     _bind()
     raw: dict = {}
     if path:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
         unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
@@ -246,13 +247,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for path in files:
         try:
             session = _load_session(path)
-        except ParseError as exc:
+        except Exception as exc:
+            # a file that cannot be read is recorded as one that does not
+            # parse is, and the other files are still checked
             had_errors = True
-            print(str(exc), file=sys.stderr)
+            failure, parse_error = _failure(exc), isinstance(exc, ParseError)
+            # a ParseError's message starts with the file and its line
+            print(failure.error if parse_error else f"{path}: {failure.error}", file=sys.stderr)
+            sys.stderr.write(failure.traceback)
             reports.append({
                 "source": str(path),
                 "session_id": None,
-                "errors": [[exc.line, str(exc)]],
+                "errors": [[exc.line if parse_error else None, failure.error]],
                 "warnings": [],
                 "stats": {},
             })
@@ -536,7 +542,7 @@ def _features_path(arg: str) -> Path:
 
 
 def _load_manifest(path: Path) -> list[dict[str, str]]:
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = read_json(path)
     pairs = data.get("pairs") if isinstance(data, dict) else None
     if not isinstance(pairs, list):
         raise ValueError(f"{path}: manifest must be an object with a 'pairs' list")
@@ -609,6 +615,9 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         print("no step-labeled units in features", file=sys.stderr)
         return EXIT_EMPTY
     report = analysis.difficulty_correlation(labeled, ratings)
+    unrated = sorted({row["step_id"] for row in labeled} - set(report.step_ids))
+    if unrated:
+        logger.warning("steps without ratings ignored: %s", ", ".join(unrated))
     if len(report.step_ids) < 3:
         logger.warning(
             "only %d step(s) shared between features and ratings; correlations undefined",
@@ -649,7 +658,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     raw: dict = {}
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = read_json(args.config)
         if not isinstance(raw, dict):
             raise ValueError("synth spec must be a JSON object")
     spec = synth.cohort_spec_from_dict(raw, seed_override=args.seed)

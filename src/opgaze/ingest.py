@@ -40,8 +40,8 @@ import numpy as np
 
 from .session import ORDINALS, Session, StepLabel
 # defined without numpy for the study commands; the same objects here
-from .studyio import (ParseError, atomic_write_text, csv_rows, csv_text, load_ratings,  # noqa: F401
-                      not_utf8, read_sidecar, write_ratings)
+from .studyio import (ParseError, atomic_write_text, csv_rows, csv_text, json_error,  # noqa: F401
+                      load_ratings, not_utf8, read_sidecar, write_ratings)
 
 JSONL = "jsonl"
 CSV = "csv"
@@ -268,12 +268,6 @@ def _decode_line(line: str) -> object:
     return obj
 
 
-def _json_error(exc: Exception) -> str:
-    """The message of a line that does not decode; a ValueError is also an
-    integer past Python's digit limit."""
-    return "nested too deeply" if isinstance(exc, RecursionError) else getattr(exc, "msg", str(exc))
-
-
 def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
     header = None
     rows: list[tuple] = []
@@ -286,7 +280,7 @@ def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]
             try:
                 obj = _decode_line(line)
             except (ValueError, RecursionError) as exc:
-                raise ParseError(f"malformed JSON: {_json_error(exc)}", line=lineno, source=src)
+                raise ParseError(f"malformed JSON: {json_error(exc)}", line=lineno, source=src)
             if header is None:
                 header = _parse_header(obj, lineno, src)
                 continue
@@ -316,7 +310,7 @@ def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
     try:
         header_obj = json.loads(first.lstrip()[1:])
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"malformed header JSON: {_json_error(exc)}", line=1, source=src)
+        raise ParseError(f"malformed header JSON: {json_error(exc)}", line=1, source=src)
     header = _parse_header(header_obj, 1, src)
 
     reader = csv_rows(stream, src, first_line=2)

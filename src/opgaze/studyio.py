@@ -3,18 +3,20 @@
 Difficulty ratings (:class:`Rating`, :class:`DifficultyRatings`) and their
 ``step_id,rater_id,role,score`` CSV sidecar, :class:`ParseError` for a
 rejected input file, :func:`atomic_write_text` for every output, the one
-CSV writer and reader of the package, and :func:`check_fields`, which
-checks a JSON object against the fields of a config section or a cohort
-spec.  This module imports only the standard library, so ``compare`` and
-``correlate`` run without loading numpy.  ``opgaze.ingest`` and
-``opgaze.session`` import these names from here, and they are the same
-objects there.
+CSV reader of the package and its CSV writer (``analyze`` joins the cells
+of its trace files itself, as none needs quoting), the one JSON file
+reader, and :func:`check_fields`, which checks a JSON object against the
+fields of a config section or a cohort spec.  This module imports only the
+standard library, so ``compare`` and ``correlate`` run without loading
+numpy.  ``opgaze.ingest`` and ``opgaze.session`` import these names from
+here, and they are the same objects there.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import tempfile
@@ -127,6 +129,28 @@ def csv_rows(stream: Iterable[str], src: str, first_line: int = 1) -> Iterator[t
             line = first_line + reader.line_num
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", line=line, source=src) from None
+
+
+def json_error(exc: Exception) -> str:
+    """The message of JSON text that does not decode; a ValueError is also an
+    integer past Python's digit limit."""
+    return "nested too deeply" if isinstance(exc, RecursionError) else getattr(exc, "msg", str(exc))
+
+
+def read_json(path: Union[str, Path]) -> object:
+    """The value of a JSON file read as UTF-8.  Bytes that are not UTF-8,
+    or text that is not JSON (nesting past the recursion limit included), are
+    a ParseError naming the file, on the line where the decoder gives one."""
+    src = str(path)
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                         line=data.count(b"\n", 0, exc.start) + 1, source=src) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"malformed JSON: {json_error(exc)}", line=getattr(exc, "lineno", None),
+                         source=src) from None
 
 
 def not_utf8(data: bytes, parse: Callable[[IO[str], str], object], src: str,

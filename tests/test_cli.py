@@ -189,6 +189,32 @@ class TestValidate:
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert summary["failures"][0]["error"] == message
 
+    @pytest.mark.parametrize("error, message", [
+        (PermissionError(13, "Permission denied"), "[Errno 13] Permission denied"),
+        (RuntimeError("boom"), "RuntimeError: boom"),
+    ])
+    def test_file_that_cannot_be_read_is_recorded_and_the_rest_checked(
+            self, corpus, tmp_path, monkeypatch, capsys, error, message):
+        # such a file once ended validate with exit 1 and no report
+        real = cli.parse_session
+
+        def unreadable(path, **kwargs):
+            if Path(path).name == "op1_earlier.jsonl":
+                raise error
+            return real(path, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_session", unreadable)
+        out = tmp_path / "o"
+        assert run(["validate", corpus / "sessions", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert "op1_later: OK" in captured.out
+        path = (corpus / "sessions" / "op1_earlier.jsonl").resolve()
+        assert f"{path}: {message}\n" in captured.err
+        report = json.loads((out / "validation_report.json").read_text())
+        assert [(e["source"], e["session_id"], e["errors"]) for e in report] == [
+            (str(path), None, [[None, message]]),
+            (str(path.with_name("op1_later.jsonl")), "op1_later", [])]
+
     def test_empty_directory_is_distinct_failure(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -225,6 +251,30 @@ class TestValidate:
         report = json.loads((out / "validation_report.json").read_text())
         # the corpus is sampled at 10 Hz: any other rate warns on every file
         assert all(bool(e["warnings"]) == (rate != "10") for e in report)
+
+
+# a bad JSON input file -> the error after its path
+BAD_JSON = {
+    "malformed": (b'{\n  "a": 1\n  "b": 2\n}\n', ":3: malformed JSON: Expecting ',' delimiter"),
+    "nested": (b"[" * 200_000, ": malformed JSON: nested too deeply"),
+    "not_utf8": (b'{\n  "a": "\xff"\n}\n', ":2: not UTF-8: byte 0xff (invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_JSON))
+@pytest.mark.parametrize("command", ["analyze --config", "synth --config", "compare pairs.json"])
+def test_bad_json_input_is_a_one_line_error_naming_the_file(corpus, tmp_path, capsys, command, kind):
+    # these once ended in a RecursionError traceback, or a message without the file
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_bytes(BAD_JSON[kind][0])
+    features = tmp_path / "features.csv"
+    features.write_text(",".join(cli.FEATURES_HEADER) + "\n")
+    args = {"analyze --config": ["analyze", corpus / "sessions", "--config", bad],
+            "synth --config": ["synth", "--config", bad],
+            "compare pairs.json": ["compare", features, bad]}[command]
+    assert run([*args, "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{bad}{BAD_JSON[kind][1]}"]
+    assert not out.exists()
 
 
 class TestOutDir:
@@ -1060,6 +1110,23 @@ class TestCompareAndCorrelate:
         assert run(["correlate", analyzed, ratings, "--out", tmp_path / "r"]) == 1
         err = capsys.readouterr().err
         assert f"{tmp_path}/{message}" in err and "Traceback" not in err
+
+    def test_unrated_step_is_logged_once(self, tmp_path):
+        # correlate once logged it for the pooled ratings and again for each role
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_pairs": 1, "seed": 7}))
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert run(["synth", "--config", spec, "--out", data]) == 0
+        assert run(["analyze", data / "sessions", "--out", out]) == 0
+        lines = (data / "ratings.csv").read_text().splitlines(keepends=True)
+        last = max(line.split(",")[0] for line in lines[1:])
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("".join(line for line in lines if not line.startswith(f"{last},")))
+        proc = run_child(["correlate", out, ratings, "--out", tmp_path / "r"])
+        assert proc.returncode == 0, proc.stderr
+        warned = [line for line in proc.stderr.splitlines()
+                  if line.endswith(f": steps without ratings ignored: {last}")]
+        assert len(warned) == 1, proc.stderr
 
     def test_correlate_without_steps_is_empty(self, corpus, analyzed, tmp_path):
         ratings = tmp_path / "ratings.csv"

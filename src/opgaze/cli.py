@@ -25,6 +25,7 @@ byte-identical across reruns and ``--jobs`` values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -34,14 +35,13 @@ import os
 import sys
 import traceback
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, TypeVar
+from typing import IO, TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 # only numpy-free modules here, so that compare, correlate and --help load no numpy
 from . import analysis
 from .featurerow import FEATURE_MAX, FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
 from .studyio import (
-    ParseError, atomic_write_text, check_fields, csv_rows, csv_text, load_ratings, parse_csv_file,
-    read_json,
+    ParseError, atomic_write_text, check_fields, csv_rows, csv_text, load_ratings, open_text, read_json,
 )
 
 if TYPE_CHECKING:
@@ -171,23 +171,33 @@ def _section(raw: Mapping[str, object], name: str, params: type[_Params]) -> _Pa
         raise ValueError(f"{name}.{exc}") from None
 
 
+@contextlib.contextmanager
+def _judging(path: Optional[str]) -> Iterator[None]:
+    """A ValueError of the block, which judges the JSON file ``path``, as a ParseError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ParseError(str(exc), source=str(path)) from None
+
+
 def load_config(path: Optional[str]) -> RunConfig:
     """Load the pipeline config file (JSON with cluster / segmentation /
     features sections); missing sections and keys fall back to defaults."""
     _bind()
-    raw: dict = {}
-    if path:
-        raw = read_json(path)
+    raw = read_json(path) if path else {}
+    with _judging(path):
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
         unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    return RunConfig(
-        cluster=_section(raw, "cluster", ClusterParams),
-        segmentation=_section(raw, "segmentation", SegmentationParams),
-        features=_section(raw, "features", FeatureParams),
-    )
+        return RunConfig(
+            cluster=_section(raw, "cluster", ClusterParams),
+            segmentation=_section(raw, "segmentation", SegmentationParams),
+            features=_section(raw, "features", FeatureParams),
+        )
 
 
 # --- input discovery ---------------------------------------------------------
@@ -251,14 +261,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
             # a file that cannot be read is recorded as one that does not
             # parse is, and the other files are still checked
             had_errors = True
-            failure, parse_error = _failure(exc), isinstance(exc, ParseError)
-            # a ParseError's message starts with the file and its line
-            print(failure.error if parse_error else f"{path}: {failure.error}", file=sys.stderr)
-            sys.stderr.write(failure.traceback)
+            failure = _failure(exc)
+            failure.report(path)
             reports.append({
                 "source": str(path),
                 "session_id": None,
-                "errors": [[exc.line if parse_error else None, failure.error]],
+                "errors": [[failure.line, failure.error]],
                 "warnings": [],
                 "stats": {},
             })
@@ -339,26 +347,40 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
         FEATURES_HEADER,
         [feature_row(s.id, fv) for fv in result.fvs],
     )
+    # a rerun removes the traces of units it no longer finds
+    stale = {path for path in (sdir / "traces").iterdir() if _is_trace_file(path)}
     for trace in result.traces.per_unit():
         t, ao, ho, ah = (list(map(repr, a.tolist()))
                          for a in (trace.t, trace.d_ao, trace.d_ho, trace.d_ah))
         for r in (~trace.hand).nonzero()[0].tolist():
             ho[r] = ah[r] = ""
         rows = map(",".join, zip(t, ao, ho, ah))  # no cell needs CSV quoting
-        atomic_write_text(sdir / "traces" / f"{s.id}_{trace.units[0].index}.csv",
-                          "\n".join(["t,d_ao,d_ho,d_ah", *rows]) + "\n")
+        path = sdir / "traces" / f"{s.id}_{trace.units[0].index}.csv"
+        atomic_write_text(path, "\n".join(["t,d_ao,d_ho,d_ah", *rows]) + "\n")
+        stale.discard(path)
+    for path in stale:
+        path.unlink()
 
 
 class _Failure(NamedTuple):
-    """A session's failure: its error and, for an unexpected exception, the
-    formatted traceback."""
+    """A session's failure: its error, the traceback of an unexpected one,
+    and for a ParseError, whose message starts with its file, its line."""
 
     error: str
     traceback: str = ""
+    parse_error: bool = False
+    line: Optional[int] = None
+
+    def report(self, path: Path) -> None:
+        """Print the failure of the file ``path`` on stderr, naming the file once."""
+        print(self.error if self.parse_error else f"{path}: {self.error}", file=sys.stderr)
+        sys.stderr.write(self.traceback)
 
 
 def _failure(exc: Exception) -> _Failure:
-    if isinstance(exc, (ParseError, ValueError, OSError)):
+    if isinstance(exc, ParseError):
+        return _Failure(str(exc), parse_error=True, line=exc.line)
+    if isinstance(exc, (ValueError, OSError)):
         return _Failure(str(exc))
     # a fault in the pipeline fails this session, not the run
     return _Failure(f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc)))
@@ -442,8 +464,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             outcome = next(outcomes) if path in parsed else failures[path]
             if isinstance(outcome, _Failure):
                 failures[path] = outcome
-                print(f"{path}: {outcome.error}", file=sys.stderr)
-                sys.stderr.write(outcome.traceback)
+                outcome.report(path)
                 continue
             rows, entry = outcome
             if not entry["n_units"]:
@@ -490,7 +511,9 @@ def _read_features_csv(path: Path) -> list[dict[str, object]]:
     whose cell count is not the header's, or whose cell does not convert or
     lies beyond what ``analyze`` writes (non-finite, or above
     ``FEATURE_MAX`` in magnitude), is a ParseError on its line."""
-    return parse_csv_file(path, _parse_features)
+    stream, src = open_text(path)
+    with stream:
+        return _parse_features(stream, src)
 
 
 def _parse_features(stream: IO[str], src: str) -> list[dict[str, object]]:
@@ -543,25 +566,26 @@ def _features_path(arg: str) -> Path:
 
 def _load_manifest(path: Path) -> list[dict[str, str]]:
     data = read_json(path)
+    src = str(path)
     pairs = data.get("pairs") if isinstance(data, dict) else None
     if not isinstance(pairs, list):
-        raise ValueError(f"{path}: manifest must be an object with a 'pairs' list")
+        raise ParseError("manifest must be an object with a 'pairs' list", source=src)
     keys = ("operator", "earlier", "later")
     # where each operator and session id is first named: a second naming
     # would weigh an operator twice, or compare a session with itself
     first_named: dict[tuple[str, str], str] = {}
     for k, entry in enumerate(pairs):
         if not isinstance(entry, dict) or set(keys) - set(entry):
-            raise ValueError(f"{path}: each pair needs operator, earlier, later")
+            raise ParseError("each pair needs operator, earlier, later", source=src)
         if not all(isinstance(entry[key], str) for key in keys):
-            raise ValueError(f"{path}: pair {k} needs strings for operator, earlier and later, "
-                             f"got {entry!r}")
+            raise ParseError(f"pair {k} needs strings for operator, earlier and later, got {entry!r}",
+                             source=src)
         for kind, name, where in (("operator", entry["operator"], f"pair {k}"),
                                   ("session", entry["earlier"], f"pair {k} earlier"),
                                   ("session", entry["later"], f"pair {k} later")):
             first = first_named.setdefault((kind, name), where)
             if first != where:
-                raise ValueError(f"{path}: {kind} {name!r} is named by {first} and by {where}")
+                raise ParseError(f"{kind} {name!r} is named by {first} and by {where}", source=src)
     return pairs
 
 
@@ -656,12 +680,11 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from . import synth
 
-    raw: dict = {}
-    if args.config:
-        raw = read_json(args.config)
+    raw = read_json(args.config) if args.config else {}
+    with _judging(args.config):
         if not isinstance(raw, dict):
             raise ValueError("synth spec must be a JSON object")
-    spec = synth.cohort_spec_from_dict(raw, seed_override=args.seed)
+        spec = synth.cohort_spec_from_dict(raw, seed_override=args.seed)
     cohort = synth.generate_cohort(spec)
     out = _out_dir(args.out)
     synth.write_cohort(cohort, out, format=args.format)

@@ -28,7 +28,6 @@ line it starts on.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -40,8 +39,8 @@ import numpy as np
 
 from .session import ORDINALS, Session, StepLabel
 # defined without numpy for the study commands; the same objects here
-from .studyio import (ParseError, atomic_write_text, csv_rows, csv_text, json_error,  # noqa: F401
-                      load_ratings, not_utf8, read_sidecar, write_ratings)
+from .studyio import (ParseError, Source, atomic_write_text, check_line, csv_rows,  # noqa: F401
+                      csv_text, json_error, load_ratings, open_text, read_sidecar, write_ratings)
 
 JSONL = "jsonl"
 CSV = "csv"
@@ -49,8 +48,6 @@ FORMATS = (JSONL, CSV)
 
 FRAME_FIELDS = ("t", "ax", "ay", "hx", "hy", "touch")
 HEADER_FIELDS = ("id", "operator", "ordinal", "rate_hz", "coord_frame")
-
-Source = Union[str, Path, IO[str], IO[bytes]]
 
 # The largest coordinate magnitude accepted.  Two coordinates differ by at
 # most 2 * COORD_MAX, and the highest power of a difference the pipeline
@@ -68,17 +65,6 @@ RATE_MAX = 1e100
 # lead time a feature takes is at most 1e150, below the mean-speed bound of
 # 2.83e150: correlate's squares of per-step means of any feature stay finite.
 TIME_MAX = 1e150
-
-
-def _open_text(source: Source) -> tuple[IO[str], str]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        return path.open("r", encoding="utf-8"), str(path)
-    name = getattr(source, "name", "stream")
-    data = source.read()
-    if isinstance(data, bytes):  # decoded as a file's bytes are
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), str(name)
-    return io.StringIO(data), str(name)
 
 
 def _as_float(value: object, text: bool = False) -> Optional[float]:
@@ -233,16 +219,9 @@ def parse_session(
     """Parse one session file (or open stream) in the given format."""
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    stream, src = _open_text(source)
-    parse = _parse_jsonl if format == JSONL else _parse_csv
-    try:
-        header, columns = parse(stream, src)
-    except UnicodeDecodeError:
-        stream.buffer.seek(0)
-        csv_from = 2 if format == CSV else None  # line 1 is the header comment
-        raise not_utf8(stream.buffer.read(), parse, src, csv_from) from None
-    finally:
-        stream.close()
+    stream, src = open_text(source)
+    with stream:
+        header, columns = (_parse_jsonl if format == JSONL else _parse_csv)(stream, src)
     if not len(columns["times"]):
         raise ParseError("no frames in session", source=src)
     return Session(header["id"], header["operator"], header["ordinal"],
@@ -274,7 +253,7 @@ def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]
     lines: list[int] = []
     try:
         for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
+            line = check_line(line, lineno, src).strip()
             if not line:
                 continue
             try:
@@ -301,7 +280,7 @@ def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]
 
 
 def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
-    first = stream.readline()
+    first = check_line(stream.readline(), 1, src)
     if not first:
         raise ParseError("empty file: missing session header", source=src)
     if not first.lstrip().startswith("#"):

@@ -3,26 +3,32 @@
 Difficulty ratings (:class:`Rating`, :class:`DifficultyRatings`) and their
 ``step_id,rater_id,role,score`` CSV sidecar, :class:`ParseError` for a
 rejected input file, :func:`atomic_write_text` for every output, the one
-CSV reader of the package and its CSV writer (``analyze`` joins the cells
-of its trace files itself, as none needs quoting), the one JSON file
-reader, and :func:`check_fields`, which checks a JSON object against the
-fields of a config section or a cohort spec.  This module imports only the
-standard library, so ``compare`` and ``correlate`` run without loading
-numpy.  ``opgaze.ingest`` and ``opgaze.session`` import these names from
-here, and they are the same objects there.
+text opener (:func:`open_text`) and its check for bytes that are not UTF-8
+(:func:`check_line`, on each line as it is read), the one CSV reader and
+its CSV writer (``analyze`` joins the cells of its trace files itself, as
+none needs quoting), the one JSON file reader, and :func:`check_fields`,
+which checks a JSON object against the fields of a config section or a
+cohort spec.  This module imports only the standard library, so
+``compare`` and ``correlate`` run without loading numpy.  ``opgaze.ingest``
+and ``opgaze.session`` import these names from here, and they are the
+same objects there.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+Source = Union[str, Path, IO[str], IO[bytes]]
 
 RATER_ROLES = ("expert", "beginner")
 
@@ -66,7 +72,7 @@ def _fits(value: object, declared: str) -> bool:
 
 
 class ParseError(ValueError):
-    """A session file that cannot be turned into a Session."""
+    """A rejected input file ``source``, on ``line`` where the fault has one."""
 
     def __init__(self, message: str, *, line: Optional[int] = None, source: str = "") -> None:
         self.line = line
@@ -117,11 +123,43 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
+def open_text(source: Source) -> tuple[IO[str], str]:
+    """A text stream of ``source``, a path (streamed) or an open stream (read
+    whole), and the name its errors give it.  Bytes are decoded as UTF-8 with
+    the ``surrogateescape`` handler, for :func:`check_line`; ``\\n``,
+    ``\\r\\n`` and ``\\r`` end a line and are kept, as the csv module needs."""
+    if isinstance(source, (str, Path)):
+        return open(source, encoding="utf-8", errors="surrogateescape", newline=""), str(source)
+    text = source.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", "surrogateescape")
+    return io.StringIO(text, newline=""), str(getattr(source, "name", "stream"))
+
+
+# what the surrogateescape handler makes of a byte that is not UTF-8
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+def check_line(line: str, lineno: int, src: str) -> str:
+    """``line``, read by :func:`open_text`; if it holds a byte that is not
+    UTF-8, the ParseError ``not UTF-8: byte 0x.. (reason)`` on ``lineno``,
+    where a strict decoder finds it."""
+    if line.isascii() or not _ESCAPED.search(line):
+        return line
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})",
+                         line=lineno, source=src) from None
+    return line
+
+
 def csv_rows(stream: Iterable[str], src: str, first_line: int = 1) -> Iterator[tuple[int, list[str]]]:
     """``(line, cells)`` of each CSV row, ``line`` being the line it starts on,
     counting the stream's first as ``first_line``; a row the reader rejects
-    (a cell over its size limit, say) is a ParseError on that line."""
-    reader = csv.reader(stream)
+    (a cell over its size limit, say) is a ParseError on that line.  Each
+    line goes through :func:`check_line` before the reader takes it in."""
+    reader = csv.reader(map(check_line, stream, itertools.count(first_line), itertools.repeat(src)))
     line = first_line
     try:
         for cells in reader:
@@ -153,49 +191,6 @@ def read_json(path: Union[str, Path]) -> object:
                          source=src) from None
 
 
-def not_utf8(data: bytes, parse: Callable[[IO[str], str], object], src: str,
-             csv_from: Optional[int] = None) -> ParseError:
-    """The error of ``data``, bytes that are not UTF-8: that of a row that
-    ends before the first bad byte if ``parse`` finds one, else "not UTF-8"
-    on the byte's line.  A row is a line; with ``csv_from``, the lines from
-    that one on are CSV rows, and a quoted cell may carry a row over lines.
-    The row the bad byte is in is not judged on its part before the byte."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        bad = exc
-    lines = io.TextIOWrapper(io.BytesIO(data[:bad.start]), encoding="utf-8").readlines()
-    byte_line = len(lines) + 1 if not lines or lines[-1].endswith("\n") else len(lines)
-    start = byte_line  # the first line of the row the byte is in
-    if csv_from is not None and csv_from < byte_line:
-        # a cell after the cut makes the row the byte is in the last row
-        rest = io.StringIO("".join(lines[csv_from - 1:]) + "x")
-        try:
-            *_, (start, _) = csv_rows(rest, src, csv_from)
-        except ParseError:
-            pass  # a cell over the size limit: parsing the lines before the byte finds it
-    try:
-        parse(io.StringIO("".join(lines[:start - 1])), src)
-    except ParseError as exc:
-        if exc.line is not None:
-            return exc
-    return ParseError(f"not UTF-8: byte 0x{data[bad.start]:02x} ({bad.reason})",
-                      line=byte_line, source=src)
-
-
-def parse_csv_file(path: Union[str, Path], parse: Callable[[IO[str], str], object]) -> object:
-    """``parse(stream, src)`` of a CSV file read as UTF-8; for bytes that are
-    not UTF-8 it raises the error :func:`not_utf8` finds."""
-    src = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            return parse(fh, src)
-        except UnicodeDecodeError:
-            fh.buffer.seek(0)
-            data = fh.buffer.read()
-    raise not_utf8(data, parse, src, csv_from=1)
-
-
 def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[..., object],
                  clash: Callable[[object, object, int], Optional[str]]) -> list:
     """``make(*cells)`` of each row, stripped, of a sidecar CSV with these
@@ -204,8 +199,9 @@ def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[
     ParseError on its line, and so is a row whose item clashes with an
     earlier row's: ``clash(item, earlier, earlier_line)`` returns the
     message of a clash, or None."""
-    def parse(stream: IO[str], src: str) -> list:
-        out: list[tuple[int, object]] = []
+    out: list[tuple[int, object]] = []
+    stream, src = open_text(path)
+    with stream:
         for line, cells in csv_rows(stream, src):
             cells = [c.strip() for c in cells]
             if not any(cells) or (line == 1 and cells[0] == columns[0]):
@@ -221,9 +217,7 @@ def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[
                 out.append((line, item))
             except ValueError as exc:
                 raise ParseError(str(exc), line=line, source=src) from None
-        return [item for _, item in out]
-
-    return parse_csv_file(path, parse)
+    return [item for _, item in out]
 
 
 @dataclass(frozen=True)

@@ -187,15 +187,7 @@ def generate_ou_trace(
         a.far_dist - (a.far_dist - a.near_dist) * k / ramp_frames,
         a.near_dist,
     )
-    d_hand = np.where(
-        k < lag_frames,
-        a.far_dist,
-        np.where(
-            k - lag_frames < ramp_frames,
-            a.far_dist - (a.far_dist - a.near_dist) * (k - lag_frames) / ramp_frames,
-            a.near_dist,
-        ),
-    )
+    d_hand = np.concatenate([np.full(lag_frames, a.far_dist), d_app[:n_h - lag_frames]])
 
     # operating: near-flat, with a planned trailing increase for "early"
     d_op = np.full(n_o, a.near_dist)

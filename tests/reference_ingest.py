@@ -2,8 +2,9 @@
 ``FrameRecord`` per frame, kept as an oracle for the column parser.
 
 It checks each line completely before reading the next, so its first error
-is by construction the earliest bad line's.  Opening the source and checking
-the header are shared with ``opgaze.ingest``.  It includes the fixes for
+is by construction the earliest bad line's.  It opens its source itself, as
+strict UTF-8 with ``\n``, ``\r\n`` and ``\r`` ending a line, and shares
+checking the header with ``opgaze.ingest``.  It includes the fixes for
 integers too large for a float: ``_finite`` reports them as not finite, and
 a line that fails to decode for any ``ValueError`` is malformed JSON, a
 time must not exceed ``TIME_MAX`` and a coordinate must lie within
@@ -15,11 +16,13 @@ float, not a bool or a string).  A CSV row's line is the line it starts on, as
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+from pathlib import Path
 from typing import IO
 
-from opgaze.ingest import COORD_MAX, FRAME_FIELDS, TIME_MAX, ParseError, _open_text, _parse_header
+from opgaze.ingest import COORD_MAX, FRAME_FIELDS, TIME_MAX, ParseError, _parse_header
 from opgaze.session import FrameRecord, Point2
 
 
@@ -81,7 +84,12 @@ def _check_monotonic(frames, lineno, src):
 
 def parse(source, format="jsonl"):
     """(header, frames) of a session file, or the ParseError it raises."""
-    stream, src = _open_text(source)
+    if isinstance(source, (str, Path)):
+        stream, src = open(source, encoding="utf-8", newline=""), str(source)
+    else:
+        text = source.read()
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        stream, src = io.StringIO(text, newline=""), getattr(source, "name", "stream")
     with stream:
         header, frames = (_parse_jsonl if format == "jsonl" else _parse_csv)(stream, src)
     if not frames:

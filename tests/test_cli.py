@@ -277,6 +277,35 @@ def test_bad_json_input_is_a_one_line_error_naming_the_file(corpus, tmp_path, ca
     assert not out.exists()
 
 
+def test_validate_and_analyze_print_a_parse_failure_alike(tmp_path, capsys):
+    # analyze once printed the file twice: "bad.jsonl: bad.jsonl:1: ..."
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "bad.jsonl").write_text("{not json\n")
+    assert run(["validate", d, "--out", tmp_path / "val"]) == 1
+    validated = capsys.readouterr().err.splitlines()
+    assert run(["analyze", d, "--out", tmp_path / "run"]) == 1
+    analyzed = capsys.readouterr().err.splitlines()
+    line = f"{d / 'bad.jsonl'}:1: malformed JSON: Expecting property name enclosed in double quotes"
+    assert validated == analyzed == [line]
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["failures"] == [{"source": str(d / "bad.jsonl"), "error": line}]
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("analyze", "[1]", "config must be a JSON object"),
+    ("analyze", '{"cluster": {"bogus": 1}}', "unknown cluster config keys: ['bogus']"),
+    ("synth", "[1]", "synth spec must be a JSON object"),
+])
+def test_json_input_of_the_wrong_shape_names_the_file(corpus, tmp_path, capsys, command, text, message):
+    config, out = tmp_path / "c.json", tmp_path / "out"
+    config.write_text(text)
+    args = ["analyze", corpus / "sessions"] if command == "analyze" else ["synth"]
+    assert run([*args, "--config", config, "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{config}: {message}"]
+    assert not out.exists()
+
+
 class TestOutDir:
     """``--out`` naming a file, or a path under a file, is an input error of
     every command, reported on one line before anything is written."""
@@ -823,6 +852,25 @@ class TestAnalyze:
         write_session(parse_session(src), d / "op1_earlier_0.csv")
         assert cli.find_session_files([str(d)]) == [(d / "op1_earlier_0.csv").resolve()]
 
+    def test_rerun_removes_the_traces_of_units_it_no_longer_finds(self, tmp_path):
+        # min_operating 2.9 s drops every unit of op01_later, whose 15 traces
+        # the first run wrote; a file not named as a trace is kept
+        data, out, fresh, config = (tmp_path / name for name in ("data", "out", "fresh", "c.json"))
+        config.write_text(json.dumps({"segmentation": {"min_operating": 2.9}}))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_pairs": 1}))
+        assert run(["synth", "--config", spec, "--seed", 7, "--out", data]) == 0
+        assert run(["analyze", data / "sessions", "--out", out]) == 0
+        traces = out / "sessions" / "op01_later" / "traces"
+        assert len(list(traces.glob("*.csv"))) == 15
+        (traces / "notes.txt").write_text("kept\n")
+        assert run(["analyze", data / "sessions", "--out", out, "--config", config]) == 0
+        assert run(["analyze", data / "sessions", "--out", fresh, "--config", config]) == 0
+        assert (traces / "notes.txt").read_text() == "kept\n"
+        (traces / "notes.txt").unlink()
+        assert tree(out) == tree(fresh)
+        assert not list(traces.iterdir())
+
 
 def tree(root: Path) -> dict[str, bytes]:
     """Every file under ``root`` by its relative path, with its bytes."""
@@ -1173,7 +1221,7 @@ class TestSynthRoundTrip:
         path = tmp_path / "cohort.json"
         path.write_text(json.dumps({"seed": 1, "n_pairs": 1, **spec}))
         assert run(["synth", "--config", path, "--out", tmp_path / "data"]) == 1
-        assert capsys.readouterr().err.splitlines() == [message]
+        assert capsys.readouterr().err.splitlines() == [f"{path}: {message}"]
         assert not (tmp_path / "data").exists()
 
     def test_spec_values_of_every_declared_type_are_read(self, tmp_path):

@@ -7,14 +7,19 @@ members.  Touches in smaller components are noise: they are the touches
 that no hotspot's ``member_touch_indices`` names.
 
 Clustering is array code.  Touches are put in a canonical (t, x, y, input
-index) order; a binary search on the sorted times gives each touch the
-window of earlier touches that can be its neighbors.  The candidate pairs
-of all windows are walked in fixed-size chunks, so memory does not grow
-with touch density, and each pair is kept only if it passes both neighbor
-tests.  A union-find over canonical indices merges each chunk's kept
-pairs: every root is hooked to the smaller root it is paired with, then
-labels are pointer-jumped until each names its root, which is always the
-smallest canonical index of its component.
+index) order.  A touch that is a neighbor of the touch just before it
+continues that touch's run, and a run of consecutive neighbors lies in one
+component, so each touch starts labeled with the first index of its run.
+A binary search on the sorted times gives each touch the window of earlier
+touches that can be its neighbors; only the part of the window before the
+touch's own run can join it to another component, and only that part is
+walked.  Those candidate pairs are walked in fixed-size chunks, so memory
+does not grow with touch density, and each pair is kept only if it passes
+both neighbor tests.  A union-find over canonical indices merges each
+chunk's kept pairs: the pairs' labels are followed to their roots, and
+every root is hooked to the smaller root it is paired with, so a root is
+always the smallest canonical index of its component.  At the end the
+labels are pointer-jumped until each names its root.
 
 Also computes the accumulated touch distribution (centroid, bias relative
 to the attention point, covariance) across sessions.
@@ -111,31 +116,52 @@ def _touch_rows(touches: Touches) -> np.ndarray:
 _PAIR_CHUNK = 1 << 14
 
 
-def _settle(label: np.ndarray, lo: int = 0, hi: Optional[int] = None) -> None:
-    """Pointer-jump ``label[lo:hi]`` in place until every entry names a root."""
-    view = label[lo:hi]
+def _settle(label: np.ndarray) -> None:
+    """Pointer-jump ``label`` in place until every entry names a root."""
     while True:
-        jumped = label[view]
-        if np.array_equal(jumped, view):
+        jumped = label[label]
+        if np.array_equal(jumped, label):
             return
-        view[:] = jumped
+        label[:] = jumped
 
 
-def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> None:
+def _roots(label: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The root of each of ``idx``, found by following labels.  Every label
+    followed on the way is set to its root, so that chains of roots hooked
+    in turn over many chunks are walked once, not on every lookup."""
+    path = [idx]
+    root = label[idx]
+    while True:
+        up = label[root]
+        if np.array_equal(up, root):
+            break
+        path.append(root)
+        root = up
+    for step in path[:-1]:
+        label[step] = root
+    return root
+
+
+def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Merge the components of the pairs ``(a[k], b[k])``.
 
-    Every index in ``a`` and ``b`` lies in ``[lo, hi)``, and on entry each
-    label there names a root.  A root only ever points to a smaller index,
-    so the root of a component is its smallest index.
+    On entry each label names an index of its own component that is no
+    larger than itself, and a root names itself; a label need not name a
+    root, as a run's head may have been hooked to a smaller root in an
+    earlier chunk while the run's later touches still name the head.  Only
+    the labels of ``a`` and ``b`` are followed to their roots, so the cost
+    grows with the pairs, not with the span of indices they come from.  A
+    root only ever points to a smaller index, so the root of a component
+    is its smallest index.
     """
+    ra, rb = _roots(label, a), _roots(label, b)
     while True:
-        ra, rb = label[a], label[b]
         apart = ra != rb
         if not apart.any():
             return
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        ra, rb = ra[apart], rb[apart]
         np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
-        _settle(label, lo, hi)
+        ra, rb = _roots(label, ra), _roots(label, rb)
 
 
 def cluster_touches(touches: Touches, params: ClusterParams) -> list[Hotspot]:
@@ -160,16 +186,24 @@ def cluster_touches(touches: Touches, params: ClusterParams) -> list[Hotspot]:
 
     gap = params.temporal_gap_max
     eps_sq = params.spatial_eps ** 2
+    # A touch that passes both neighbor tests against the touch before it
+    # (the same expressions as the pair test below) continues its run.
+    dx = xs[:-1] - xs[1:]
+    dy = ys[:-1] - ys[1:]
+    head = np.ones(n, dtype=bool)
+    head[1:] = ~((times[1:] - times[:-1] <= gap) & (dx * dx + dy * dy <= eps_sq))
+    run_start = np.maximum.accumulate(np.where(head, np.arange(n), 0))
     # Window start of each touch: its first earlier touch within ``gap``.
     # The reach is wider than ``gap`` by far more than the rounding of
     # ``t - gap``, and the exact temporal test below drops the extra pairs.
     reach = gap + 1e-9 * (gap + float(np.abs(times).max()))
     start = np.searchsorted(times, times - reach, side="left")
-    counts = np.arange(n) - start
+    # a touch's pairs are with the window's touches before its own run
+    counts = np.maximum(run_start - start, 0)
     first = np.cumsum(counts) - counts  # flat index of each touch's first pair
     total = int(first[-1] + counts[-1])
 
-    label = np.arange(n)
+    label = run_start  # each run starts as one component, named by its head
     for p0 in range(0, total, _PAIR_CHUNK):
         p1 = min(p0 + _PAIR_CHUNK, total)
         # the touches whose pairs fall in [p0, p1), and how many each has there
@@ -181,7 +215,7 @@ def cluster_touches(touches: Touches, params: ClusterParams) -> list[Hotspot]:
         dx = xs[j] - xs[i]
         dy = ys[j] - ys[i]
         keep = (times[i] - times[j] <= gap) & (dx * dx + dy * dy <= eps_sq)
-        _join(label, i[keep], j[keep], int(start[i[0]]), int(i[-1]) + 1)
+        _join(label, i[keep], j[keep])
     _settle(label)
 
     sizes = np.bincount(label, minlength=n)

@@ -373,7 +373,8 @@ def load_step_labels(path: Union[str, Path]) -> tuple[StepLabel, ...]:
     """Load a step-label sidecar CSV: ``start_t,end_t,step_id``; a row whose
     interval overlaps an earlier row's is an error on its line."""
     return tuple(read_sidecar(path, STEP_FIELDS, lambda start_t, end_t, step_id: StepLabel(
-        _finite(start_t, "start_t", True), _finite(end_t, "end_t", True), step_id), _overlap))
+        _finite(start_t, "start_t", True), _finite(end_t, "end_t", True), step_id),
+        lambda label: None, _overlap))
 
 
 def _overlap(label: StepLabel, earlier: StepLabel, earlier_line: int) -> Optional[str]:

@@ -26,7 +26,7 @@ import re
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import IO, Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 
@@ -192,14 +192,16 @@ def read_json(path: Union[str, Path]) -> object:
 
 
 def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[..., object],
+                 key: Callable[[object], Hashable],
                  clash: Callable[[object, object, int], Optional[str]]) -> list:
     """``make(*cells)`` of each row, stripped, of a sidecar CSV with these
     ``columns``, skipping blank rows and a header on line 1.  A row with
     other columns, or that ``make`` rejects with a ValueError, is a
     ParseError on its line, and so is a row whose item clashes with an
-    earlier row's: ``clash(item, earlier, earlier_line)`` returns the
-    message of a clash, or None."""
-    out: list[tuple[int, object]] = []
+    earlier row's of the same ``key(item)``: ``clash(item, earlier,
+    earlier_line)`` returns the message of a clash, or None."""
+    out: list = []
+    by_key: dict[Hashable, list[tuple[int, object]]] = {}
     stream, src = open_text(path)
     with stream:
         for line, cells in csv_rows(stream, src):
@@ -210,14 +212,16 @@ def read_sidecar(path: Union[str, Path], columns: Sequence[str], make: Callable[
                 if len(cells) != len(columns):
                     raise ValueError(f"expected {','.join(columns)}")
                 item = make(*cells)
-                for earlier_line, earlier in out:
+                same_key = by_key.setdefault(key(item), [])
+                for earlier_line, earlier in same_key:
                     problem = clash(item, earlier, earlier_line)
                     if problem:
                         raise ValueError(problem)
-                out.append((line, item))
+                same_key.append((line, item))
+                out.append(item)
             except ValueError as exc:
                 raise ParseError(str(exc), line=line, source=src) from None
-    return [item for _, item in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,12 +273,16 @@ class DifficultyRatings:
 RATING_FIELDS = ("step_id", "rater_id", "role", "score")
 
 
-def _same_rater(row: tuple[str, Rating], earlier: tuple[str, Rating], earlier_line: int) -> Optional[str]:
+def _rater_key(row: tuple[str, Rating]) -> tuple[str, str]:
+    step_id, rating = row
+    return step_id, rating.rater_id
+
+
+def _same_rater(row: tuple[str, Rating], earlier: tuple[str, Rating], earlier_line: int) -> str:
+    # read_sidecar passes only the earlier rows of the same step and rater:
     # a second score would count the rater twice in the step's mean
-    (step_id, rating), (earlier_step, earlier_rating) = row, earlier
-    if (step_id, rating.rater_id) == (earlier_step, earlier_rating.rater_id):
-        return f"rater {rating.rater_id!r} scores step {step_id!r} twice: first on line {earlier_line}"
-    return None
+    step_id, rating = row
+    return f"rater {rating.rater_id!r} scores step {step_id!r} twice: first on line {earlier_line}"
 
 
 def load_ratings(path: Union[str, Path]) -> DifficultyRatings:
@@ -282,7 +290,7 @@ def load_ratings(path: Union[str, Path]) -> DifficultyRatings:
     by_step: dict[str, list[Rating]] = {}
     rows = read_sidecar(path, RATING_FIELDS, lambda step_id, rater_id, role, score:
                         (step_id, Rating(rater_id=rater_id, role=role, score=int(score))),
-                        _same_rater)
+                        _rater_key, _same_rater)
     for step_id, rating in rows:
         by_step.setdefault(step_id, []).append(rating)
     if not by_step:

@@ -248,6 +248,73 @@ class TestMultiChunk:
         assert got == matrix_oracle(touches, params)
 
 
+class TestRuns:
+    """Inputs built as bouts.  A bout's touches that each neighbor the one
+    before form a run, whose pairs are not walked; its head's label is
+    joined to earlier roots, often in an earlier pair chunk."""
+
+    EPS = 1.0  # offsets of 0, eps / 2, eps and 2 eps on a grid of eps / 2
+    T_STEP = 0.125  # one step of a bout; gap is 8 steps
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bouts=st.lists(st.tuples(
+            st.integers(1, 60),  # touches in the bout
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # offset between touches, in eps
+            st.sampled_from([(1, 0), (0, 1), (1, 1)]),  # direction of the offsets
+            st.integers(0, 6), st.integers(0, 6),  # first touch, in eps / 2
+            st.sampled_from([0, 4, 8, 9]),  # steps after the last bout: 0, gap / 2, gap, gap + 1
+        ), min_size=1, max_size=8),
+        min_points=st.integers(1, 4),
+        chunk=st.sampled_from([3, 13, 257, hotspot._PAIR_CHUNK]),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_bouts_match_matrix_oracle(self, bouts, min_points, chunk, rnd):
+        touches = []
+        step = 0
+        for count, offset, (ux, uy), cx, cy, pause in bouts:
+            first = step + pause if touches else 0
+            for k in range(count):
+                at = Point2(cx * self.EPS / 2 + k * offset * self.EPS * ux,
+                            cy * self.EPS / 2 + k * offset * self.EPS * uy)
+                touches.append(((first + k) * self.T_STEP, at))
+            step = first + count - 1
+        rnd.shuffle(touches)
+        params = ClusterParams(spatial_eps=self.EPS, temporal_gap_max=8 * self.T_STEP,
+                               min_points=min_points)
+        with mock.patch.object(hotspot, "_PAIR_CHUNK", chunk):
+            got = cluster_touches(touches, params)
+        assert got == matrix_oracle(touches, params)
+
+    def test_one_long_bout_joins_no_chunk(self):
+        # 5,000 touches at 120 Hz, each within eps of the one before: one run
+        n = 5000
+        touches = [(k / 120.0, Point2((k % 7) * 0.1, 0.0)) for k in range(n)]
+        params = ClusterParams(spatial_eps=1.0, temporal_gap_max=3.0, min_points=3)
+        with mock.patch.object(hotspot, "_join", wraps=hotspot._join) as join:
+            got = cluster_touches(touches, params)
+        assert join.call_count == 0
+        assert [h.touch_count for h in got] == [n]
+        assert got == matrix_oracle(touches, params)
+
+    def test_touches_without_runs_walk_every_chunk(self):
+        # time neighbors alternate between two columns 10 eps apart, so no
+        # touch continues a run and every candidate pair is walked
+        n = 3000
+        k = np.arange(n)
+        times = k / 240.0
+        xs = np.where(k % 2 == 0, 0.0, 10.0)
+        ys = (k // 2 % 40) * 0.05
+        touches = [(float(t), Point2(float(x), float(y))) for t, x, y in zip(times, xs, ys)]
+        params = ClusterParams(spatial_eps=1.0, temporal_gap_max=3.0, min_points=3)
+        candidate_pairs = int((k - np.searchsorted(times, times - 3.0)).sum())
+        assert candidate_pairs > 100 * hotspot._PAIR_CHUNK
+        with mock.patch.object(hotspot, "_join", wraps=hotspot._join) as join:
+            got = cluster_touches(touches, params)
+        assert join.call_count >= 100
+        assert got == matrix_oracle(touches, params)
+
+
 class TestResolve:
     def test_eps_from_scene_diagonal(self):
         s = make_session([frame(0.0, ax=0.0, ay=0.0), frame(0.1, ax=30.0, ay=40.0)])

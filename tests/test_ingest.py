@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 
@@ -19,7 +20,7 @@ from opgaze import (
     write_session,
     write_step_labels,
 )
-from opgaze import ingest
+from opgaze import ingest, studyio
 from opgaze.ingest import atomic_write_text, detect_format
 from opgaze.session import DifficultyRatings, Rating, StepLabel
 
@@ -431,6 +432,18 @@ class TestSidecars:
         with pytest.raises(ParseError) as exc:
             load_ratings(path)
         assert str(exc.value) == f"{path}:5: rater 'e01' scores step 'step_01' twice: first on line 2"
+
+    def test_repeated_rater_check_grows_with_the_rows_not_their_square(self, tmp_path):
+        # each row is checked against the earlier rows of its own step and
+        # rater, not against every earlier row
+        n = 400
+        path = tmp_path / "ratings.csv"
+        path.write_text("step_id,rater_id,role,score\n"
+                        + "".join(f"step_01,e{k:04d},expert,1\n" for k in range(n)))
+        with mock.patch.object(studyio, "_same_rater", wraps=studyio._same_rater) as same_rater:
+            ratings = load_ratings(path)
+        assert len(ratings.by_step["step_01"]) == n
+        assert same_rater.call_count <= n
 
     @pytest.mark.parametrize("name, rows", [
         ("ratings.csv", "s1,e01,expert,1\n"),

@@ -316,7 +316,9 @@ def analyze_session(s: Session, config: RunConfig) -> SessionResult:
     )
 
 
-def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
+def _write_session_outputs(out_dir: Path, result: SessionResult) -> list[list[object]]:
+    """Write the directory of ``result``'s session under ``out_dir``; return
+    the rows of its ``features.csv``."""
     s = result.session
     sdir = out_dir / "sessions" / s.id
     (sdir / "traces").mkdir(parents=True, exist_ok=True)
@@ -342,11 +344,8 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
             for h in result.hotspots
         ],
     )
-    _write_csv(
-        sdir / "features.csv",
-        FEATURES_HEADER,
-        [feature_row(s.id, fv) for fv in result.fvs],
-    )
+    feature_rows = [feature_row(s.id, fv) for fv in result.fvs]
+    _write_csv(sdir / "features.csv", FEATURES_HEADER, feature_rows)
     # a rerun removes the traces of units it no longer finds
     stale = {path for path in (sdir / "traces").iterdir() if _is_trace_file(path)}
     for trace in result.traces.per_unit():
@@ -360,6 +359,7 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> None:
         stale.discard(path)
     for path in stale:
         path.unlink()
+    return feature_rows
 
 
 class _Failure(NamedTuple):
@@ -395,8 +395,7 @@ def _analyze_and_write(path: Path, s: Session, config: RunConfig,
         result = analyze_session(s, config)
     except Exception as exc:
         return _failure(exc)
-    _write_session_outputs(out, result)
-    return [feature_row(s.id, fv) for fv in result.fvs], {
+    return _write_session_outputs(out, result), {
         "id": s.id,
         "source": str(path),
         "operator": s.operator,

@@ -215,16 +215,17 @@ def count_sign_changes(signs: np.ndarray) -> int:
 def kinematics(
     d_star: DistanceSeries,
     deadband: float = DEFAULT_SIGN_DEADBAND,
-    sample_rate_hz: Optional[float] = None,
+    *,
+    sample_rate_hz: float,
 ) -> dict[str, Optional[float]]:
     """Reversal count, mean speed and variance of a distance series, keyed
     by the suffixes of the ``<period>_*`` feature columns.
 
     ``sign_changes`` is the reversal count as a float; ``mean_speed`` is
     the mean absolute per-sample change converted to units/second with
-    the sample rate (derived from the series' own median time step when
-    not given); ``dist_var`` is the population variance.  Series with
-    fewer than two samples get the variance only; the other two are None.
+    the session's sample rate; ``dist_var`` is the population variance.
+    Series with fewer than two samples get the variance only; the other
+    two are None.
     """
     if len(d_star) == 0:
         raise ValueError("kinematics needs a nonempty series")
@@ -232,9 +233,6 @@ def kinematics(
     if len(d_star) < 2:
         return {"sign_changes": None, "mean_speed": None, "dist_var": variance}
     speed = np.diff(d_star.values)
-    if sample_rate_hz is None:
-        step = float(np.median(np.diff(d_star.times)))
-        sample_rate_hz = 1.0 / step if step > 0 else 0.0
     return {
         "sign_changes": float(count_sign_changes(sign_series(speed, deadband))),
         "mean_speed": float(np.mean(np.abs(speed))) * sample_rate_hz,
@@ -417,7 +415,8 @@ def feature_vector(
         if len(series) == 0:
             undefined[f"{key}_kinematics"] = "empty_period"
             continue
-        kin = kinematics(compensate_offset(series), params.sign_deadband, s.sample_rate_hz)
+        kin = kinematics(compensate_offset(series), params.sign_deadband,
+                         sample_rate_hz=s.sample_rate_hz)
         row.update((f"{key}_{name}", value) for name, value in kin.items())
         if kin["sign_changes"] is None:
             undefined[f"{key}_sign_changes"] = "series_too_short"

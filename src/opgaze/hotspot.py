@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,11 +41,6 @@ DEFAULT_TEMPORAL_GAP_MAX = 3.0
 DEFAULT_MIN_POINTS = 3
 # clustering compares squared distances with spatial_eps ** 2, which must be finite
 SPATIAL_EPS_MAX = math.sqrt(sys.float_info.max)
-
-Touch = tuple[float, Point2]
-# Touches as (t, x, y) array rows, or as (t, position) pairs at the API edge.
-Touches = Union[np.ndarray, Sequence[Touch]]
-
 
 @dataclass(frozen=True)
 class ClusterParams:
@@ -106,12 +101,6 @@ def extract_touches(s: Session) -> np.ndarray:
     return np.column_stack((s.times, s.hand_xy))[s.touching_mask]
 
 
-def _touch_rows(touches: Touches) -> np.ndarray:
-    if isinstance(touches, np.ndarray):
-        return touches
-    return np.array([(t, p.x, p.y) for t, p in touches], dtype=float).reshape(-1, 3)
-
-
 # Candidate pairs examined per step; bounds the working arrays.
 _PAIR_CHUNK = 1 << 14
 
@@ -164,14 +153,13 @@ def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         ra, rb = _roots(label, ra), _roots(label, rb)
 
 
-def cluster_touches(touches: Touches, params: ClusterParams) -> list[Hotspot]:
-    """Cluster touches into hotspots.
+def cluster_touches(touches: np.ndarray, params: ClusterParams) -> list[Hotspot]:
+    """Cluster touches, (t, x, y) rows as :func:`extract_touches` returns
+    them, into hotspots.
 
-    Input touches are expected time-ordered (as produced by
-    :func:`extract_touches`); they are canonicalized internally, so the
-    result does not depend on input order.  Hotspots are ordered by first
-    touch time and numbered from 0; member indices refer to positions in
-    the input sequence.
+    The rows are canonicalized internally, so the result does not depend
+    on their order.  Hotspots are ordered by first touch time and numbered
+    from 0; member indices are row indices of ``touches``.
     """
     if params.spatial_eps is None:
         raise ValueError("spatial_eps unresolved; call ClusterParams.resolve first")
@@ -179,7 +167,7 @@ def cluster_touches(touches: Touches, params: ClusterParams) -> list[Hotspot]:
     if n == 0:
         return []
 
-    raw = _touch_rows(touches).T
+    raw = touches.T
     # lexsort is stable, so ties on (t, x, y) keep input order
     order = np.lexsort(raw[::-1])
     times, xs, ys = np.ascontiguousarray(raw[:, order])
@@ -238,17 +226,17 @@ def cluster_touches(touches: Touches, params: ClusterParams) -> list[Hotspot]:
     return hotspots
 
 
-def assign_operating_hotspot(ou_touches: Touches, hotspots: Sequence[Hotspot]) -> Optional[int]:
+def assign_operating_hotspot(ou_touches: np.ndarray, hotspots: Sequence[Hotspot]) -> Optional[int]:
     """Hotspot whose centroid is nearest the mean of a unit's touch
-    positions; ties break toward the lower id.  None when there are no
-    hotspots to assign (flagged on the unit)."""
+    positions, its (t, x, y) rows; ties break toward the lower id.  None
+    when there are no hotspots to assign (flagged on the unit)."""
     if not hotspots:
         return None
-    rows = _touch_rows(ou_touches)
-    if not len(rows):
+    n = len(ou_touches)
+    if not n:
         raise ValueError("ou_touches must be nonempty")
     # the builtin sum, in touch order, keeps the last bit of the mean stable
-    mean = Point2(sum(rows[:, 1].tolist()) / len(rows), sum(rows[:, 2].tolist()) / len(rows))
+    mean = Point2(sum(ou_touches[:, 1].tolist()) / n, sum(ou_touches[:, 2].tolist()) / n)
     best_id = None
     best_dist = None
     for h in sorted(hotspots, key=lambda h: h.id):

@@ -28,6 +28,7 @@ line it starts on.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -219,7 +220,8 @@ def parse_session(
     """Parse one session file (or open stream) in the given format."""
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    stream, src = open_text(source)
+    # JSONL lines need no kept line ends, and universal newlines split faster
+    stream, src = open_text(source, None if format == JSONL else "")
     with stream:
         header, columns = (_parse_jsonl if format == JSONL else _parse_csv)(stream, src)
     if not len(columns["times"]):
@@ -371,16 +373,27 @@ STEP_FIELDS = ("start_t", "end_t", "step_id")
 
 def load_step_labels(path: Union[str, Path]) -> tuple[StepLabel, ...]:
     """Load a step-label sidecar CSV: ``start_t,end_t,step_id``; a row whose
-    interval overlaps an earlier row's is an error on its line."""
-    return tuple(read_sidecar(path, STEP_FIELDS, lambda start_t, end_t, step_id: StepLabel(
-        _finite(start_t, "start_t", True), _finite(end_t, "end_t", True), step_id),
-        lambda label: None, _overlap))
+    interval overlaps an earlier row's is an error on its line that names
+    the earliest such row."""
+    # the labels so far, sorted by start; being disjoint, they are sorted by end too
+    starts: list[float] = []
+    ends: list[float] = []
+    placed: list[tuple[int, str]] = []  # (line, step_id)
 
+    def make(line: int, start_t: str, end_t: str, step_id: str) -> StepLabel:
+        label = StepLabel(_finite(start_t, "start_t", True), _finite(end_t, "end_t", True), step_id)
+        # the earlier labels it overlaps end after its start and start before
+        # its end: the run [lo, hi) of the sorted labels
+        lo, hi = bisect.bisect_right(ends, label.start_t), bisect.bisect_left(starts, label.end_t)
+        if lo < hi:
+            first, earlier = min(placed[lo:hi])
+            raise ValueError(f"step {step_id!r} overlaps step {earlier!r} of line {first}")
+        starts.insert(lo, label.start_t)
+        ends.insert(lo, label.end_t)
+        placed.insert(lo, (line, step_id))
+        return label
 
-def _overlap(label: StepLabel, earlier: StepLabel, earlier_line: int) -> Optional[str]:
-    if label.start_t < earlier.end_t and earlier.start_t < label.end_t:
-        return f"step {label.step_id!r} overlaps step {earlier.step_id!r} of line {earlier_line}"
-    return None
+    return tuple(read_sidecar(path, STEP_FIELDS, make))
 
 
 def write_step_labels(labels: Iterable[StepLabel], path: Union[str, Path]) -> None:

@@ -11,6 +11,9 @@ time must not exceed ``TIME_MAX`` and a coordinate must lie within
 ``COORD_MAX``.  A JSONL frame's numbers must be JSON numbers (an int or a
 float, not a bool or a string).  A CSV row's line is the line it starts on, as
 ``csv.reader.line_num`` counts lines, so a quoted cell may span lines.
+
+:func:`load_step_labels` is the pairwise oracle of the step-label sidecar
+reader: it checks each row against every earlier row.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 from typing import IO
 
 from opgaze.ingest import COORD_MAX, FRAME_FIELDS, TIME_MAX, ParseError, _parse_header
-from opgaze.session import FrameRecord, Point2
+from opgaze.session import FrameRecord, Point2, StepLabel
 
 
 def _finite(value, what, lineno, src, text):
@@ -171,3 +174,37 @@ def _parse_csv(stream: IO[str], src: str):
         frames.append(_frame_from_fields(fields, lineno, src, text=True))
         _check_monotonic(frames, lineno, src)
     return header, frames
+
+
+def load_step_labels(path):
+    """The labels of a ``start_t,end_t,step_id`` sidecar, in file order, or the
+    ParseError of its first faulty row.  Each row is checked against every
+    earlier row in file order, so an overlap names the earliest row it
+    overlaps."""
+    src = str(path)
+    labels = []  # (line, label), in file order
+    with open(path, encoding="utf-8", newline="") as stream:
+        reader = csv.reader(stream)
+        while True:
+            lineno = 1 + reader.line_num  # the line after the previous row's last
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            cells = [cell.strip() for cell in row]
+            if not any(cells) or (lineno == 1 and cells[0] == "start_t"):
+                continue
+            if len(cells) != 3:
+                raise ParseError("expected start_t,end_t,step_id", line=lineno, source=src)
+            start_t = _finite(cells[0], "start_t", lineno, src, text=True)
+            end_t = _finite(cells[1], "end_t", lineno, src, text=True)
+            try:
+                label = StepLabel(start_t, end_t, cells[2])
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno, source=src) from None
+            for earlier_line, earlier in labels:
+                if label.start_t < earlier.end_t and earlier.start_t < label.end_t:
+                    raise ParseError(f"step {label.step_id!r} overlaps step {earlier.step_id!r} "
+                                     f"of line {earlier_line}", line=lineno, source=src)
+            labels.append((lineno, label))
+    return tuple(label for _, label in labels)

@@ -227,7 +227,7 @@ def test_criterion_05_clustering_oracle_equivalence():
             min_points=int(rng.integers(1, 5)),
         )
         got = [sorted(h.member_touch_indices)
-               for h in cluster_touches(touches, params)]
+               for h in cluster_touches(np.column_stack((times, pts)), params)]
         want = brute_force(touches, params.spatial_eps, params.temporal_gap_max,
                            params.min_points)
         if got != want:

@@ -164,7 +164,7 @@ class TestSignChanges:
 
 class TestKinematics:
     def test_single_sample_variance_only(self):
-        k = kinematics(series([4.0]))
+        k = kinematics(series([4.0]), sample_rate_hz=10.0)
         assert k == {"sign_changes": None, "mean_speed": None, "dist_var": 0.0}
 
     def test_oscillation(self):
@@ -173,22 +173,17 @@ class TestKinematics:
         assert k["mean_speed"] == pytest.approx(10.0)  # 1 unit per 0.1 s step
         assert k["dist_var"] == pytest.approx(0.24)
 
-    def test_rate_derived_from_times(self):
-        explicit = kinematics(series([0.0, 2.0, 1.0]), sample_rate_hz=10.0)
-        derived = kinematics(series([0.0, 2.0, 1.0]))
-        assert derived["mean_speed"] == pytest.approx(explicit["mean_speed"])
-
     def test_deadband_suppresses_jitter_reversals(self):
-        k = kinematics(series([0.0, 0.05, 0.0, 0.05]), deadband=0.1)
+        k = kinematics(series([0.0, 0.05, 0.0, 0.05]), deadband=0.1, sample_rate_hz=10.0)
         assert k["sign_changes"] == 0
 
     def test_population_variance(self):
-        k = kinematics(series([1.0, 3.0]))
+        k = kinematics(series([1.0, 3.0]), sample_rate_hz=10.0)
         assert k["dist_var"] == pytest.approx(1.0)  # population, not sample
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            kinematics(series([]))
+            kinematics(series([]), sample_rate_hz=10.0)
 
 
 class TestTrailingPositiveRun:

@@ -23,12 +23,15 @@ def noise(touches, hotspots) -> list[int]:
     return [i for i in range(len(touches)) if i not in members]
 
 
-def touches_at(points, t0=0.0, dt=0.1):
-    return [(t0 + i * dt, Point2(x, y)) for i, (x, y) in enumerate(points)]
+def touches_at(points, t0=0.0, dt=0.1) -> np.ndarray:
+    """(t, x, y) rows of touches at ``points``, ``dt`` apart from ``t0``."""
+    return np.array([(t0 + i * dt, x, y) for i, (x, y) in enumerate(points)], dtype=float).reshape(-1, 3)
 
 
-def brute_force_clusters(touches, eps, gap, min_points):
-    """Independent oracle: full O(n^2) neighbor graph, BFS components."""
+def brute_force_clusters(rows, eps, gap, min_points):
+    """Independent oracle: full O(n^2) neighbor graph over (t, position)
+    pairs, BFS components."""
+    touches = [(t, Point2(x, y)) for t, x, y in np.asarray(rows).tolist()]
     n = len(touches)
     adj = [[] for _ in range(n)]
     for i in range(n):
@@ -64,9 +67,7 @@ def matrix_oracle(touches, params):
     matrix with cluster_touches' own predicates (|dt| <= gap, dx^2 + dy^2 <=
     eps^2), components by graph search, members in (t, x, y, index) order."""
     n = len(touches)
-    t = np.array([tt for tt, _ in touches], dtype=float)
-    x = np.array([p.x for _, p in touches], dtype=float)
-    y = np.array([p.y for _, p in touches], dtype=float)
+    t, x, y = np.asarray(touches, dtype=float).reshape(-1, 3).T
     eps_sq = params.spatial_eps ** 2
     adj = np.zeros((n, n), dtype=bool)
     for lo in range(0, n, 256):  # row blocks keep the float temporaries small
@@ -106,11 +107,11 @@ def assert_matches_oracle(touches, params):
     for h, members in zip(got, want):
         assert h.id == got.index(h)
         assert h.touch_count == len(members)
-        ts = [touches[i][0] for i in members]
+        ts, xs, ys = touches[members].T
         assert h.first_t == pytest.approx(min(ts))
         assert h.last_t == pytest.approx(max(ts))
-        assert h.centroid.x == pytest.approx(np.mean([touches[i][1].x for i in members]))
-        assert h.centroid.y == pytest.approx(np.mean([touches[i][1].y for i in members]))
+        assert h.centroid.x == pytest.approx(np.mean(xs))
+        assert h.centroid.y == pytest.approx(np.mean(ys))
 
 
 class TestClusterTouches:
@@ -131,14 +132,14 @@ class TestClusterTouches:
     def test_temporal_split_of_colocated_groups(self):
         early = touches_at([(0.0, 0.0)] * 5, t0=0.0)
         late = touches_at([(0.0, 0.0)] * 5, t0=100.0)
-        touches = early + late
+        touches = np.concatenate((early, late))
         params = ClusterParams(spatial_eps=5.0, temporal_gap_max=3.0, min_points=3)
         got = cluster_touches(touches, params)
         assert len(got) == 2
         assert_matches_oracle(touches, params)
 
     def test_empty_input(self):
-        assert cluster_touches([], ClusterParams(spatial_eps=1.0)) == []
+        assert cluster_touches(np.empty((0, 3)), ClusterParams(spatial_eps=1.0)) == []
 
     def test_unresolved_eps_raises(self):
         with pytest.raises(ValueError, match="unresolved"):
@@ -151,7 +152,7 @@ class TestClusterTouches:
         params = ClusterParams(spatial_eps=8.0, temporal_gap_max=2.0, min_points=3)
         base = cluster_touches(touches, params)
         order = rng.permutation(len(touches))
-        shuffled = [touches[i] for i in order]
+        shuffled = touches[order]
         remapped = cluster_touches(shuffled, params)
         # map shuffled member indices back to original positions
         back = [sorted(int(order[i]) for i in h.member_touch_indices) for h in remapped]
@@ -163,7 +164,7 @@ class TestClusterTouches:
             n = int(rng.integers(0, 80))
             times = np.sort(rng.uniform(0, 30, n))
             pts = rng.uniform(0, 100, size=(n, 2))
-            touches = [(float(times[i]), Point2(float(pts[i, 0]), float(pts[i, 1]))) for i in range(n)]
+            touches = np.column_stack((times, pts))
             params = ClusterParams(
                 spatial_eps=float(rng.uniform(2, 25)),
                 temporal_gap_max=float(rng.uniform(0.5, 10)),
@@ -175,7 +176,7 @@ class TestClusterTouches:
         # growing eps only adds edges, so component count cannot increase
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 60, size=(50, 2))
-        touches = [(0.1 * i, Point2(float(x), float(y))) for i, (x, y) in enumerate(pts)]
+        touches = touches_at(pts)
         counts = []
         for eps in (3.0, 6.0, 12.0, 24.0, 48.0):
             comps = brute_force_clusters(touches, eps, 1e9, 1)
@@ -185,7 +186,7 @@ class TestClusterTouches:
     def test_every_touch_clustered_or_noise(self):
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 40, size=(60, 2))
-        touches = [(0.05 * i, Point2(float(x), float(y))) for i, (x, y) in enumerate(pts)]
+        touches = touches_at(pts, dt=0.05)
         params = ClusterParams(spatial_eps=6.0, temporal_gap_max=2.0, min_points=3)
         got = cluster_touches(touches, params)
         member_sets = [set(h.member_touch_indices) for h in got]
@@ -216,7 +217,7 @@ class TestMultiChunk:
     def test_matches_matrix_oracle(self, cells, t_step, s_step, gap_steps, eps_steps,
                                    min_points, chunk):
         # drawn lists are in no particular order, so input order is shuffled
-        touches = [(k * t_step, Point2(i * s_step, j * s_step)) for k, i, j in cells]
+        touches = np.array([(k * t_step, i * s_step, j * s_step) for k, i, j in cells])
         params = ClusterParams(spatial_eps=eps_steps * s_step,
                                temporal_gap_max=gap_steps * t_step, min_points=min_points)
         with mock.patch.object(hotspot, "_PAIR_CHUNK", chunk):
@@ -227,7 +228,7 @@ class TestMultiChunk:
         # 1.0411663480752398 - 0.34116634807523977 rounds to <= 0.7, although
         # 0.34116634807523977 < 1.0411663480752398 - 0.7: the window must not
         # cut this pair before the exact test sees it
-        touches = [(0.34116634807523977, Point2(0.0, 0.0)), (1.0411663480752398, Point2(0.0, 0.0))]
+        touches = np.array([(0.34116634807523977, 0.0, 0.0), (1.0411663480752398, 0.0, 0.0)])
         params = ClusterParams(spatial_eps=1.0, temporal_gap_max=0.7, min_points=2)
         got = cluster_touches(touches, params)
         assert [h.member_touch_indices for h in got] == [(0, 1)]
@@ -238,7 +239,7 @@ class TestMultiChunk:
         n = 3000
         times = rng.integers(0, 25, n) * 0.25  # 6 s: ties and gaps of exactly 3.0
         cells = rng.integers(0, 70, (n, 2)) * 0.5  # neighbors exactly eps apart
-        touches = [(float(t), Point2(float(x), float(y))) for t, (x, y) in zip(times, cells)]
+        touches = np.column_stack((times, cells))
         params = ClusterParams(spatial_eps=0.5, temporal_gap_max=3.0, min_points=3)
         ts = np.sort(times)
         candidate_pairs = int((np.arange(n) - np.searchsorted(ts, ts - 3.0)).sum())
@@ -275,21 +276,21 @@ class TestRuns:
         for count, offset, (ux, uy), cx, cy, pause in bouts:
             first = step + pause if touches else 0
             for k in range(count):
-                at = Point2(cx * self.EPS / 2 + k * offset * self.EPS * ux,
-                            cy * self.EPS / 2 + k * offset * self.EPS * uy)
-                touches.append(((first + k) * self.T_STEP, at))
+                touches.append(((first + k) * self.T_STEP,
+                                cx * self.EPS / 2 + k * offset * self.EPS * ux,
+                                cy * self.EPS / 2 + k * offset * self.EPS * uy))
             step = first + count - 1
         rnd.shuffle(touches)
         params = ClusterParams(spatial_eps=self.EPS, temporal_gap_max=8 * self.T_STEP,
                                min_points=min_points)
         with mock.patch.object(hotspot, "_PAIR_CHUNK", chunk):
-            got = cluster_touches(touches, params)
+            got = cluster_touches(np.array(touches).reshape(-1, 3), params)
         assert got == matrix_oracle(touches, params)
 
     def test_one_long_bout_joins_no_chunk(self):
         # 5,000 touches at 120 Hz, each within eps of the one before: one run
         n = 5000
-        touches = [(k / 120.0, Point2((k % 7) * 0.1, 0.0)) for k in range(n)]
+        touches = np.array([(k / 120.0, (k % 7) * 0.1, 0.0) for k in range(n)])
         params = ClusterParams(spatial_eps=1.0, temporal_gap_max=3.0, min_points=3)
         with mock.patch.object(hotspot, "_join", wraps=hotspot._join) as join:
             got = cluster_touches(touches, params)
@@ -305,7 +306,7 @@ class TestRuns:
         times = k / 240.0
         xs = np.where(k % 2 == 0, 0.0, 10.0)
         ys = (k // 2 % 40) * 0.05
-        touches = [(float(t), Point2(float(x), float(y))) for t, x, y in zip(times, xs, ys)]
+        touches = np.column_stack((times, xs, ys))
         params = ClusterParams(spatial_eps=1.0, temporal_gap_max=3.0, min_points=3)
         candidate_pairs = int((k - np.searchsorted(times, times - 3.0)).sum())
         assert candidate_pairs > 100 * hotspot._PAIR_CHUNK
@@ -351,12 +352,14 @@ class TestExtractTouches:
         assert extract_touches(make_session([frame(0.0)])).shape == (0, 3)
 
     def test_rows_cluster_like_pairs(self):
-        touches = [(i * 0.1, Point2(float(i % 3), 0.0)) for i in range(12)]
-        rows = np.array([(t, p.x, p.y) for t, p in touches])
+        # the oracle reads the rows as (t, position) pairs; a hotspot per x
+        rows = touches_at([(float(i % 3), 0.0) for i in range(12)])
         params = ClusterParams(spatial_eps=0.5, min_points=2)
-        assert cluster_touches(rows, params) == cluster_touches(touches, params)
         hotspots = cluster_touches(rows, params)
-        assert assign_operating_hotspot(rows[:3], hotspots) == assign_operating_hotspot(touches[:3], hotspots)
+        assert [sorted(h.member_touch_indices) for h in hotspots] == brute_force_clusters(
+            rows, 0.5, params.temporal_gap_max, 2)
+        assert [h.centroid.x for h in hotspots] == [0.0, 1.0, 2.0]
+        assert assign_operating_hotspot(rows[:3], hotspots) == 1
 
 
 class TestAssignHotspot:
@@ -367,15 +370,15 @@ class TestAssignHotspot:
         return [Hotspot(**mk(0, 0.0)), Hotspot(**mk(1, 10.0)), Hotspot(**mk(2, 20.0))]
 
     def test_nearest_centroid(self):
-        got = assign_operating_hotspot([(0.0, Point2(19.0, 0.0))], self._hotspots())
+        got = assign_operating_hotspot(np.array([(0.0, 19.0, 0.0)]), self._hotspots())
         assert got == 2
 
     def test_tie_breaks_low_id(self):
-        got = assign_operating_hotspot([(0.0, Point2(5.0, 0.0))], self._hotspots())
+        got = assign_operating_hotspot(np.array([(0.0, 5.0, 0.0)]), self._hotspots())
         assert got == 0
 
     def test_no_hotspots_is_none(self):
-        assert assign_operating_hotspot([(0.0, Point2(0, 0))], []) is None
+        assert assign_operating_hotspot(np.array([(0.0, 0.0, 0.0)]), []) is None
 
 
 class TestTouchDistribution:

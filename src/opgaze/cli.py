@@ -684,7 +684,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if not isinstance(raw, dict):
             raise ValueError("synth spec must be a JSON object")
         spec = synth.cohort_spec_from_dict(raw, seed_override=args.seed)
-    cohort = synth.generate_cohort(spec)
+        cohort = synth.generate_cohort(spec)  # some values are judged only here
     out = _out_dir(args.out)
     synth.write_cohort(cohort, out, format=args.format)
     _write_json(out / "synth_spec_used.json", dataclasses.asdict(spec))

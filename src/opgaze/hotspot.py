@@ -237,13 +237,7 @@ def assign_operating_hotspot(ou_touches: np.ndarray, hotspots: Sequence[Hotspot]
         raise ValueError("ou_touches must be nonempty")
     # the builtin sum, in touch order, keeps the last bit of the mean stable
     mean = Point2(sum(ou_touches[:, 1].tolist()) / n, sum(ou_touches[:, 2].tolist()) / n)
-    best_id = None
-    best_dist = None
-    for h in sorted(hotspots, key=lambda h: h.id):
-        d = mean.distance_to(h.centroid)
-        if best_dist is None or d < best_dist:
-            best_id, best_dist = h.id, d
-    return best_id
+    return min(hotspots, key=lambda h: (mean.distance_to(h.centroid), h.id)).id
 
 
 def _touching_points(sessions: Sequence[Session]) -> np.ndarray:

@@ -62,6 +62,10 @@ COORD_MAX = 1e50
 # squares of per-step means stay finite for up to 2.2e7 steps.
 RATE_MAX = 1e100
 
+# The longest session id accepted, in UTF-8 bytes: analyze's longest name, a trace's "<id>_<k>.csv"
+# and the 13 bytes atomic_write_text adds, is 224 bytes for a 6-digit k; most file systems allow 255.
+ID_MAX_BYTES = 200
+
 # The largest frame time accepted.  Times start at 0, so every duration and
 # lead time a feature takes is at most 1e150, below the mean-speed bound of
 # 2.83e150: correlate's squares of per-step means of any feature stay finite.
@@ -140,8 +144,11 @@ def _parse_header(obj: object, lineno: int, src: str) -> dict:
             raise ValueError(f"ordinal must be one of {ORDINALS}, got {obj['ordinal']!r}")
         rate = check_rate(obj["rate_hz"], "rate_hz")
         session_id = str(obj["id"])
-        # the id names the session's output directory, which must stay under --out
-        if session_id in ("", ".", "..") or any(c in session_id for c in "/\\\0"):
+        # the id names the session's output directory, which must stay under --out,
+        # and begins its trace files' names; a lone surrogate (a JSON escape) has no UTF-8
+        if (session_id in ("", ".", "..")
+                or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in session_id)
+                or len(session_id.encode()) > ID_MAX_BYTES):
             raise ValueError(f"session id {session_id!r} is not a valid file name")
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno, source=src) from None

@@ -13,12 +13,13 @@ A trailing bout-less stretch (touches never resume) produces no unit.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .session import Hotspot, Interval, OperationUnit, Session
+from .session import Hotspot, Interval, OperationUnit, Session, StepLabel
 from .hotspot import assign_operating_hotspot
 
 logger = logging.getLogger(__name__)
@@ -64,23 +65,14 @@ def _visible_flags(s: Session, debounce: int) -> np.ndarray:
     return np.cumsum(edges[:-1]) > 0
 
 
-def _majority_step(s: Session, o_start: float, o_end: float) -> Optional[str]:
-    if s.step_labels is None:
-        return None
-    dur = o_end - o_start
-    if dur == 0:
-        for label in s.step_labels:
-            if label.start_t <= o_start < label.end_t:
-                return label.step_id
-        return None
-    best_id, best_overlap = None, 0.0
-    for label in s.step_labels:
-        overlap = min(o_end, label.end_t) - max(o_start, label.start_t)
-        if overlap > best_overlap:
-            best_id, best_overlap = label.step_id, overlap
-    if best_overlap > 0.5 * dur:
-        return best_id
-    return None
+def _majority_step(labels: Sequence[StepLabel], o_start: float, o_end: float) -> Optional[str]:
+    """Of the ``labels`` that reach into the period, the step of the one holding an
+    instant, or of the first covering the most of a longer period if that is over half."""
+    if o_end == o_start:
+        return labels[0].step_id if labels else None
+    overlaps = [min(o_end, label.end_t) - max(o_start, label.start_t) for label in labels]
+    best = max(overlaps, default=0.0)
+    return labels[overlaps.index(best)].step_id if best > 0.5 * (o_end - o_start) else None
 
 
 def segment_units(
@@ -95,6 +87,10 @@ def segment_units(
     step labels each unit gets the step covering the majority of its
     operating period.
     """
+    # disjoint and sorted by start, so by end too: a unit's labels are one run
+    labels = s.step_labels or ()
+    starts = [label.start_t for label in labels]
+    ends = [label.end_t for label in labels]
     t = s.times
     first, last = _runs(s.touching_mask)
     if not len(first):
@@ -142,7 +138,8 @@ def segment_units(
             approaching=Interval(appearance, o_start),
             operating=Interval(o_start, o_end),
             hotspot_id=hotspot_id,
-            step_id=_majority_step(s, o_start, o_end),
+            step_id=_majority_step(labels[bisect_right(ends, o_start):bisect_right(starts, o_end)],
+                                   o_start, o_end),
         ))
         prev_end_t = o_end
         prev_end_i = oe

@@ -333,6 +333,8 @@ class CohortSpec:
     n_beginner_raters: int = 3
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
         if not self.step_scores:

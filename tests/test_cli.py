@@ -635,6 +635,21 @@ class TestAnalyze:
         assert not (tmp_path / "a" / "escaped").exists()
         assert not (tmp_path / "escaped").exists()
 
+    @pytest.mark.parametrize("bad_id", ["a\ud800b", "x" * 250], ids=["surrogate", "250_bytes"])
+    def test_id_that_cannot_name_a_file_fails_only_its_session(self, corpus, tmp_path, capsys, bad_id):
+        # such an id once ended the run with exit 1 when its first trace file was written
+        sessions = corpus / "sessions"
+        bad = sessions / "op1_earlier.jsonl"
+        write_session(dataclasses.replace(parse_session(bad), id=bad_id), bad)
+        out = tmp_path / "out"
+        assert run(["analyze", sessions, "--out", out]) == 3
+        assert f"{bad}:1: session id " in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        (failure,) = summary["failures"]
+        assert failure["error"].startswith(f"{bad}:1: session id ")
+        assert [s["id"] for s in summary["sessions"]] == ["op1_later"]
+        assert [p.name for p in (out / "sessions").iterdir()] == ["op1_later"]
+
     def test_duplicate_session_ids_fail_every_holder(self, corpus, tmp_path, capsys):
         sessions = corpus / "sessions"
         (sessions / "zz_copy.jsonl").write_bytes((sessions / "op1_earlier.jsonl").read_bytes())
@@ -1216,12 +1231,22 @@ class TestSynthRoundTrip:
         ({"lag_later_s": float("inf")}, "lag_later_s must be a finite number or null, got inf"),
         ({"step_scores": [1.5]}, "step_scores must be a list of integers, got [1.5]"),
         ({"step_scores": 3}, "step_scores must be a list of integers, got 3"),
+        ({"seed": -3}, "seed must be >= 0, got -3"),
+        ({"lag_s": -1}, "lag_s must be >= 0"),
+        ({"sample_rate_hz": -5}, "cohort durations too short at this sample rate"),
     ])
     def test_bad_spec_value_is_an_input_error(self, tmp_path, capsys, spec, message):
         path = tmp_path / "cohort.json"
         path.write_text(json.dumps({"seed": 1, "n_pairs": 1, **spec}))
         assert run(["synth", "--config", path, "--out", tmp_path / "data"]) == 1
         assert capsys.readouterr().err.splitlines() == [f"{path}: {message}"]
+        assert not (tmp_path / "data").exists()
+
+    def test_negative_seed_option_is_an_input_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps({"seed": 1, "n_pairs": 1}))
+        assert run(["synth", "--config", path, "--seed", "-1", "--out", tmp_path / "data"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"{path}: seed must be >= 0, got -1"]
         assert not (tmp_path / "data").exists()
 
     def test_spec_values_of_every_declared_type_are_read(self, tmp_path):

@@ -373,8 +373,9 @@ class TestAssignHotspot:
         got = assign_operating_hotspot(np.array([(0.0, 19.0, 0.0)]), self._hotspots())
         assert got == 2
 
-    def test_tie_breaks_low_id(self):
-        got = assign_operating_hotspot(np.array([(0.0, 5.0, 0.0)]), self._hotspots())
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_tie_breaks_low_id(self, order):
+        got = assign_operating_hotspot(np.array([(0.0, 5.0, 0.0)]), self._hotspots()[::order])
         assert got == 0
 
     def test_no_hotspots_is_none(self):

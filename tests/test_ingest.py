@@ -354,7 +354,8 @@ class TestRoundTrip:
         assert back == s
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    @pytest.mark.parametrize("bad_id", ["", ".", "..", "../../escaped", "a/b", "/abs", "a\\b", "a\0b"])
+    @pytest.mark.parametrize("bad_id", ["", ".", "..", "../../escaped", "a/b", "/abs", "a\\b", "a\0b",
+                                        "a\ud800b", pytest.param("x" * 250, id="250_bytes")])
     def test_id_that_is_no_file_name_rejected_at_line_1(self, tmp_path, fmt, bad_id):
         path = tmp_path / f"s1.{fmt}"
         write_session(dataclasses.replace(self._session(), id=bad_id), path, format=fmt)

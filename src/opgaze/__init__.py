@@ -31,8 +31,8 @@ _EXPORTS = {
         "touch_distribution", "touch_distribution_plot_data",
     ),
     "ingest": (
-        "check_rate", "detect_format", "load_step_labels", "parse_session", "validate_session",
-        "write_session", "write_step_labels",
+        "check_rate", "detect_format", "load_step_labels", "parse_session", "read_header",
+        "validate_session", "write_session", "write_step_labels",
     ),
     "segmentation": ("SegmentationParams", "period_durations", "segment_units"),
     "session": (

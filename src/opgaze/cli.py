@@ -9,10 +9,12 @@ Commands::
     opgaze synth                             generate a seeded synthetic cohort
 
 Every command takes ``--out``, ``--jobs`` (>= 1) and ``--log-level``.
-``analyze`` parses its sessions in one process, then hands each parsed
-session to a pool of min(``--jobs``, sessions parsed, usable cores) forked
-workers, which analyze and write it; with one, or where the platform has
-no fork, it runs them in process.  It reports failures in path order;
+``analyze`` reads every file's header for the duplicate-id rule, then
+parses the files in one process and hands each session, as soon as it is
+parsed, to a pool of min(``--jobs``, files of a unique header id, usable
+cores) forked workers, which analyze and write it while the next file is
+parsed; with one, or where the platform has no fork, it runs them in
+process.  It reports failures in path order;
 worker log lines may interleave on stderr.  A write error or a worker
 that dies ends the run with exit 1 and no ``summary.json``.  ``--config``
 is the pipeline config of ``analyze`` and the cohort spec of ``synth``;
@@ -75,7 +77,8 @@ HOTSPOTS_HEADER = ("id", "cx", "cy", "count", "first_t", "last_t")
 # attribute lookup on this module, or by _bind() at the top of each function
 # that can be the first to call one.  A name bound already is kept.
 _LAZY = (
-    "check_rate", "detect_format", "load_step_labels", "parse_session", "validate_session",
+    "check_rate", "detect_format", "load_step_labels", "parse_session", "read_header",
+    "validate_session",
     # analyze_session makes the one unit_traces call of a session; nothing here
     # calls build_distance_series, which perfbench/tracer.py wraps by this name
     "FeatureParams", "build_distance_series", "feature_vector", "unit_traces",
@@ -415,34 +418,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_EMPTY
     out = _out_dir(args.out)
 
-    # phase 1, here: parse every file, then fail every holder of a repeated
-    # id, because a session id names an output directory and keys
-    # features.csv rows
-    parsed: dict[Path, Session] = {}
+    # phase 1, here: read every file's header and fail every holder of a
+    # repeated id, because a session id names an output directory and keys
+    # features.csv rows; a file whose header does not read holds no id, and
+    # its parse below reports it
     failures: dict[Path, _Failure] = {}
-    for path in files:
-        try:
-            parsed[path] = _load_session(path)
-        except Exception as exc:
-            failures[path] = _failure(exc)
     holders: dict[str, list[Path]] = {}
-    for path, s in parsed.items():
-        holders.setdefault(s.id, []).append(path)
+    for path in files:
+        with contextlib.suppress(Exception):
+            holders.setdefault(read_header(path, detect_format(path))["id"], []).append(path)
     for sid, paths in holders.items():
         if len(paths) == 1:
             continue
         for path in paths:
             others = ", ".join(str(p) for p in paths if p != path)
             failures[path] = _Failure(f"duplicate session id {sid!r}: also in {others}")
-            del parsed[path]
 
-    # phase 2, in forked workers or here: analyze and write each session;
-    # results come back in path order
+    # phase 2: parse the other files here, in path order, and hand each
+    # session to a forked worker as soon as it is parsed, or analyze and
+    # write it here; results are reported in path order
     combined_rows: list[list[object]] = []
     summary_sessions = []
     ok_sessions: list[Session] = []
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = min(args.jobs, len(parsed), cores or 1)
+    size = min(args.jobs, sum(len(paths) == 1 for paths in holders.values()), cores or 1)
     pool = None
     broken: tuple[type[Exception], ...] = ()  # what a dead worker raises; nothing in process
     try:
@@ -453,14 +452,30 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
             # fork is named, as POSIX's default start method changed in Python
             # 3.14, and spawn would import numpy again in every worker; the
-            # executor forks all its workers before it starts a thread
+            # executor forks all its workers at the first submit, before it
+            # starts a thread
             if "fork" in multiprocessing.get_all_start_methods():
                 pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
                 broken = (BrokenProcessPool,)
-        outcomes = (map if pool is None else pool.map)(
-            _analyze_and_write, parsed, parsed.values(), itertools.repeat(config), itertools.repeat(out))
+        parsed: dict[Path, Session] = {}
+        submitted = {}  # path -> Future of _analyze_and_write
         for path in files:
-            outcome = next(outcomes) if path in parsed else failures[path]
+            if path in failures:
+                continue
+            try:
+                parsed[path] = _load_session(path)
+            except Exception as exc:
+                failures[path] = _failure(exc)
+                continue
+            if pool is not None:
+                submitted[path] = pool.submit(_analyze_and_write, path, parsed[path], config, out)
+        for path in files:
+            if path in failures:
+                failures[path].report(path)
+                continue
+            # a Future keeps its result, so it is dropped once read
+            outcome = (_analyze_and_write(path, parsed[path], config, out) if pool is None
+                       else submitted.pop(path).result())
             if isinstance(outcome, _Failure):
                 failures[path] = outcome
                 outcome.report(path)

@@ -140,10 +140,13 @@ def _parse_header(obj: object, lineno: int, src: str) -> dict:
         missing = [k for k in HEADER_FIELDS if k not in obj]
         if missing:
             raise ValueError(f"session header missing fields: {missing}")
+        for key in ("id", "operator", "coord_frame"):
+            if not isinstance(obj[key], str):
+                raise ValueError(f"{key} must be a string, got {obj[key]!r}")
         if obj["ordinal"] not in ORDINALS:
             raise ValueError(f"ordinal must be one of {ORDINALS}, got {obj['ordinal']!r}")
         rate = check_rate(obj["rate_hz"], "rate_hz")
-        session_id = str(obj["id"])
+        session_id = obj["id"]
         # the id names the session's output directory, which must stay under --out,
         # and begins its trace files' names; a lone surrogate (a JSON escape) has no UTF-8
         if (session_id in ("", ".", "..")
@@ -154,10 +157,10 @@ def _parse_header(obj: object, lineno: int, src: str) -> dict:
         raise ParseError(str(exc), line=lineno, source=src) from None
     return {
         "id": session_id,
-        "operator": str(obj["operator"]),
-        "ordinal": str(obj["ordinal"]),
+        "operator": obj["operator"],
+        "ordinal": obj["ordinal"],
         "rate_hz": rate,
-        "coord_frame": str(obj["coord_frame"]),
+        "coord_frame": obj["coord_frame"],
     }
 
 
@@ -225,10 +228,7 @@ def parse_session(
     step_labels: Optional[tuple[StepLabel, ...]] = None,
 ) -> Session:
     """Parse one session file (or open stream) in the given format."""
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    # JSONL lines need no kept line ends, and universal newlines split faster
-    stream, src = open_text(source, None if format == JSONL else "")
+    stream, src = _open_session(source, format)
     with stream:
         header, columns = (_parse_jsonl if format == JSONL else _parse_csv)(stream, src)
     if not len(columns["times"]):
@@ -256,12 +256,55 @@ def _decode_line(line: str) -> object:
     return obj
 
 
+def read_header(source: Source, format: str = JSONL) -> dict:
+    """The header of a session file (or open stream) in the given format, as
+    :func:`parse_session` reads it, without reading its frames: the same
+    fields, or the same ParseError on the same line."""
+    stream, src = _open_session(source, format)
+    with stream:
+        return _read_header(stream, src, format)[0]
+
+
+def _open_session(source: Source, format: str) -> tuple[IO[str], str]:
+    if format not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    # JSONL lines need no kept line ends, and universal newlines split faster
+    return open_text(source, None if format == JSONL else "")
+
+
+def _read_header(stream: IO[str], src: str, format: str) -> tuple[dict, int]:
+    """The header of a session file, read from the start of ``stream``, and
+    its line; ``stream`` is left at the line after it.  In JSONL it is the
+    first line that is not blank, in CSV a ``#`` comment on line 1."""
+    if format == CSV:
+        first = check_line(stream.readline(), 1, src)
+        if not first:
+            raise ParseError("empty file: missing session header", source=src)
+        if not first.lstrip().startswith("#"):
+            raise ParseError("first line must be a '#' comment carrying the session header JSON",
+                             line=1, source=src)
+        try:
+            obj = json.loads(first.lstrip()[1:])
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"malformed header JSON: {json_error(exc)}", line=1, source=src)
+        return _parse_header(obj, 1, src), 1
+    for lineno, line in enumerate(stream, start=1):
+        line = check_line(line, lineno, src).strip()
+        if line:
+            try:
+                obj = _decode_line(line)
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"malformed JSON: {json_error(exc)}", line=lineno, source=src)
+            return _parse_header(obj, lineno, src), lineno
+    raise ParseError("empty file: missing session header", source=src)
+
+
 def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
-    header = None
+    header, header_line = _read_header(stream, src, JSONL)
     rows: list[tuple] = []
     lines: list[int] = []
     try:
-        for lineno, line in enumerate(stream, start=1):
+        for lineno, line in enumerate(stream, start=header_line + 1):
             line = check_line(line, lineno, src).strip()
             if not line:
                 continue
@@ -269,9 +312,6 @@ def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]
                 obj = _decode_line(line)
             except (ValueError, RecursionError) as exc:
                 raise ParseError(f"malformed JSON: {json_error(exc)}", line=lineno, source=src)
-            if header is None:
-                header = _parse_header(obj, lineno, src)
-                continue
             if not isinstance(obj, dict):
                 raise ParseError("frame must be an object", line=lineno, source=src)
             try:
@@ -283,24 +323,11 @@ def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]
     except ParseError:
         _frame_columns(_columns(rows), lines, src)  # an earlier frame's error comes first
         raise
-    if header is None:
-        raise ParseError("empty file: missing session header", source=src)
     return header, _frame_columns(_columns(rows), lines, src)
 
 
 def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
-    first = check_line(stream.readline(), 1, src)
-    if not first:
-        raise ParseError("empty file: missing session header", source=src)
-    if not first.lstrip().startswith("#"):
-        raise ParseError("first line must be a '#' comment carrying the session header JSON",
-                         line=1, source=src)
-    try:
-        header_obj = json.loads(first.lstrip()[1:])
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"malformed header JSON: {json_error(exc)}", line=1, source=src)
-    header = _parse_header(header_obj, 1, src)
-
+    header, _ = _read_header(stream, src, CSV)
     reader = csv_rows(stream, src, first_line=2)
     _, columns = next(reader, (2, None))
     if columns is None:

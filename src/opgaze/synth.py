@@ -354,6 +354,15 @@ class CohortSpec:
             raise ValueError("later reversal count would drop below 1")
         if self.n_expert_raters < 1 or self.n_beginner_raters < 1:
             raise ValueError("need at least one rater per role")
+        rate = self.sample_rate_hz
+        if not rate > 0:
+            raise ValueError(f"sample_rate_hz must be positive, got {rate!r}")
+        # each period's frame count is rounded to an int; an inf or NaN count
+        # fails the comparison as well
+        with np.errstate(all="ignore"):
+            counts = _period_frames(self)
+        if not all((np.abs(n) < 2.0 ** 63).all() for n in counts):
+            raise ValueError(f"sample_rate_hz gives frame counts too large for an int: {rate!r}")
 
     @property
     def n_steps(self) -> int:
@@ -379,8 +388,9 @@ class Cohort:
     step_ids: tuple[str, ...]
 
 
-def _step_geometry(c: CohortSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frame-aligned per-step durations for the earlier sessions.
+def _period_frames(c: CohortSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-step gazing, approaching and operating frame counts for the
+    earlier sessions, before rounding.
 
     Approaching follows difficulty linearly; gazing gets a wiggle
     orthogonalized against difficulty so its sample correlation with the
@@ -395,9 +405,14 @@ def _step_geometry(c: CohortSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     norm_sq = float(centered @ centered)
     if norm_sq > 0:
         wiggle -= (float(wiggle @ centered) / norm_sq) * centered
-    n_g = np.round(rate * (c.base_dur_gazing + wiggle)).astype(int)
-    n_h = np.round(rate * (c.base_dur_approaching + c.approaching_slope * difficulty)).astype(int)
-    n_o = np.round(rate * np.full(c.n_steps, c.base_dur_operating)).astype(int)
+    return (rate * (c.base_dur_gazing + wiggle),
+            rate * (c.base_dur_approaching + c.approaching_slope * difficulty),
+            rate * np.full(c.n_steps, c.base_dur_operating))
+
+
+def _step_geometry(c: CohortSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame-aligned per-step durations for the earlier sessions."""
+    n_g, n_h, n_o = (np.round(n).astype(int) for n in _period_frames(c))
     if (n_g < 1).any() or (n_o < 2).any():
         raise ValueError("cohort durations too short at this sample rate")
     return n_g, n_h, n_o

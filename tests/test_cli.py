@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,16 @@ class TestValidate:
         assert run(["validate", corpus / "sessions", "--out", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
         assert "broken.jsonl:4" in err
+
+    def test_header_id_that_is_not_a_string_is_reported_with_line(self, corpus, tmp_path, capsys):
+        # a null id once read as the session "None": "None: OK (61 frames, 0 warnings)"
+        bad = corpus / "sessions" / "op1_earlier.jsonl"
+        lines = bad.read_text().splitlines()
+        bad.write_text("\n".join([json.dumps({**json.loads(lines[0]), "id": None}), *lines[1:]]) + "\n")
+        assert run(["validate", corpus / "sessions", "--out", tmp_path / "o"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"{bad}:1: id must be a string, got None"]
+        assert captured.out.splitlines() == ["op1_later: OK (61 frames, 0 warnings)"]
 
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_huge_number_reported_with_line(self, corpus, tmp_path, capsys, digits):
@@ -691,6 +702,50 @@ class TestAnalyze:
         assert [s["id"] for s in summary["sessions"]] == ["op1_later"]
         assert not (out / "sessions" / "op1_earlier").exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_id_fails_a_holder_whose_twin_does_not_parse(self, corpus, tmp_path, capsys, jobs):
+        # the rule is one of header ids: a twin whose frame line 5 is
+        # malformed once let the other holder be written
+        sessions = corpus / "sessions"
+        lines = (sessions / "op1_earlier.jsonl").read_text().splitlines()
+        lines[4] = "{not json"
+        (sessions / "zz_copy.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["analyze", sessions, "--out", out, "--jobs", jobs]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        errors = {Path(f["source"]).name: f["error"] for f in summary["failures"]}
+        assert sorted(errors) == ["op1_earlier.jsonl", "zz_copy.jsonl"]
+        assert all(e.startswith("duplicate session id 'op1_earlier'") for e in errors.values())
+        assert [s["id"] for s in summary["sessions"]] == ["op1_later"]
+        assert not (out / "sessions" / "op1_earlier").exists()
+        with (out / "features.csv").open() as fh:
+            assert {r["session_id"] for r in csv.DictReader(fh)} == {"op1_later"}
+        assert capsys.readouterr().err.count("duplicate session id") == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("spoil, good_id, message", [
+        # str() once read these ids as "None" and "7", the ids of the good file
+        ({"id": None}, "None", "id must be a string, got None"),
+        ({"id": 7}, "7", "id must be a string, got 7"),
+        ({"id": "x", "ordinal": "middle"}, "x", "ordinal must be one of ('earlier', 'later'), got 'middle'"),
+    ])
+    def test_a_file_whose_header_fails_holds_no_id(self, corpus, tmp_path, capsys, jobs,
+                                                   spoil, good_id, message):
+        sessions = corpus / "sessions"
+        good = sessions / "op1_earlier.jsonl"
+        write_session(dataclasses.replace(parse_session(good), id=good_id), good)
+        lines = (sessions / "op1_later.jsonl").read_text().splitlines()
+        bad = sessions / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps({**json.loads(lines[0]), **spoil}), *lines[1:]]) + "\n")
+        (sessions / "op1_later.jsonl").unlink()
+        out = tmp_path / "out"
+        assert run(["analyze", sessions, "--out", out, "--jobs", jobs]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"{bad}:1: {message}"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == [{"source": str(bad), "error": f"{bad}:1: {message}"}]
+        assert [s["id"] for s in summary["sessions"]] == [good_id]
+        assert [p.name for p in (out / "sessions").iterdir()] == [good_id]
+
     def test_only_duplicate_ids_is_input_error(self, corpus, tmp_path):
         sessions = corpus / "sessions"
         (sessions / "op1_later.jsonl").unlink()
@@ -894,7 +949,9 @@ def tree(root: Path) -> dict[str, bytes]:
 
 
 class TestAnalyzePool:
-    """``analyze --jobs N``: sessions parsed here, analyzed and written by forked workers."""
+    """``analyze --jobs N``: sessions parsed here, each handed to a forked
+    worker as soon as it is parsed, which analyzes and writes it while the
+    next file is parsed; a dead worker surfaces from a submit or a result."""
 
     def test_unexpected_error_in_a_worker(self, corpus, tmp_path, monkeypatch, capsys):
         sessions = corpus / "sessions"
@@ -957,6 +1014,73 @@ class TestAnalyzePool:
         [line] = proc.stderr.splitlines()
         assert "worker process died" in line
         assert not (out / "summary.json").exists()
+
+    def test_a_worker_that_dies_while_files_parse_ends_the_run(self, corpus, tmp_path):
+        # the first session's worker dies while the last file is parsed, so
+        # the dead worker surfaces from that file's submit, or from a result
+        # if the pool notices it later
+        out, died = tmp_path / "out", tmp_path / "died"
+        code = (
+            "import json, multiprocessing, os, time\n"
+            "from opgaze import cli\n"
+            "real_load, real_analyze = cli._load_session, cli.analyze_session\n"
+            "def dying(s, config):\n"
+            "    if s.id == 'op1_earlier':\n"
+            f"        open({str(died)!r}, 'w').close()\n"
+            "        os._exit(9)\n"
+            "    return real_analyze(s, config)\n"
+            "def waiting(path):\n"
+            "    if path.stem == 'op1_later':\n"
+            "        deadline = time.monotonic() + 30\n"
+            f"        while not os.path.exists({str(died)!r}) and time.monotonic() < deadline:\n"
+            "            time.sleep(0.01)\n"
+            "        time.sleep(0.5)\n"
+            "    return real_load(path)\n"
+            "cli.analyze_session, cli._load_session = dying, waiting\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"code = cli.main(['analyze', {str(corpus / 'sessions')!r}, '--out', {str(out)!r},"
+            " '--jobs', '2'])\n"
+            "print(json.dumps([code, len(multiprocessing.active_children())]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [1, 0]
+        [line] = proc.stderr.splitlines()
+        assert "worker process died" in line
+        assert died.exists() and not (out / "summary.json").exists()
+
+    def test_a_session_is_analyzed_while_later_files_parse(self, corpus, tmp_path, monkeypatch):
+        # the last file's parse waits until a worker has analyzed the first
+        # session; with every parse before the first hand-off it times out
+        sessions = corpus / "sessions"
+        first, last = cli.find_session_files([sessions])
+        marker = tmp_path / "first_analyzed"
+        parent = os.getpid()
+        seen = []
+        real_load, real_analyze = cli._load_session, cli.analyze_session
+
+        def waiting_load(path):
+            if path == last:
+                deadline = time.monotonic() + 30
+                while not marker.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                seen.append(marker.exists())
+            return real_load(path)
+
+        def marking_analyze(s, config):
+            if os.getpid() != parent and s.id == first.stem:
+                marker.touch()
+            return real_analyze(s, config)
+
+        monkeypatch.setattr(cli, "_load_session", waiting_load)
+        monkeypatch.setattr(cli, "analyze_session", marking_analyze)  # forked workers inherit the patch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run(["analyze", sessions, "--out", tmp_path / "many", "--jobs", 2]) == 0
+        assert seen == [True]
+        assert run(["analyze", sessions, "--out", tmp_path / "one", "--jobs", 1]) == 0
+        assert tree(tmp_path / "many") == tree(tmp_path / "one")
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n_sessions, jobs", [(2, 64), (1, 2)])
     def test_pool_size_is_capped_by_sessions_and_cores(self, corpus, tmp_path, monkeypatch,
@@ -1233,7 +1357,10 @@ class TestSynthRoundTrip:
         ({"step_scores": 3}, "step_scores must be a list of integers, got 3"),
         ({"seed": -3}, "seed must be >= 0, got -3"),
         ({"lag_s": -1}, "lag_s must be >= 0"),
-        ({"sample_rate_hz": -5}, "cohort durations too short at this sample rate"),
+        ({"sample_rate_hz": -5}, "sample_rate_hz must be positive, got -5"),
+        # its frame counts once overflowed an int, with numpy warnings
+        ({"sample_rate_hz": 1e300}, "sample_rate_hz gives frame counts too large for an int: 1e+300"),
+        ({"sample_rate_hz": 1.7e308}, "sample_rate_hz gives frame counts too large for an int: 1.7e+308"),
     ])
     def test_bad_spec_value_is_an_input_error(self, tmp_path, capsys, spec, message):
         path = tmp_path / "cohort.json"

@@ -180,6 +180,67 @@ class TestJsonNumbers:
         assert self._raises(text, fmt) == f"stream:1: rate_hz is not a number: {rate!r}"
 
 
+class TestHeaderStrings:
+    """The header's ``id``, ``operator`` and ``coord_frame`` must be JSON
+    strings, in both formats: any other value is rejected on the header's
+    line, naming the field, by the reference parser as well."""
+
+    @pytest.mark.parametrize("value", [None, 7, 1.5, True, ["s1"], {"id": "s1"}])
+    @pytest.mark.parametrize("key", ["id", "operator", "coord_frame"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_header_value_that_is_not_a_string(self, fmt, key, value):
+        header = json.dumps({**json.loads(HEADER), key: value})
+        text = (header + "\n" + json.dumps(TestJsonNumbers.FRAME) + "\n" if fmt == "jsonl"
+                else "#" + header + "\nt,ax,ay,hx,hy,touch\n0.0,1,2,3,4,false\n")
+        assert TestJsonNumbers._raises(text, fmt) == f"stream:1: {key} must be a string, got {value!r}"
+
+
+class TestReadHeader:
+    """``read_header`` reads a session file's header as ``parse_session``
+    does, and no further: the same fields, or the same error on the same line."""
+
+    CSV_BODY = "t,ax,ay,hx,hy,touch\n0.0,1,2,3,4,false\n"
+
+    @staticmethod
+    def _write(tmp_path: Path, text: str, fmt: str) -> Path:
+        path = tmp_path / f"s.{fmt}"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        return path
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_header_of_a_file_whose_frames_do_not_parse(self, tmp_path, fmt):
+        text = (f"\n\n{HEADER}\n{{not json\n" if fmt == "jsonl"
+                else f"#{HEADER}\n{self.CSV_BODY}0.1,1,2,3,4,maybe\n")
+        path = self._write(tmp_path, text, fmt)
+        assert ingest.read_header(path, fmt) == {
+            "id": "s1", "operator": "op1", "ordinal": "earlier", "rate_hz": 30.0, "coord_frame": "scene"}
+        with pytest.raises(ParseError) as exc:
+            parse_session(path, fmt)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("jsonl", ""),
+        ("jsonl", "\n  \n"),
+        ("jsonl", "{not json\n"),
+        ("jsonl", "\n\n" + HEADER.replace('"earlier"', '"middle"') + "\n"),
+        ("jsonl", "[1]\n"),
+        ("jsonl", HEADER[:-1] + ', "x": "\udce9"}\n'),
+        ("jsonl", HEADER.replace('"s1"', "null") + "\n"),
+        ("csv", ""),
+        ("csv", HEADER + "\n"),
+        ("csv", "#{not json\n"),
+        ("csv", "#" + HEADER.replace("30.0", "-1") + "\n"),
+        ("csv", "#" + HEADER.replace('"scene"', "3") + "\n"),
+    ])
+    def test_bad_header_is_the_error_parse_session_raises(self, tmp_path, fmt, text):
+        path = self._write(tmp_path, text + (self.CSV_BODY if fmt == "csv" and text else ""), fmt)
+        with pytest.raises(ParseError) as header:
+            ingest.read_header(path, fmt)
+        with pytest.raises(ParseError) as parse:
+            parse_session(path, fmt)
+        assert (header.value.line, str(header.value)) == (parse.value.line, str(parse.value))
+
+
 class TestTimeBound:
     """A frame time above ``TIME_MAX`` is rejected on its line, in both
     formats, as a coordinate beyond ``COORD_MAX`` is."""

@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "hotspot": (
         "ClusterParams", "TouchDistribution", "cluster_touches", "extract_touches",
-        "touch_distribution", "touch_distribution_plot_data",
+        "touch_distribution", "touch_distribution_plot_data", "touching_points",
     ),
     "ingest": (
         "check_rate", "detect_format", "load_step_labels", "parse_session", "read_header",

@@ -10,15 +10,15 @@ Commands::
 
 Every command takes ``--out``, ``--jobs`` (>= 1) and ``--log-level``.
 ``analyze`` reads every file's header for the duplicate-id rule, then
-parses the files in one process and hands each session, as soon as it is
-parsed, to a pool of min(``--jobs``, files of a unique header id, usable
-cores) forked workers, which analyze and write it while the next file is
-parsed; with one, or where the platform has no fork, it runs them in
-process.  It reports failures in path order;
-worker log lines may interleave on stderr.  A write error or a worker
-that dies ends the run with exit 1 and no ``summary.json``.  ``--config``
-is the pipeline config of ``analyze`` and the cohort spec of ``synth``;
-``--seed`` overrides that spec's seed.
+runs min(``--jobs``, files of a unique header id, usable cores)
+processes: itself and that many less one forked workers.  Each parses,
+analyzes and writes whole sessions, this process from the front of the
+path list and the workers from its back; with one, or where the platform
+has no fork, this process runs every session in path order.  It reports
+failures in path order; worker log lines may interleave on stderr.  A
+write error or a worker that dies ends the run with exit 1 and no
+``summary.json``.  ``--config`` is the pipeline config of ``analyze`` and
+the cohort spec of ``synth``; ``--seed`` overrides that spec's seed.
 Exit codes are a stable contract: 0 success, 1 input error, 2 empty input,
 3 partial failure.  All outputs are written atomically and are
 byte-identical across reruns and ``--jobs`` values.
@@ -27,6 +27,7 @@ byte-identical across reruns and ``--jobs`` values.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import itertools
@@ -39,14 +40,16 @@ import traceback
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
-# only numpy-free modules here, so that compare, correlate and --help load no numpy
-from . import analysis
+# only numpy-free modules here, so that compare, correlate and --help load no numpy;
+# analysis is imported by the two commands that use it
 from .featurerow import FEATURE_MAX, FEATURES_HEADER, SCALAR_FEATURES, FeatureVector, feature_row
 from .studyio import (
     ParseError, atomic_write_text, check_fields, csv_rows, csv_text, load_ratings, open_text, read_json,
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .features import FeatureParams, UnitTraces
     from .hotspot import ClusterParams
     from .segmentation import SegmentationParams
@@ -83,7 +86,7 @@ _LAZY = (
     # calls build_distance_series, which perfbench/tracer.py wraps by this name
     "FeatureParams", "build_distance_series", "feature_vector", "unit_traces",
     "ClusterParams", "cluster_touches", "extract_touches", "touch_distribution",
-    "touch_distribution_plot_data",
+    "touch_distribution_plot_data", "touching_points",
     "SegmentationParams", "segment_units",
 )
 
@@ -389,12 +392,14 @@ def _failure(exc: Exception) -> _Failure:
     return _Failure(f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc)))
 
 
-def _analyze_and_write(path: Path, s: Session, config: RunConfig,
-                       out: Path) -> tuple[list[list[object]], dict[str, object]] | _Failure:
-    """Analyze session ``s``, parsed from ``path``, and write its directory
-    under ``out``; return its ``features.csv`` rows and ``summary.json``
-    entry.  A write error is raised, and ends the run."""
+def _run_session(path: Path, config: RunConfig,
+                 out: Path) -> tuple[list[list[object]], dict[str, object], np.ndarray] | _Failure:
+    """Parse the session file ``path``, analyze the session and write its
+    directory under ``out``; return its ``features.csv`` rows, its
+    ``summary.json`` entry and its touching points.  A write error is
+    raised, and ends the run."""
     try:
+        s = _load_session(path)
         result = analyze_session(s, config)
     except Exception as exc:
         return _failure(exc)
@@ -407,7 +412,7 @@ def _analyze_and_write(path: Path, s: Session, config: RunConfig,
         "n_units": len(result.units),
         "n_hotspots": len(result.hotspots),
         "resolved_spatial_eps": result.resolved_eps,
-    }
+    }, touching_points(s)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -434,12 +439,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             others = ", ".join(str(p) for p in paths if p != path)
             failures[path] = _Failure(f"duplicate session id {sid!r}: also in {others}")
 
-    # phase 2: parse the other files here, in path order, and hand each
-    # session to a forked worker as soon as it is parsed, or analyze and
-    # write it here; results are reported in path order
+    # phase 2: each of `size` processes, this one and its forked workers,
+    # parses, analyzes and writes whole sessions: this one from the front of
+    # the path list, the workers from its back; outcomes are reported, and
+    # the outputs of all sessions joined, in path order
     combined_rows: list[list[object]] = []
     summary_sessions = []
-    ok_sessions: list[Session] = []
+    touching: list[np.ndarray] = []
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = min(args.jobs, sum(len(paths) == 1 for paths in holders.values()), cores or 1)
     pool = None
@@ -455,38 +461,37 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             # executor forks all its workers at the first submit, before it
             # starts a thread
             if "fork" in multiprocessing.get_all_start_methods():
-                pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+                pool = ProcessPoolExecutor(size - 1, mp_context=multiprocessing.get_context("fork"))
                 broken = (BrokenProcessPool,)
-        parsed: dict[Path, Session] = {}
-        submitted = {}  # path -> Future of _analyze_and_write
-        for path in files:
-            if path in failures:
-                continue
-            try:
-                parsed[path] = _load_session(path)
-            except Exception as exc:
-                failures[path] = _failure(exc)
-                continue
-            if pool is not None:
-                submitted[path] = pool.submit(_analyze_and_write, path, parsed[path], config, out)
+        todo = collections.deque(path for path in files if path not in failures)
+        queued = {}  # path -> Future of _run_session
         for path in files:
             if path in failures:
                 failures[path].report(path)
                 continue
-            # a Future keeps its result, so it is dropped once read
-            outcome = (_analyze_and_write(path, parsed[path], config, out) if pool is None
-                       else submitted.pop(path).result())
+            if path in queued:
+                # a Future keeps its result, so it is dropped once read
+                outcome = queued.pop(path).result()
+            else:
+                if pool is not None:
+                    # two sessions queued per worker, while this one is left here
+                    waiting = sum(not future.done() for future in queued.values())
+                    for _ in range(min(2 * (size - 1) - waiting, len(todo) - 1)):
+                        last = todo.pop()
+                        queued[last] = pool.submit(_run_session, last, config, out)
+                todo.popleft()
+                outcome = _run_session(path, config, out)
             if isinstance(outcome, _Failure):
                 failures[path] = outcome
                 outcome.report(path)
                 continue
-            rows, entry = outcome
+            rows, entry, points = outcome
             if not entry["n_units"]:
                 print(f"warning: session {entry['id']!r}: no operation units "
                       "(no touches, or all bouts dropped)", file=sys.stderr)
             combined_rows.extend(rows)
             summary_sessions.append(entry)
-            ok_sessions.append(parsed[path])
+            touching.append(points)
     except broken as exc:
         print(f"a worker process died, which ends the run: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -498,9 +503,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _write_csv(out / "features.csv", FEATURES_HEADER, combined_rows)
     _write_json(out / "config_used.json", dataclasses.asdict(config))
 
-    if any(s.touching_mask.any() for s in ok_sessions):
-        dist = touch_distribution(ok_sessions)
-        _write_touchdist(out / "touchdist.json", touch_distribution_plot_data(dist, ok_sessions))
+    if any(len(points) for points in touching):
+        import numpy as np
+
+        points = np.concatenate(touching)  # in path order, as the bits of the means depend on it
+        dist = touch_distribution(points)
+        _write_touchdist(out / "touchdist.json", touch_distribution_plot_data(dist, points))
     else:
         _write_json(out / "touchdist.json", {"touch_count": 0})
     _write_json(out / "summary.json", {
@@ -508,10 +516,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "failures": [
             {"source": str(p), "error": failures[p].error} for p in sorted(failures)
         ],
-        "n_sessions_ok": len(ok_sessions),
+        "n_sessions_ok": len(summary_sessions),
         "n_sessions_failed": len(failures),
     })
-    if failures and ok_sessions:
+    if failures and summary_sessions:
         return EXIT_PARTIAL
     if failures:
         return EXIT_INPUT_ERROR
@@ -604,6 +612,8 @@ def _load_manifest(path: Path) -> list[dict[str, str]]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import analysis
+
     rows = _read_features_csv(_features_path(args.features))
     manifest = _load_manifest(Path(args.manifest))
     if not manifest:
@@ -646,6 +656,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # --- correlate ---------------------------------------------------------------
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    from . import analysis
+
     rows = _read_features_csv(_features_path(args.features))
     ratings = load_ratings(Path(args.ratings))
     labeled = [row for row in rows if row["step_id"] is not None]
@@ -713,9 +725,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory (default: %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="must be >= 1; analyze analyzes and writes its sessions in up to "
-                        "this many forked workers, capped by the sessions and usable cores, "
-                        "with the same outputs at any value (default: %(default)s)")
+                   help="must be >= 1; analyze parses, analyzes and writes its sessions in up "
+                        "to this many processes, itself and forked workers, capped by the "
+                        "sessions and usable cores, with the same outputs at any value "
+                        "(default: %(default)s)")
     p.add_argument("--log-level", type=str.upper, default="WARNING",
                    choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
                    help="logging level (default: %(default)s)")

@@ -240,20 +240,22 @@ def assign_operating_hotspot(ou_touches: np.ndarray, hotspots: Sequence[Hotspot]
     return min(hotspots, key=lambda h: (mean.distance_to(h.centroid), h.id)).id
 
 
-def _touching_points(sessions: Sequence[Session]) -> np.ndarray:
-    """(hand x, hand y, attention x, attention y) of every touching frame."""
-    rows = [np.hstack((s.hand_xy, s.attention_xy))[s.touching_mask] for s in sessions]
-    return np.concatenate(rows or [np.empty((0, 4))])
+def touching_points(s: Session) -> np.ndarray:
+    """(hand x, hand y, attention x, attention y) rows, one per frame with
+    physical contact."""
+    return np.hstack((s.hand_xy, s.attention_xy))[s.touching_mask]
 
 
-def touch_distribution(sessions: Sequence[Session]) -> TouchDistribution:
-    """Accumulated touch centroid, bias, and covariance across sessions.
+def touch_distribution(points: np.ndarray) -> TouchDistribution:
+    """Accumulated touch centroid, bias, and covariance of touching points,
+    (n, 4) rows as :func:`touching_points` returns them, of one or more
+    sessions joined.
 
     The bias vector is the touch centroid minus the mean attention point
     over the same (touching) frames: how far contact sits from where the
     operator is looking when touching.
     """
-    xs, ys, att_x, att_y = _touching_points(sessions).T
+    xs, ys, att_x, att_y = points.T
     if not len(xs):
         raise ValueError("no touches across sessions")
     cx, cy = float(np.mean(xs)), float(np.mean(ys))
@@ -272,13 +274,13 @@ def touch_distribution(sessions: Sequence[Session]) -> TouchDistribution:
     )
 
 
-def touch_distribution_plot_data(dist: TouchDistribution, sessions: Sequence[Session]) -> dict:
-    """Plot-ready payload: the distribution plus the raw touch points."""
-    points = _touching_points(sessions)[:, :2].tolist()
+def touch_distribution_plot_data(dist: TouchDistribution, points: np.ndarray) -> dict:
+    """Plot-ready payload: the distribution plus the raw touch points of
+    its touching ``points``."""
     return {
         "centroid": [dist.centroid.x, dist.centroid.y],
         "bias": [dist.bias_vector.x, dist.bias_vector.y],
         "covariance": [list(row) for row in dist.covariance],
         "touch_count": dist.touch_count,
-        "points": points,
+        "points": points[:, :2].tolist(),
     }

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
+import orjson
 
 from .session import ORDINALS, Session, StepLabel
 # defined without numpy for the study commands; the same objects here
@@ -301,10 +302,45 @@ def _read_header(stream: IO[str], src: str, format: str) -> tuple[dict, int]:
 
 def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
     header, header_line = _read_header(stream, src, JSONL)
+    text = stream.read()
+    return header, _plain_frame_columns(text, src) or _json_frame_columns(text, header_line + 1, src)
+
+
+def _plain_frame_columns(text: str, src: str) -> Optional[dict[str, np.ndarray]]:
+    """The Session columns of the JSONL frame lines ``text``, decoded by
+    orjson, if every line is plain and the columns pass every check; else
+    None, and :func:`_json_frame_columns` decides.
+
+    A plain line is ASCII (so UTF-8, without a BOM) and holds exactly 12
+    ``"``: the six ``FRAME_FIELDS`` keys need all of them, so an object
+    holding those keys has no string value and no other or repeated key,
+    where a value ``json`` would reject could hide.  Where orjson accepts
+    such a line, its values are those of ``json``.
+    """
+    if not text.isascii():
+        return None
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
+    if set(map(str.count, lines, itertools.repeat('"'))) - {12}:
+        return None
+    try:
+        rows = list(map(_FRAME_VALUES, map(orjson.loads, lines)))
+    except (ValueError, KeyError, TypeError):  # orjson's refusal, or not an object of the six fields
+        return None
+    try:
+        # a frame's line is read only for an error, which sends the text to json
+        return _frame_columns(_columns(rows), range(len(rows)), src)
+    except ParseError:
+        return None
+
+
+def _json_frame_columns(text: str, first_line: int, src: str) -> dict[str, np.ndarray]:
+    """The Session columns of the JSONL frame lines ``text``, whose first
+    is line ``first_line``, decoded one line at a time by ``json``; a bad
+    line is a ParseError on its line."""
     rows: list[tuple] = []
     lines: list[int] = []
     try:
-        for lineno, line in enumerate(stream, start=header_line + 1):
+        for lineno, line in enumerate(text.split("\n"), start=first_line):
             line = check_line(line, lineno, src).strip()
             if not line:
                 continue
@@ -323,7 +359,7 @@ def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]
     except ParseError:
         _frame_columns(_columns(rows), lines, src)  # an earlier frame's error comes first
         raise
-    return header, _frame_columns(_columns(rows), lines, src)
+    return _frame_columns(_columns(rows), lines, src)
 
 
 def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -363,6 +363,13 @@ class CohortSpec:
             counts = _period_frames(self)
         if not all((np.abs(n) < 2.0 ** 63).all() for n in counts):
             raise ValueError(f"sample_rate_hz gives frame counts too large for an int: {rate!r}")
+        # the later sessions scale the earlier sessions' rounded counts
+        for name, n in zip(("dur_gazing", "dur_approaching", "dur_operating"), counts):
+            with np.errstate(all="ignore"):
+                later = np.round(np.round(n) * self.factor(name))
+            if not (np.abs(later) < 2.0 ** 63).all():
+                raise ValueError(f"injected.{name} gives frame counts too large for an int: "
+                                 f"{self.injected[name]!r}")
 
     @property
     def n_steps(self) -> int:

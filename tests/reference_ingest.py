@@ -6,7 +6,8 @@ is by construction the earliest bad line's.  It opens its source itself, as
 strict UTF-8 with ``\n``, ``\r\n`` and ``\r`` ending a line, and shares
 checking the header with ``opgaze.ingest``.  It includes the fixes for
 integers too large for a float: ``_finite`` reports them as not finite, and
-a line that fails to decode for any ``ValueError`` is malformed JSON, a
+a line that fails to decode for any ``ValueError`` is malformed JSON (and
+one nested past the recursion limit is "nested too deeply"), a
 time must not exceed ``TIME_MAX`` and a coordinate must lie within
 ``COORD_MAX``.  A JSONL frame's numbers must be JSON numbers (an int or a
 float, not a bool or a string).  A CSV row's line is the line it starts on, as
@@ -109,6 +110,8 @@ def _parse_jsonl(stream: IO[str], src: str):
             continue
         try:
             obj = json.loads(line)
+        except RecursionError:
+            raise ParseError("malformed JSON: nested too deeply", line=lineno, source=src)
         except ValueError as exc:
             raise ParseError(f"malformed JSON: {getattr(exc, 'msg', exc)}", line=lineno, source=src)
         if header is None:

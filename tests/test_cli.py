@@ -11,7 +11,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -949,9 +948,10 @@ def tree(root: Path) -> dict[str, bytes]:
 
 
 class TestAnalyzePool:
-    """``analyze --jobs N``: sessions parsed here, each handed to a forked
-    worker as soon as it is parsed, which analyzes and writes it while the
-    next file is parsed; a dead worker surfaces from a submit or a result."""
+    """``analyze --jobs N``: N processes, this one and N - 1 forked workers,
+    each parse, analyze and write whole sessions, this one from the front of
+    the path list and the workers from its back; a dead worker surfaces from
+    a submit or a result."""
 
     def test_unexpected_error_in_a_worker(self, corpus, tmp_path, monkeypatch, capsys):
         sessions = corpus / "sessions"
@@ -996,9 +996,10 @@ class TestAnalyzePool:
         code = (
             "import json, multiprocessing, os\n"
             "from opgaze import cli\n"
+            "parent = os.getpid()\n"
             "real = cli.analyze_session\n"
             "def dying(s, config):\n"
-            "    if s.id == 'op1_later':\n"
+            "    if s.id == 'op1_later' and os.getpid() != parent:\n"
             "        os._exit(9)\n"
             "    return real(s, config)\n"
             "cli.analyze_session = dying\n"
@@ -1016,21 +1017,22 @@ class TestAnalyzePool:
         assert not (out / "summary.json").exists()
 
     def test_a_worker_that_dies_while_files_parse_ends_the_run(self, corpus, tmp_path):
-        # the first session's worker dies while the last file is parsed, so
-        # the dead worker surfaces from that file's submit, or from a result
-        # if the pool notices it later
+        # the worker dies on its session while this process parses its own,
+        # so the dead worker surfaces from a result, or from a submit if
+        # the pool notices it sooner
         out, died = tmp_path / "out", tmp_path / "died"
         code = (
             "import json, multiprocessing, os, time\n"
             "from opgaze import cli\n"
+            "parent = os.getpid()\n"
             "real_load, real_analyze = cli._load_session, cli.analyze_session\n"
             "def dying(s, config):\n"
-            "    if s.id == 'op1_earlier':\n"
+            "    if os.getpid() != parent:\n"
             f"        open({str(died)!r}, 'w').close()\n"
             "        os._exit(9)\n"
             "    return real_analyze(s, config)\n"
             "def waiting(path):\n"
-            "    if path.stem == 'op1_later':\n"
+            "    if os.getpid() == parent:\n"
             "        deadline = time.monotonic() + 30\n"
             f"        while not os.path.exists({str(died)!r}) and time.monotonic() < deadline:\n"
             "            time.sleep(0.01)\n"
@@ -1050,34 +1052,45 @@ class TestAnalyzePool:
         assert "worker process died" in line
         assert died.exists() and not (out / "summary.json").exists()
 
-    def test_a_session_is_analyzed_while_later_files_parse(self, corpus, tmp_path, monkeypatch):
-        # the last file's parse waits until a worker has analyzed the first
-        # session; with every parse before the first hand-off it times out
-        sessions = corpus / "sessions"
-        first, last = cli.find_session_files([sessions])
-        marker = tmp_path / "first_analyzed"
-        parent = os.getpid()
-        seen = []
-        real_load, real_analyze = cli._load_session, cli.analyze_session
+    def test_this_process_and_a_worker_each_parse_and_write_whole_sessions(self, tmp_path, monkeypatch):
+        # every call of either, in any process, appends "<pid> <kind> <id>"
+        # to one log; a line this short is one write
+        spec, data, log = tmp_path / "spec.json", tmp_path / "data", tmp_path / "calls.log"
+        spec.write_text(json.dumps({"n_pairs": 3}))
+        assert run(["synth", "--config", spec, "--seed", 7, "--out", data]) == 0
+        sessions = data / "sessions"
+        real_load, real_write = cli._load_session, cli._write_session_outputs
 
-        def waiting_load(path):
-            if path == last:
-                deadline = time.monotonic() + 30
-                while not marker.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                seen.append(marker.exists())
+        def record(kind, sid):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {kind} {sid}\n")
+
+        def recording_load(path):
+            record("parse", path.stem)
             return real_load(path)
 
-        def marking_analyze(s, config):
-            if os.getpid() != parent and s.id == first.stem:
-                marker.touch()
-            return real_analyze(s, config)
+        def recording_write(out_dir, result):
+            record("write", result.session.id)
+            return real_write(out_dir, result)
 
-        monkeypatch.setattr(cli, "_load_session", waiting_load)
-        monkeypatch.setattr(cli, "analyze_session", marking_analyze)  # forked workers inherit the patch
+        monkeypatch.setattr(cli, "_load_session", recording_load)  # forked workers inherit the patch
+        monkeypatch.setattr(cli, "_write_session_outputs", recording_write)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert run(["analyze", sessions, "--out", tmp_path / "many", "--jobs", 2]) == 0
-        assert seen == [True]
+        by_kind: dict[str, dict[str, list[int]]] = {"parse": {}, "write": {}}
+        for line in log.read_text().splitlines():
+            pid, kind, sid = line.split()
+            by_kind[kind].setdefault(sid, []).append(int(pid))
+        ids = sorted(path.stem for path in cli.find_session_files([sessions]))
+        assert len(ids) >= 6
+        # each session is parsed once and written once, by the same process
+        assert sorted(by_kind["parse"]) == sorted(by_kind["write"]) == ids
+        assert all(len(pids) == 1 for kind in by_kind.values() for pids in kind.values())
+        assert by_kind["parse"] == by_kind["write"]
+        # this process and one worker share the sessions
+        owners = {pids[0] for pids in by_kind["parse"].values()}
+        assert os.getpid() in owners and len(owners) == 2
+        monkeypatch.undo()
         assert run(["analyze", sessions, "--out", tmp_path / "one", "--jobs", 1]) == 0
         assert tree(tmp_path / "many") == tree(tmp_path / "one")
         assert multiprocessing.active_children() == []
@@ -1098,8 +1111,9 @@ class TestAnalyzePool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         assert run(["analyze", sessions, "--out", tmp_path / "one", "--jobs", 1]) == 0
         assert run(["analyze", sessions, "--out", tmp_path / "many", "--jobs", jobs]) == 0
+        # this process is one of the size, so it forks one fewer workers
         size = min(jobs, n_sessions, len(os.sched_getaffinity(0)))
-        assert sizes == ([size] if size > 1 else [])
+        assert sizes == ([size - 1] if size > 1 else [])
         assert tree(tmp_path / "many") == tree(tmp_path / "one")
         assert multiprocessing.active_children() == []
 
@@ -1361,6 +1375,12 @@ class TestSynthRoundTrip:
         # its frame counts once overflowed an int, with numpy warnings
         ({"sample_rate_hz": 1e300}, "sample_rate_hz gives frame counts too large for an int: 1e+300"),
         ({"sample_rate_hz": 1.7e308}, "sample_rate_hz gives frame counts too large for an int: 1.7e+308"),
+        # the later sessions' scaled counts once overflowed an int, with a numpy warning
+        ({"injected": {"dur_gazing": 1e300}}, "injected.dur_gazing gives frame counts too large for an int: 1e+300"),
+        ({"injected": {"dur_approaching": 1e300}},
+         "injected.dur_approaching gives frame counts too large for an int: 1e+300"),
+        ({"injected": {"dur_operating": 1.7e308}},
+         "injected.dur_operating gives frame counts too large for an int: 1.7e+308"),
     ])
     def test_bad_spec_value_is_an_input_error(self, tmp_path, capsys, spec, message):
         path = tmp_path / "cohort.json"

@@ -1,12 +1,12 @@
 """What a fresh interpreter loads.
 
-The study commands and ``--help`` load no numpy; ``analyze`` loads no
-``synth``, starts no thread and loads no ``multiprocessing`` at ``--jobs 1``,
-and loads no thread pool and leaves no thread or worker process running at
-``--jobs 2``; and every
-name the package exports resolves, on first use, to the object its
-submodule defines.  Each check runs in a new interpreter, because this test
-process has loaded numpy already.
+The study commands and ``--help`` load no numpy; ``analyze`` and
+``validate`` load no ``analysis``; ``analyze`` loads no ``synth``, starts
+no thread and loads no ``multiprocessing`` at ``--jobs 1``, and loads no
+thread pool and leaves no thread or worker process running at ``--jobs
+2``; and every name the package exports resolves, on first use, to the
+object its submodule defines.  Each check runs in a new interpreter,
+because this test process has loaded numpy already.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ EXPORTS = {
                  "compensate_offset", "count_sign_changes", "early_shift_ratio",
                  "feature_vector", "kinematics", "sign_series", "trailing_positive_run"),
     "hotspot": ("ClusterParams", "TouchDistribution", "cluster_touches", "extract_touches",
-                "touch_distribution"),
+                "touch_distribution", "touching_points"),
     "ingest": ("ParseError", "load_ratings", "load_step_labels", "parse_session",
                "validate_session", "write_ratings", "write_session", "write_step_labels"),
     "segmentation": ("SegmentationParams", "period_durations", "segment_units"),
@@ -103,6 +103,18 @@ def test_analyze_loads_no_synth(cohort):
         f" '--out', {str(cohort / 'again')!r}]) == 0\n"
     )
     assert not loaded_after(code, "opgaze.synth")
+
+
+def test_analyze_and_validate_load_no_analysis(cohort):
+    # only compare and correlate use the study module; every other process
+    # would compile and run it for nothing
+    sessions = str(cohort / "data" / "sessions")
+    code = (
+        "from opgaze import cli\n"
+        f"assert cli.main(['validate', {sessions!r}, '--out', {str(cohort / 'checked')!r}]) == 0\n"
+        f"assert cli.main(['analyze', {sessions!r}, '--out', {str(cohort / 'again2')!r}]) == 0\n"
+    )
+    assert not loaded_after(code, "opgaze.analysis")
 
 
 def test_analyze_starts_no_thread(cohort):

@@ -88,6 +88,24 @@ class TestParseJsonl:
         with pytest.raises(ParseError, match="no frames"):
             parse_session(io.StringIO(HEADER + "\n"))
 
+    def test_a_synth_file_is_decoded_by_orjson(self, tmp_path, monkeypatch):
+        # every frame line synth writes is plain, so the json line loop, which
+        # raises every frame error, never runs on one
+        from opgaze import synth
+
+        cohort = synth.generate_cohort(synth.cohort_spec_from_dict({"n_pairs": 1}, seed_override=7))
+        path = tmp_path / "s.jsonl"
+        write_session(cohort.sessions[0].session, path)
+        want = parse_session(path)
+
+        def refuse(*args):
+            raise AssertionError("the json line loop decoded a plain file")
+
+        monkeypatch.setattr(ingest, "_json_frame_columns", refuse)
+        assert parse_session(path) == want
+        with pytest.raises(AssertionError, match="json line loop"):
+            parse_session(jsonl('{"t": NaN, "ax": 0, "ay": 0, "hx": null, "hy": null, "touch": false}'))
+
 
 class TestHugeNumbers:
     """A JSON integer too large for a float is a line-numbered ParseError.

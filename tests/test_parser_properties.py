@@ -192,7 +192,124 @@ def test_fuzzed_frames_give_session_or_line_numbered_error(fmt, rows):
 @settings(SETTINGS, max_examples=250)
 @given(rows=frame_tables())
 def test_column_parser_matches_reference(fmt, rows):
-    text = (jsonl_text if fmt == "jsonl" else csv_text)(rows)
+    _assert_matches_reference((jsonl_text if fmt == "jsonl" else csv_text)(rows), fmt)
+
+
+# --- JSONL frame lines as text: plain ones are decoded by orjson ---------------
+
+# numerals whose value json and orjson must agree on: subnormals, -0.0, the
+# coordinate bound, and integers near 2^53, 2^63 and 2^64 and beyond
+EDGE_NUMERALS = [
+    *map(repr, (5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -0.0, 0.0, COORD_MAX, -COORD_MAX,
+                math.nextafter(COORD_MAX, math.inf))),
+    *(str(sign * (2 ** bits + d)) for bits in (53, 63, 64, 70) for d in (-1, 0, 1) for sign in (1, -1)),
+    str(10 ** 30), "1" + "0" * 50, "1" + "0" * 400, "-0", "1E5", "1e+05", "2.5e-3", "0e0", "-0e-0",
+]
+# within the coordinate bound
+tame_numerals = st.one_of(
+    *[st.floats(-100.0, 100.0).map(repr)] * 3,
+    st.sampled_from([n for n in EDGE_NUMERALS if abs(float(n)) <= COORD_MAX]),
+)
+# mostly within the coordinate bound, so that many files parse
+numerals = st.one_of(
+    *[tame_numerals] * 3,
+    st.sampled_from(EDGE_NUMERALS),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,30})(\.[0-9]{1,30})?([eE][-+]?[0-9]{1,2})?", fullmatch=True),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# a value where a number goes that every line still holds 12 quotes with
+plain_oddities = st.sampled_from(["true", "false", "null", "[]", "[1.0]", "{}"])
+# values and keys that make a line not plain
+not_plain_values = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", '"1.5"', '"x"'])
+# json's recursion limit refuses this value, which orjson's depth limit of 1024 accepts
+TOO_DEEP_FOR_JSON = "[" * 1000 + "]" * 1000
+CHANGES = ("value", "extra key", "duplicate key", "nested duplicate", "escaped key",
+           "non-ASCII padding", "non-ASCII inside", "BOM")
+
+
+@st.composite
+def frame_line(draw, t, wild):
+    """One JSONL frame line, as text, for a frame at time ``t``: mostly
+    plain, now and then with a change that makes it not plain; a ``wild``
+    line's values may also be odd or beyond their bounds, while a tame
+    line's pass every check."""
+    hand = draw(st.booleans())
+    number = tame_numerals
+    if wild:
+        number = numerals | plain_oddities if draw(st.integers(0, 9)) == 0 else numerals
+    items = [
+        ('"t"', draw(numerals) if wild and draw(st.integers(0, 9)) == 0 else repr(t)),
+        ('"ax"', draw(number)),
+        ('"ay"', draw(number)),
+        ('"hx"', draw(number) if hand else "null"),
+        ('"hy"', draw(number) if hand else "null"),
+        ('"touch"', "true" if hand and draw(st.booleans()) else "false"),
+    ]
+    change = draw(st.sampled_from(CHANGES)) if draw(st.integers(0, 7)) == 0 else None
+    k = draw(st.integers(0, 5))
+    key = items[k][0]
+    if change == "value":
+        items[k] = (key, draw(not_plain_values))
+    elif change == "extra key":
+        items.append(('"x"', TOO_DEEP_FOR_JSON if draw(st.booleans()) else draw(numerals)))
+    elif change in ("duplicate key", "nested duplicate"):
+        nested = st.sampled_from(['{"t": [1, {"a": NaN}], "ax": 1e400}', TOO_DEEP_FOR_JSON])
+        items.append((key, draw(numerals if change == "duplicate key" else nested)))
+    elif change == "escaped key":
+        items[k] = (f'"\\u{ord(key[1]):04x}{key[2:]}', items[k][1])
+    items = draw(st.permutations(items))
+    comma, colon = draw(st.sampled_from([", ", ","])), draw(st.sampled_from([": ", ":"]))
+    line = "{" + comma.join(f"{key}{colon}{value}" for key, value in items) + "}"
+    if change == "non-ASCII padding":
+        line = draw(st.sampled_from(["\u00a0", "\u3000", ""])) + line + draw(st.sampled_from(["\u00a0", "\u2028"]))
+    elif change == "non-ASCII inside":
+        line = line.replace(comma, comma + "\u00a0", 1)
+    elif change == "BOM":
+        line = "\ufeff" + line
+    return line
+
+
+@st.composite
+def jsonl_frame_text(draw):
+    """A JSONL session file of frame lines as text, with blank lines and
+    CRLF line ends now and then; in a tame file only a change that makes a
+    line not plain can fail it."""
+    times = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8, unique=True)))
+    wild = draw(st.booleans())
+    lines = [json.dumps(HEADER)]
+    for t in times:
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        lines.append(draw(frame_line(t, wild)))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+@settings(SETTINGS, max_examples=400)
+@given(text=jsonl_frame_text())
+def test_jsonl_frame_lines_match_reference(text):
+    # plain files take the orjson path, and the rest the json line loop;
+    # either gives the reference's columns, or its error line and message
+    _assert_matches_reference(text, "jsonl")
+
+
+PLAIN_LINE = '{"t": %s, "ax": 1.0, "ay": 2.0, "hx": null, "hy": null, "touch": false}'
+
+
+@pytest.mark.parametrize("line", [
+    # a value json refuses and orjson takes, under an extra key or a repeated one
+    PLAIN_LINE[:-1] % "0.2" + f', "x": {TOO_DEEP_FOR_JSON}}}',
+    '{"t": %s, ' % TOO_DEEP_FOR_JSON + PLAIN_LINE[1:] % "0.2",
+], ids=["extra key", "repeated key"])
+def test_a_value_only_json_refuses_is_refused_on_its_line(line):
+    text = "\n".join([json.dumps(HEADER), PLAIN_LINE % "0.1", line, PLAIN_LINE % "0.3"]) + "\n"
+    got = _outcome(parse_session, text, "jsonl")
+    assert isinstance(got, ParseError)
+    assert (got.line, str(got)) == (3, "stream:3: malformed JSON: nested too deeply")
+    _assert_matches_reference(text, "jsonl")
+
+
+def _assert_matches_reference(text, fmt):
     got = _outcome(parse_session, text, fmt)
     want = _outcome(reference_ingest.parse, text, fmt)
     if isinstance(want, ParseError):

@@ -3,11 +3,13 @@
 ``perfbench/tracer.py`` wraps layer boundaries by their module-level names
 from outside the package, so renaming one of them, or a command that
 records no span, breaks the benchmark's per-layer run while every other
-test passes.  This traces ``analyze``, ``compare`` and ``correlate`` on a
-one-pair cohort in child processes, as the benchmark does, and checks that
-``layer_metrics`` gives every per-layer metric that ``BENCHMARK.json``
-declares, except the two that ``perfbench/run.py`` adds itself, and one
-``feature_vector`` span per unit.
+test passes.  This traces ``analyze``, ``compare`` and ``correlate`` in
+child processes, as the benchmark does, and checks that ``layer_metrics``
+gives every per-layer metric that ``BENCHMARK.json`` declares, except the
+two that ``perfbench/run.py`` adds itself: on a one-pair cohort at
+``--jobs 1``, with one ``feature_vector`` span per unit, and on a
+three-pair cohort at ``--jobs 2``, whose parent records the spans of its
+own sessions.
 """
 
 from __future__ import annotations
@@ -24,17 +26,18 @@ PERFBENCH = ROOT / "perfbench"
 ADDED_BY_RUNNER = {"cli.cpu_s", "trace.overhead_s"}
 
 
-def test_traced_commands_give_every_layer_metric(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+def _traced(tmp_path: Path, n_pairs: int, jobs: int):
+    """The spans of a traced ``analyze --jobs jobs``, ``compare`` and
+    ``correlate`` of an ``n_pairs`` cohort, their per-layer metrics, and
+    the cohort's inputs."""
     import tracer
     import workloads
 
-    inputs = workloads.generate(workloads.Workload("one_pair", {"n_pairs": 1}, "jsonl", 1),
+    inputs = workloads.generate(workloads.Workload("cohort", {"n_pairs": n_pairs}, "jsonl", jobs),
                                 7, tmp_path / "data")
     features = tmp_path / "analyze"
     commands = {
-        "analyze": ("analyze", inputs.sessions_dir, "--out", features, "--jobs", 1),
+        "analyze": ("analyze", inputs.sessions_dir, "--out", features, "--jobs", jobs),
         "compare": ("compare", features, inputs.pairs, "--out", tmp_path / "compare"),
         "correlate": ("correlate", features, inputs.ratings, "--out", tmp_path / "correlate"),
     }
@@ -53,7 +56,27 @@ def test_traced_commands_give_every_layer_metric(tmp_path, monkeypatch):
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert set(metrics) == declared - ADDED_BY_RUNNER
     assert all(math.isfinite(v) for v in metrics.values())
+    return spans, metrics, inputs
+
+
+def test_traced_commands_give_every_layer_metric(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spans, metrics, inputs = _traced(tmp_path, n_pairs=1, jobs=1)
     assert metrics["segmentation.units"] == inputs.n_units
     # the command line makes one feature_vector call per unit, through its globals
     vectors = [s for s in spans["analyze"]["spans"] if s["name"] == "features.feature_vector"]
     assert len(vectors) == inputs.n_units
+
+
+def test_traced_analyze_with_jobs_records_its_own_sessions(tmp_path, monkeypatch):
+    # the spans of a forked worker are lost, but this process parses,
+    # analyzes and writes its own share of the sessions, so every stage
+    # has spans
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans, metrics, inputs = _traced(tmp_path, n_pairs=3, jobs=2)
+    assert inputs.n_sessions >= 6
+    assert metrics["ingest.parse_s"] > 0
+    assert metrics["features.vector_s"] > 0
+    assert 0 < metrics["segmentation.units"] <= inputs.n_units

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import reference_writers
 from opgaze import cli
 from opgaze.features import build_distance_series, unit_traces
-from opgaze.hotspot import TouchDistribution, touch_distribution_plot_data
+from opgaze.hotspot import TouchDistribution, touch_distribution_plot_data, touching_points
 from opgaze.session import Hotspot, Interval, OperationUnit, Point2, Session
 
 AWKWARD = [5e-324, 1e-300, 1e16, 0.1 + 0.2, -0.0, 0.0, -1e16, -123456.789, 3.5e7, 1e150, -1e150]
@@ -269,6 +269,6 @@ class TestTouchdist:
         s = result.session
         stats = TouchDistribution(Point2(0.1 + 0.2, -0.0), Point2(1e16, 5e-324),
                                   ((1.0, 0.0), (0.0, 1.0)), int(s.touching_mask.sum()))
-        data = touch_distribution_plot_data(stats, [s])
+        data = touch_distribution_plot_data(stats, touching_points(s))
         if data["points"]:
             assert written_touchdist(data) == reference_writers.json_text(data).encode()

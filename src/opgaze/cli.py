@@ -13,12 +13,13 @@ Every command takes ``--out``, ``--jobs`` (>= 1) and ``--log-level``.
 runs min(``--jobs``, files of a unique header id, usable cores)
 processes: itself and that many less one forked workers.  Each parses,
 analyzes and writes whole sessions, this process from the front of the
-path list and the workers from its back; with one, or where the platform
-has no fork, this process runs every session in path order.  It reports
-failures in path order; worker log lines may interleave on stderr.  A
-write error or a worker that dies ends the run with exit 1 and no
-``summary.json``.  ``--config`` is the pipeline config of ``analyze`` and
-the cohort spec of ``synth``; ``--seed`` overrides that spec's seed.
+path list and the workers, fed by the pool's own queue, from its back;
+with one, or where the platform has no fork, this process runs every
+session in path order.  It reports failures in path order; worker log
+lines may interleave on stderr.  A write error or a worker that dies
+ends the run with exit 1 and no ``summary.json``; a worker exits once
+this process is gone.  ``--config`` is the pipeline config of ``analyze``
+and the cohort spec of ``synth``; ``--seed`` overrides that spec's seed.
 Exit codes are a stable contract: 0 success, 1 input error, 2 empty input,
 3 partial failure.  All outputs are written atomically and are
 byte-identical across reruns and ``--jobs`` values.
@@ -27,7 +28,6 @@ byte-identical across reruns and ``--jobs`` values.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import dataclasses
 import itertools
@@ -36,6 +36,8 @@ import logging
 import math
 import os
 import sys
+import threading
+import time
 import traceback
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
@@ -415,6 +417,17 @@ def _run_session(path: Path, config: RunConfig,
     }, touching_points(s)
 
 
+def _exit_with(parent: int) -> None:
+    """End this forked worker once its parent ``parent`` is gone, where it
+    would wait on its call queue for good, holding stdout and stderr open."""
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     files = find_session_files(args.paths)
@@ -441,8 +454,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     # phase 2: each of `size` processes, this one and its forked workers,
     # parses, analyzes and writes whole sessions: this one from the front of
-    # the path list, the workers from its back; outcomes are reported, and
-    # the outputs of all sessions joined, in path order
+    # the path list, the workers from its back through the pool's own queue;
+    # outcomes are reported, and the outputs of all sessions joined, in path order
     combined_rows: list[list[object]] = []
     summary_sessions = []
     touching: list[np.ndarray] = []
@@ -461,26 +474,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             # executor forks all its workers at the first submit, before it
             # starts a thread
             if "fork" in multiprocessing.get_all_start_methods():
-                pool = ProcessPoolExecutor(size - 1, mp_context=multiprocessing.get_context("fork"))
+                pool = ProcessPoolExecutor(size - 1, mp_context=multiprocessing.get_context("fork"),
+                                           initializer=_exit_with, initargs=(os.getpid(),))
                 broken = (BrokenProcessPool,)
-        todo = collections.deque(path for path in files if path not in failures)
-        queued = {}  # path -> Future of _run_session
+        todo = [path for path in files if path not in failures]
+        queued = {} if pool is None else {
+            path: pool.submit(_run_session, path, config, out) for path in reversed(todo[1:])}
         for path in files:
             if path in failures:
                 failures[path].report(path)
                 continue
-            if path in queued:
-                # a Future keeps its result, so it is dropped once read
-                outcome = queued.pop(path).result()
-            else:
-                if pool is not None:
-                    # two sessions queued per worker, while this one is left here
-                    waiting = sum(not future.done() for future in queued.values())
-                    for _ in range(min(2 * (size - 1) - waiting, len(todo) - 1)):
-                        last = todo.pop()
-                        queued[last] = pool.submit(_run_session, last, config, out)
-                todo.popleft()
+            # a future that no worker has taken yet is taken back and run here
+            future = queued.pop(path, None)
+            if future is None or future.cancel():
                 outcome = _run_session(path, config, out)
+            else:
+                outcome = future.result()
             if isinstance(outcome, _Failure):
                 failures[path] = outcome
                 outcome.report(path)

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-import orjson
 
 from .session import ORDINALS, Session, StepLabel
 # defined without numpy for the study commands; the same objects here
@@ -240,21 +239,6 @@ def parse_session(
 
 
 _FRAME_VALUES = operator.itemgetter(*FRAME_FIELDS)
-_scan_json = json.JSONDecoder().scan_once
-
-
-def _decode_line(line: str) -> object:
-    """``json.loads`` of a stripped line, without its whitespace scans (about
-    half of its time on a frame line); the same value or the same error."""
-    if line.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-    try:
-        obj, end = _scan_json(line, 0)
-    except StopIteration as exc:
-        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
-    return obj
 
 
 def read_header(source: Source, format: str = JSONL) -> dict:
@@ -293,7 +277,7 @@ def _read_header(stream: IO[str], src: str, format: str) -> tuple[dict, int]:
         line = check_line(line, lineno, src).strip()
         if line:
             try:
-                obj = _decode_line(line)
+                obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise ParseError(f"malformed JSON: {json_error(exc)}", line=lineno, source=src)
             return _parse_header(obj, lineno, src), lineno
@@ -319,6 +303,8 @@ def _plain_frame_columns(text: str, src: str) -> Optional[dict[str, np.ndarray]]
     """
     if not text.isascii():
         return None
+    import orjson  # here, so that a process reading no JSONL frame does not load it
+
     lines = [line for line in map(str.strip, text.split("\n")) if line]
     if set(map(str.count, lines, itertools.repeat('"'))) - {12}:
         return None
@@ -345,7 +331,7 @@ def _json_frame_columns(text: str, first_line: int, src: str) -> dict[str, np.nd
             if not line:
                 continue
             try:
-                obj = _decode_line(line)
+                obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise ParseError(f"malformed JSON: {json_error(exc)}", line=lineno, source=src)
             if not isinstance(obj, dict):

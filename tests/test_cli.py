@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opgaze import cli, features, ingest, parse_session, write_session, write_step_labels
@@ -941,6 +946,23 @@ class TestAnalyze:
         assert not list(traces.iterdir())
 
 
+def one_unit_session(path, config, out):
+    """What ``cli._run_session`` returns for a session of one unit and no
+    touch, after 2 ms and without reading ``path``: each process's share of
+    a run is near its share of the cores, as on real sessions."""
+    time.sleep(0.002)
+    return [], {"id": path.stem, "n_units": 1}, np.empty((0, 4))
+
+
+def running(pid: int) -> bool:
+    """Whether the process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def tree(root: Path) -> dict[str, bytes]:
     """Every file under ``root`` by its relative path, with its bytes."""
     return {p.relative_to(root).as_posix(): p.read_bytes()
@@ -951,7 +973,7 @@ class TestAnalyzePool:
     """``analyze --jobs N``: N processes, this one and N - 1 forked workers,
     each parse, analyze and write whole sessions, this one from the front of
     the path list and the workers from its back; a dead worker surfaces from
-    a submit or a result."""
+    the result of a session, or from a submit while the pool is filled."""
 
     def test_unexpected_error_in_a_worker(self, corpus, tmp_path, monkeypatch, capsys):
         sessions = corpus / "sessions"
@@ -1018,8 +1040,8 @@ class TestAnalyzePool:
 
     def test_a_worker_that_dies_while_files_parse_ends_the_run(self, corpus, tmp_path):
         # the worker dies on its session while this process parses its own,
-        # so the dead worker surfaces from a result, or from a submit if
-        # the pool notices it sooner
+        # after every submit, so the dead worker surfaces from that session's
+        # result
         out, died = tmp_path / "out", tmp_path / "died"
         code = (
             "import json, multiprocessing, os, time\n"
@@ -1051,6 +1073,72 @@ class TestAnalyzePool:
         [line] = proc.stderr.splitlines()
         assert "worker process died" in line
         assert died.exists() and not (out / "summary.json").exists()
+
+    def test_a_worker_ends_when_analyze_is_killed(self, corpus, tmp_path):
+        # this process dies on its own session once the worker has taken the
+        # other; an orphaned worker would hold the child's stdout and stderr
+        # open, so the run would not return
+        pid_file = tmp_path / "worker.pid"
+        code = (
+            "import os, time\n"
+            "from opgaze import cli\n"
+            "parent = os.getpid()\n"
+            "real = cli.analyze_session\n"
+            "def dying(s, config):\n"
+            "    if os.getpid() != parent:\n"
+            f"        with open({str(pid_file)!r} + '.tmp', 'w') as fh:\n"
+            "            fh.write(str(os.getpid()))\n"
+            f"        os.replace({str(pid_file)!r} + '.tmp', {str(pid_file)!r})\n"
+            "        return real(s, config)\n"
+            "    deadline = time.monotonic() + 10\n"
+            f"    while not os.path.exists({str(pid_file)!r}) and time.monotonic() < deadline:\n"
+            "        time.sleep(0.01)\n"
+            "    os._exit(9)\n"
+            "cli.analyze_session = dying\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"cli.main(['analyze', {str(corpus / 'sessions')!r}, '--out', {str(tmp_path / 'out')!r},"
+            " '--jobs', '2'])\n"
+        )
+        try:
+            proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                  capture_output=True, text=True, timeout=20)
+            assert proc.returncode == 9, proc.stderr
+            worker = int(pid_file.read_text())
+            deadline = time.monotonic() + 5
+            while running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not running(worker)
+        finally:
+            if pid_file.exists():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+    def test_each_future_is_taken_back_or_read_once(self, tmp_path, monkeypatch):
+        # the workers are fed from the executor's own queue: a session's
+        # future is cancelled, and read where a worker took it, and no loop
+        # over the futures held runs per session
+        sessions = tmp_path / "sessions"
+        sessions.mkdir()
+        n = 400
+        frame_line = json.dumps({"t": 0.0, "ax": 0.0, "ay": 0.0, "hx": None, "hy": None, "touch": False})
+        for i in range(n):
+            header = {"id": f"s{i:03d}", "operator": "op", "ordinal": "earlier",
+                      "rate_hz": 30.0, "coord_frame": "scene"}
+            (sessions / f"s{i:03d}.jsonl").write_text(f"{json.dumps(header)}\n{frame_line}\n")
+        calls = []
+        for name in ("done", "cancel", "result"):
+            def counted(self, *args, _real=getattr(concurrent.futures.Future, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(concurrent.futures.Future, name, counted)
+        monkeypatch.setattr(cli, "_run_session", one_unit_session)  # forked workers inherit the stub
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run(["analyze", sessions, "--out", tmp_path / "out", "--jobs", 2]) == 0
+        assert len(calls) <= 2 * n, collections.Counter(calls)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [entry["id"] for entry in summary["sessions"]] == [f"s{i:03d}" for i in range(n)]
+        assert multiprocessing.active_children() == []
 
     def test_this_process_and_a_worker_each_parse_and_write_whole_sessions(self, tmp_path, monkeypatch):
         # every call of either, in any process, appends "<pid> <kind> <id>"

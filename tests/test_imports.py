@@ -1,7 +1,8 @@
 """What a fresh interpreter loads.
 
 The study commands and ``--help`` load no numpy; ``analyze`` and
-``validate`` load no ``analysis``; ``analyze`` loads no ``synth``, starts
+``validate`` load no ``analysis``; only a process that reads JSONL frame
+lines loads ``orjson``; ``analyze`` loads no ``synth``, starts
 no thread and loads no ``multiprocessing`` at ``--jobs 1``, and loads no
 thread pool and leaves no thread or worker process running at ``--jobs
 2``; and every name the package exports resolves, on first use, to the
@@ -115,6 +116,30 @@ def test_analyze_and_validate_load_no_analysis(cohort):
         f"assert cli.main(['analyze', {sessions!r}, '--out', {str(cohort / 'again2')!r}]) == 0\n"
     )
     assert not loaded_after(code, "opgaze.analysis")
+
+
+def test_orjson_is_loaded_only_to_read_jsonl_frames(cohort, tmp_path):
+    # the extension decodes JSONL frame lines; synth only writes them, and a
+    # CSV cohort has none
+    csv_cohort = tmp_path / "csv"
+    sessions = str(csv_cohort / "sessions")
+    code = (
+        "import opgaze.ingest\n"
+        "from opgaze import cli, synth\n"
+        f"assert cli.main(['synth', '--config', {str(cohort / 'spec.json')!r}, '--seed', '7',"
+        f" '--out', {str(tmp_path / 'jsonl')!r}]) == 0\n"
+        "cohort = synth.generate_cohort(synth.CohortSpec(seed=7, n_pairs=1))\n"
+        f"synth.write_cohort(cohort, {str(csv_cohort)!r}, format='csv')\n"
+        f"assert cli.main(['validate', {sessions!r}, '--out', {str(tmp_path / 'checked')!r}]) == 0\n"
+        f"assert cli.main(['analyze', {sessions!r}, '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+    )
+    assert not loaded_after(code, "orjson")
+    code = (
+        "from opgaze import cli\n"
+        f"assert cli.main(['analyze', {str(cohort / 'data' / 'sessions')!r},"
+        f" '--out', {str(tmp_path / 'again')!r}]) == 0\n"
+    )
+    assert loaded_after(code, "orjson")
 
 
 def test_analyze_starts_no_thread(cohort):

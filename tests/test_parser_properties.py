@@ -224,7 +224,7 @@ not_plain_values = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", '"1
 # json's recursion limit refuses this value, which orjson's depth limit of 1024 accepts
 TOO_DEEP_FOR_JSON = "[" * 1000 + "]" * 1000
 CHANGES = ("value", "extra key", "duplicate key", "nested duplicate", "escaped key",
-           "non-ASCII padding", "non-ASCII inside", "BOM")
+           "non-ASCII padding", "non-ASCII inside", "BOM", "trailing data")
 
 
 @st.composite
@@ -266,17 +266,19 @@ def frame_line(draw, t, wild):
         line = line.replace(comma, comma + "\u00a0", 1)
     elif change == "BOM":
         line = "\ufeff" + line
+    elif change == "trailing data":
+        line += draw(st.sampled_from([" x", "x", " {}", ",", " 1"]))
     return line
 
 
 @st.composite
 def jsonl_frame_text(draw):
-    """A JSONL session file of frame lines as text, with blank lines and
-    CRLF line ends now and then; in a tame file only a change that makes a
-    line not plain can fail it."""
+    """A JSONL session file of frame lines as text, with blank lines, CRLF
+    line ends and a BOM on the header line now and then; in a tame file
+    only a change that makes a line not plain, or that BOM, can fail it."""
     times = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8, unique=True)))
     wild = draw(st.booleans())
-    lines = [json.dumps(HEADER)]
+    lines = [("\ufeff" if draw(st.integers(0, 19)) == 0 else "") + json.dumps(HEADER)]
     for t in times:
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))

@@ -75,6 +75,7 @@ UNITS_HEADER = (
     "o_start", "o_end", "hotspot_id", "step_id",
 )
 HOTSPOTS_HEADER = ("id", "cx", "cy", "count", "first_t", "last_t")
+TRACE_HEADER = "t,d_ao,d_ho,d_ah"  # trace files are joined here, as no cell needs quoting
 
 # The analyze and validate paths call these package exports through this
 # module's globals, where tools (perfbench/tracer.py, tests) may rebind them.
@@ -357,17 +358,49 @@ def _write_session_outputs(out_dir: Path, result: SessionResult) -> list[list[ob
     # a rerun removes the traces of units it no longer finds
     stale = {path for path in (sdir / "traces").iterdir() if _is_trace_file(path)}
     for trace in result.traces.per_unit():
-        t, ao, ho, ah = (list(map(repr, a.tolist()))
-                         for a in (trace.t, trace.d_ao, trace.d_ho, trace.d_ah))
-        for r in (~trace.hand).nonzero()[0].tolist():
-            ho[r] = ah[r] = ""
-        rows = map(",".join, zip(t, ao, ho, ah))  # no cell needs CSV quoting
         path = sdir / "traces" / f"{s.id}_{trace.units[0].index}.csv"
-        atomic_write_text(path, "\n".join(["t,d_ao,d_ho,d_ah", *rows]) + "\n")
+        atomic_write_text(path, _orjson_trace_text(trace) or _repr_trace_text(trace))
         stale.discard(path)
     for path in stale:
         path.unlink()
     return feature_rows
+
+
+def _repr_trace_text(trace: UnitTraces) -> str:
+    """The text of the trace file of the one-unit ``trace``: a row
+    ``t,d_ao,d_ho,d_ah`` per frame, each cell its float's ``repr``, and
+    ``d_ho`` and ``d_ah`` empty where the hand is out of sight."""
+    t, ao, ho, ah = (list(map(repr, a.tolist())) for a in (trace.t, trace.d_ao, trace.d_ho, trace.d_ah))
+    for r in (~trace.hand).nonzero()[0].tolist():
+        ho[r] = ah[r] = ""
+    rows = map(",".join, zip(t, ao, ho, ah))  # no cell needs CSV quoting
+    return "\n".join([TRACE_HEADER, *rows]) + "\n"
+
+
+def _orjson_trace_text(trace: UnitTraces) -> Optional[str]:
+    """:func:`_repr_trace_text` of ``trace``, written by orjson as one JSON
+    array of rows, where orjson writes each cell as ``repr`` does; else None.
+
+    That holds for a trace with rows, whose values are NaN exactly where
+    ``d_ho`` and ``d_ah`` have no hand, and else 0 or of a magnitude in
+    [1e-4, 1e16): outside that range orjson writes ``0.00001`` and ``1e16``
+    where ``repr`` writes ``1e-05`` and ``1e+16``.
+    """
+    import numpy as np
+
+    if not len(trace.hand):
+        return None
+    table = np.column_stack((trace.t, trace.d_ao, trace.d_ho, trace.d_ah)).astype(float, copy=False)
+    magnitude = np.abs(table)
+    shown = (magnitude == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16))  # False at NaN
+    absent = np.zeros_like(shown)
+    absent[:, 2:] = ~trace.hand[:, None]
+    if not (np.array_equal(shown, ~absent) and np.isnan(table[absent]).all()):
+        return None
+    import orjson  # here, as numpy, so that compare, correlate and --help do not load it
+
+    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+    return TRACE_HEADER + "\n" + rows.replace(b"],[", b"\n").replace(b"null", b"").decode() + "\n"
 
 
 class _Failure(NamedTuple):
@@ -380,9 +413,9 @@ class _Failure(NamedTuple):
     line: Optional[int] = None
 
     def report(self, path: Path) -> None:
-        """Print the failure of the file ``path`` on stderr, naming the file once."""
-        print(self.error if self.parse_error else f"{path}: {self.error}", file=sys.stderr)
-        sys.stderr.write(self.traceback)
+        """Write the failure of the file ``path`` on stderr, naming the file
+        once; in one write, so that a worker's log line cannot land inside it."""
+        sys.stderr.write(f"{self.error if self.parse_error else f'{path}: {self.error}'}\n{self.traceback}")
 
 
 def _failure(exc: Exception) -> _Failure:
@@ -496,13 +529,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 continue
             rows, entry, points = outcome
             if not entry["n_units"]:
-                print(f"warning: session {entry['id']!r}: no operation units "
-                      "(no touches, or all bouts dropped)", file=sys.stderr)
+                # one write, as in _Failure.report
+                sys.stderr.write(f"warning: session {entry['id']!r}: no operation units "
+                                 "(no touches, or all bouts dropped)\n")
             combined_rows.extend(rows)
             summary_sessions.append(entry)
             touching.append(points)
     except broken as exc:
-        print(f"a worker process died, which ends the run: {exc}", file=sys.stderr)
+        sys.stderr.write(f"a worker process died, which ends the run: {exc}\n")
         return EXIT_INPUT_ERROR
     finally:
         if pool is not None:

@@ -14,7 +14,10 @@ explicit null / empty cell, never (0, 0).
 Sidecars: step labels as ``start_t,end_t,step_id`` CSV and difficulty
 ratings as ``step_id,rater_id,role,score`` CSV.
 
-Frames are parsed straight into the Session's columns.  Rejected inputs
+Frames are parsed straight into the Session's columns.  Plain frame text,
+as ``write_session`` writes it, is decoded by orjson; any other, and plain
+text whose values fail a check, is read line by line (JSONL) or row by row
+(CSV), which gives the error and its line.  Rejected inputs
 never produce a Session: any malformed line (bytes that are not UTF-8, JSON
 nested past the recursion limit and a CSV cell over the field size limit
 included), duplicate or non-monotonic timestamp, contact-without-hand
@@ -29,10 +32,13 @@ line it starts on.
 from __future__ import annotations
 
 import bisect
+import csv
+import io
 import itertools
 import json
 import math
 import operator
+import re
 from pathlib import Path
 from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
@@ -350,7 +356,57 @@ def _json_frame_columns(text: str, first_line: int, src: str) -> dict[str, np.nd
 
 def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
     header, _ = _read_header(stream, src, CSV)
-    reader = csv_rows(stream, src, first_line=2)
+    text = stream.read()
+    return header, _plain_csv_columns(text, src) or _csv_columns(text, src)
+
+
+# A plain CSV frame text holds none of these: a quote, a line end the csv
+# module reads that is not ``\n``, NUL, a JSON container, and the ``n`` of
+# ``null``, ``nan`` and ``inf``.
+_NOT_PLAIN_CSV = '"\r\0[]{}n'
+# an integer -0 cell, which float() reads as -0.0 and JSON as the int 0
+_INTEGER_MINUS_ZERO = re.compile(r"-0(?![.eE])")
+
+
+def _plain_csv_columns(text: str, src: str) -> Optional[dict[str, np.ndarray]]:
+    """The Session columns of the CSV frame text ``text`` (the column
+    header line, then the frame rows), decoded by orjson as one JSON array
+    of rows, if the text is plain and the columns pass every check; else
+    None, and :func:`_csv_columns` decides.
+
+    Plain text is ASCII, holds no character of ``_NOT_PLAIN_CSV`` and no
+    integer ``-0``, starts with the column header, has no line longer than
+    the csv module's field limit, and decodes to rows of six values: each
+    line then holds six cells, each a JSON number, ``true``, ``false`` or
+    empty (null), with no blank line between them.  Where a cell is a JSON
+    number, ``float()`` of the stripped cell is its value.
+    """
+    if not text.isascii() or any(c in text for c in _NOT_PLAIN_CSV) or _INTEGER_MINUS_ZERO.search(text):
+        return None
+    columns, _, body = text.partition("\n")
+    body = body.rstrip()
+    if ([c.strip() for c in columns.split(",")] != list(FRAME_FIELDS)
+            or max(map(len, body.split("\n"))) > csv.field_size_limit()):
+        return None
+    import orjson  # here, so that a process reading no frames does not load it
+
+    # an empty cell is null: the common ",,," of an absent hand first, then any other
+    cells = body.replace("\n", "],[").replace(",,,", ",null,null,").replace(",,", ",null,")
+    try:
+        rows = orjson.loads("[[" + cells + "]]")
+        if set(map(len, rows)) != {len(FRAME_FIELDS)}:
+            return None
+        # a frame's line is read only for an error, which sends the text to csv_rows
+        return _frame_columns(_columns(rows), range(len(rows)), src)
+    except ValueError:  # orjson's refusal, or the ParseError of a value that fails a check
+        return None
+
+
+def _csv_columns(text: str, src: str) -> dict[str, np.ndarray]:
+    """The Session columns of the CSV frame text ``text``, whose first line
+    is line 2, read row by row by ``csv_rows``; a bad row is a ParseError on
+    its line."""
+    reader = csv_rows(io.StringIO(text, newline=""), src, first_line=2)
     _, columns = next(reader, (2, None))
     if columns is None:
         raise ParseError("missing column header", source=src)
@@ -371,7 +427,7 @@ def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
     except ParseError:
         _csv_frame_columns(rows, lines, src)  # an earlier frame's error comes first
         raise
-    return header, _csv_frame_columns(rows, lines, src)
+    return _csv_frame_columns(rows, lines, src)
 
 
 def _csv_frame_columns(rows: list[list[str]], lines: list[int], src: str) -> dict[str, np.ndarray]:

@@ -4,9 +4,10 @@ Difficulty ratings (:class:`Rating`, :class:`DifficultyRatings`) and their
 ``step_id,rater_id,role,score`` CSV sidecar, :class:`ParseError` for a
 rejected input file, :func:`atomic_write_text` for every output, the one
 text opener (:func:`open_text`) and its check for bytes that are not UTF-8
-(:func:`check_line`, on each line as it is read), the one CSV reader and
-its CSV writer (``analyze`` joins the cells of its trace files itself, as
-none needs quoting), the one JSON file reader, and :func:`check_fields`,
+(:func:`check_line`, on each line as it is read), the one CSV reader
+(``opgaze.ingest`` decodes plain session frame text with orjson, and
+reads any other through it) and its CSV writer (``analyze`` writes its
+trace files itself, as no cell needs quoting), the one JSON file reader, and :func:`check_fields`,
 which checks a JSON object against the fields of a config section or a
 cohort spec.  This module imports only the standard library, so
 ``compare`` and ``correlate`` run without loading numpy.  ``opgaze.ingest``

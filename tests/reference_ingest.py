@@ -11,7 +11,9 @@ one nested past the recursion limit is "nested too deeply"), a
 time must not exceed ``TIME_MAX`` and a coordinate must lie within
 ``COORD_MAX``.  A JSONL frame's numbers must be JSON numbers (an int or a
 float, not a bool or a string).  A CSV row's line is the line it starts on, as
-``csv.reader.line_num`` counts lines, so a quoted cell may span lines.
+``csv.reader.line_num`` counts lines, so a quoted cell may span lines; a row
+the csv module rejects (a cell over its field limit, say) is malformed CSV
+on that line.
 
 :func:`load_step_labels` is the pairwise oracle of the step-label sidecar
 reader: it checks each row against every earlier row.
@@ -147,6 +149,8 @@ def _parse_csv(stream: IO[str], src: str):
         columns = next(reader)
     except StopIteration:
         raise ParseError("missing column header", source=src)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=2, source=src)
     if [c.strip() for c in columns] != list(FRAME_FIELDS):
         raise ParseError(f"column header must be {','.join(FRAME_FIELDS)}", line=2, source=src)
 
@@ -157,6 +161,8 @@ def _parse_csv(stream: IO[str], src: str):
             row = next(reader)
         except StopIteration:
             break
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", line=lineno, source=src)
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(FRAME_FIELDS):

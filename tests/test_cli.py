@@ -7,6 +7,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import multiprocessing
@@ -617,6 +618,38 @@ class TestAnalyze:
         assert [f["error"] for f in summary["failures"]] == ["RuntimeError: boom"]
         assert "op1_later.jsonl" in summary["failures"][0]["source"]
         assert (out / "sessions" / "op1_earlier" / "features.csv").is_file()
+
+    def test_each_reported_line_is_one_write(self, corpus, tmp_path, monkeypatch):
+        # where stderr is unbuffered, a line written in two parts, its text and
+        # then its newline, let a worker's log line land between them
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        writes: list[str] = []
+        monkeypatch.setattr(sys, "stderr", Recording())
+        sessions = corpus / "sessions"
+        (sessions / "bad.jsonl").write_text("{broken\n")
+        write_session(make_session([frame(i / 10.0) for i in range(20)], session_id="quiet"),
+                      sessions / "quiet.jsonl")
+        real = cli.analyze_session
+
+        def flaky(s, config):
+            if s.id == "op1_later":
+                raise RuntimeError("boom")
+            return real(s, config)
+
+        monkeypatch.setattr(cli, "analyze_session", flaky)
+        assert run(["analyze", sessions, "--out", tmp_path / "out"]) == 3
+        assert all(w.endswith("\n") for w in writes), writes
+        bad, later = (str((sessions / name).resolve()) for name in ("bad.jsonl", "op1_later.jsonl"))
+        assert [w.splitlines()[0] for w in writes] == [
+            f"{bad}:1: malformed JSON: Expecting property name enclosed in double quotes",
+            f"{later}: RuntimeError: boom",
+            "warning: session 'quiet': no operation units (no touches, or all bouts dropped)",
+        ]
+        assert "Traceback (most recent call last)" in writes[1]  # in the write of its message
 
     def test_one_distance_pass_per_session(self, tmp_path, monkeypatch):
         # the features and the trace files of a session read one unit_traces call

@@ -7,7 +7,9 @@ each input format, one CSV pair at 120 Hz, whose units have long traces,
 two JSONL pairs whose operating periods are too short for an
 early-shift ratio, and one JSONL pair with position noise.  The digest
 covers every file written, inputs included.  A change that alters outputs
-on purpose updates the digests here and says why.
+on purpose updates the digests here and says why.  Each case runs again
+with the ``csv_rows`` loop of CSV frame text and the ``repr`` loop of trace
+files made to fail: its bytes come from orjson.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from opgaze import cli, ingest
 from opgaze.cli import main
 
 # case -> (synth spec, session format, digest)
@@ -55,12 +58,11 @@ def tree_digest(root: Path, inputs: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_seeded_run_digest(tmp_path, case):
-    synth_spec, fmt, digest = GOLDEN[case]
-    spec = tmp_path / "spec.json"
+def run_case(root: Path, case: str) -> str:
+    """The digest of ``case`` run under ``root``."""
+    synth_spec, fmt, _ = GOLDEN[case]
+    spec = root.parent / "spec.json"
     spec.write_text(json.dumps(synth_spec))
-    root = tmp_path / "run"
     data = root / "data"
     assert main(["synth", "--config", str(spec), "--seed", "7", "--format", fmt,
                  "--out", str(data)]) == 0
@@ -71,4 +73,22 @@ def test_seeded_run_digest(tmp_path, case):
     assert main(["compare", str(out), str(data / "pairs.json"), "--out", str(root / "compare")]) == 0
     assert main(["correlate", str(out), str(data / "ratings.csv"),
                  "--out", str(root / "correlate")]) == 0
-    assert tree_digest(root, data / "sessions") == digest
+    return tree_digest(root, data / "sessions")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_seeded_run_digest(tmp_path, case):
+    assert run_case(tmp_path / "run", case) == GOLDEN[case][2]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_seeded_run_takes_the_orjson_paths(tmp_path, monkeypatch, case):
+    # the frame text of every CSV session file is plain, and every trace
+    # value lies where orjson writes it as repr does; the forked workers of
+    # --jobs 2 inherit the patches, and a session that fails exits 3
+    def refused(*args, **kwargs):
+        raise AssertionError("the orjson path refused its input")
+
+    monkeypatch.setattr(ingest, "csv_rows", refused)
+    monkeypatch.setattr(cli, "_repr_trace_text", refused)
+    assert run_case(tmp_path / "run", case) == GOLDEN[case][2]

@@ -5,12 +5,13 @@ Session, in both formats, for coordinates within ``COORD_MAX``; a
 coordinate beyond it is rejected on its line.  Fuzzing: frame lines built from awkward values
 give a Session or a line-numbered ParseError, never another exception.
 Differential: the column parser agrees with the line-by-line reference
-parser in ``reference_ingest`` -- equal columns, or the same error line and
-message.
+parser in ``reference_ingest`` -- equal columns, bit for bit (-0.0 is not
+0.0), or the same error line and message.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -295,6 +296,115 @@ def test_jsonl_frame_lines_match_reference(text):
     _assert_matches_reference(text, "jsonl")
 
 
+# --- CSV frame text: plain text is decoded by orjson as one JSON array ----------
+
+# numerals whose value float() and orjson must agree on, or that JSON reads
+# another way (-0 is the int 0, where float() reads -0.0) or refuses
+CSV_NUMERALS = [*EDGE_NUMERALS, "-0", "-0.0", "-0e0", "-0E1", "0", "-1", "1e-05", "1e400", "-1e400"]
+csv_numerals = st.one_of(*[tame_numerals] * 3, st.sampled_from(CSV_NUMERALS), numerals)
+# cell text that float() reads and JSON does not, or that neither reads as a number
+CSV_ODDITIES = [" 1.5 ", "\t2\t", "+1", ".5", "1.", "1_0", "0x10", "null", "nan", "inf", "-inf",
+                "true", "false", "[1]", "{}", "", "  ", '"1.5"', '"1,5"', '"2\n3"', "\ufeff1.5",
+                "\uff11.\uff15", "1.5\x0b", "1" + "5" * 300]
+# cells that a lowered field limit of 200 is below, and whose value is tame
+LONG_CELLS = ["0." + "5" * 300, " " * 300 + "2.5"]
+TOUCH_CELLS = ["true", "false", " true ", "TRUE", "1", "", "null", '"false"']
+CSV_CHANGES = ("cell", "long cell", "touch", "blank hand cell", "one hand cell", "empty row",
+               "blank line", "cell count")
+
+
+@st.composite
+def csv_frame_row(draw, t, wild):
+    """One CSV frame row, as text, for a frame at time ``t``: mostly plain,
+    now and then with a change; a ``wild`` row's numerals may also be odd
+    or beyond their bounds, while a tame row's pass every check."""
+    hand = draw(st.booleans())
+    number = csv_numerals if wild else tame_numerals
+    cells = [
+        draw(csv_numerals) if wild and draw(st.integers(0, 9)) == 0 else repr(t),
+        draw(number),
+        draw(number),
+        draw(number) if hand else "",
+        draw(number) if hand else "",
+        "true" if hand and draw(st.booleans()) else "false",
+    ]
+    change = draw(st.sampled_from(CSV_CHANGES)) if draw(st.integers(0, 7)) == 0 else None
+    if change == "cell":
+        cells[draw(st.integers(0, 4))] = draw(st.sampled_from(CSV_ODDITIES))
+    elif change == "long cell":
+        cells[draw(st.integers(1, 2))] = draw(st.sampled_from(LONG_CELLS))
+    elif change == "touch":
+        cells[5] = draw(st.sampled_from(TOUCH_CELLS))
+    elif change == "blank hand cell":
+        cells[3] = cells[4] = draw(st.sampled_from(["", " ", "\t", "null"]))
+    elif change == "one hand cell":
+        cells[draw(st.integers(3, 4))] = ""
+    elif change == "empty row":
+        cells = [""] * 6
+    elif change == "blank line":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    elif change == "cell count":
+        cells = cells[:draw(st.integers(1, 5))] if draw(st.booleans()) else cells + ["1.0"]
+    return ",".join(cells)
+
+
+@st.composite
+def csv_frame_text(draw):
+    """A CSV session file of frame rows as text, with CRLF line ends and a
+    column header with spaces now and then; in a tame file only a change
+    can fail it."""
+    times = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8, unique=True)))
+    wild = draw(st.booleans())
+    columns = draw(st.sampled_from([",".join(FIELDS), ", ".join(FIELDS), " t,ax ,ay,hx,hy,touch",
+                                    "t,ax,ay,hx,hy"]))
+    lines = ["#" + json.dumps(HEADER), columns, *(draw(csv_frame_row(t, wild)) for t in times)]
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, "", end + end]))
+
+
+@settings(SETTINGS, max_examples=400)
+@given(text=csv_frame_text(), limit=st.sampled_from([None, None, 200]))
+def test_csv_frame_text_matches_reference(text, limit):
+    # plain text takes the orjson path, and the rest the csv_rows loop; either
+    # gives the reference's columns, or its error line and message.  Under a
+    # lowered field limit a long cell is over it, and its line too
+    with field_size_limit(limit):
+        _assert_matches_reference(text, "csv")
+
+
+@contextlib.contextmanager
+def field_size_limit(limit):
+    """The csv module's field limit set to ``limit`` (None: kept) in the block."""
+    saved = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(saved)
+
+
+@pytest.mark.parametrize("cell", LONG_CELLS)
+def test_a_cell_over_a_lowered_field_limit_is_refused_on_its_line(cell):
+    rows = [f"{t},1.0,2.0,,,false" for t in ("0.0", "0.5")] + [f"1.0,{cell},2.0,,,false"]
+    text = "\n".join([f"#{json.dumps(HEADER)}", ",".join(FIELDS), *rows]) + "\n"
+    with field_size_limit(200):
+        got = _outcome(parse_session, text, "csv")
+        assert (got.line, str(got)) == (5, "stream:5: malformed CSV: field larger than field limit (200)")
+        _assert_matches_reference(text, "csv")
+    assert isinstance(_outcome(parse_session, text, "csv"), Session)
+
+
+@pytest.mark.parametrize("cell", ["-0", "-0e0", "-0.0", "0"])
+def test_a_minus_zero_cell_keeps_its_sign(cell):
+    # JSON reads -0 as the int 0, which would lose the sign float() keeps
+    text = f"#{json.dumps(HEADER)}\n{','.join(FIELDS)}\n{cell},1,2,,,false\n0.5,{cell},{cell},{cell},{cell},true\n"
+    s = parse_session(io.StringIO(text), format="csv")
+    assert np.signbit(s.times[0]) == cell.startswith("-")
+    assert np.signbit(s.attention_xy[1]).tolist() == [cell.startswith("-")] * 2
+    _assert_matches_reference(text, "csv")
+
+
 PLAIN_LINE = '{"t": %s, "ax": 1.0, "ay": 2.0, "hx": null, "hy": null, "touch": false}'
 
 
@@ -321,11 +431,18 @@ def _assert_matches_reference(text, fmt):
     assert isinstance(got, Session), f"rejected what the reference accepts: {got}"
     frames = want[1]
     nan = (math.nan, math.nan)
-    assert np.array_equal(got.times, [f.t for f in frames])
-    assert np.array_equal(got.attention_xy, np.reshape([(f.attention.x, f.attention.y) for f in frames], (-1, 2)))
-    assert np.array_equal(got.hand_xy, np.reshape([nan if f.hand is None else (f.hand.x, f.hand.y)
-                                                   for f in frames], (-1, 2)), equal_nan=True)
+    _assert_same_bits(got.times, [f.t for f in frames])
+    _assert_same_bits(got.attention_xy, np.reshape([(f.attention.x, f.attention.y) for f in frames], (-1, 2)))
+    _assert_same_bits(got.hand_xy, np.reshape([nan if f.hand is None else (f.hand.x, f.hand.y)
+                                               for f in frames], (-1, 2)))
     assert got.touching_mask.tolist() == [f.touching for f in frames]
+
+
+def _assert_same_bits(got, want):
+    """Equal floats, where -0.0 is not 0.0 and NaN is where the other has NaN."""
+    want = np.asarray(want, dtype=float)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 header_values = st.one_of(numbers, st.text(max_size=4), st.sampled_from(["earlier", "later"]))

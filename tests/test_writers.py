@@ -1,8 +1,9 @@
 """Differential tests of the trace and ``touchdist.json`` writers.
 
-Trace CSVs are built a column at a time and ``touchdist.json`` fills its
-points from a template; both must give the bytes of the cell-by-cell oracle
-in ``tests/reference_writers.py``.  Sessions, units and hotspots are drawn
+Trace CSVs are built a column at a time, or by orjson where it writes each
+float as ``repr`` does, and ``touchdist.json`` fills its points from a
+template; both must give the bytes of the cell-by-cell oracle in
+``tests/reference_writers.py``.  Sessions, units and hotspots are drawn
 directly, so units may hold hand-absent runs, touching frames outside their
 operating period, or no hotspot at all, and every position and time may be
 an awkward float.
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_writers
 from opgaze import cli
-from opgaze.features import build_distance_series, unit_traces
+from opgaze.features import UnitTraces, build_distance_series, unit_traces
 from opgaze.hotspot import TouchDistribution, touch_distribution_plot_data, touching_points
 from opgaze.session import Hotspot, Interval, OperationUnit, Point2, Session
 
@@ -235,6 +236,63 @@ class TestUnitTraces:
         traces = unit_traces(s, units, ())
         assert (traces.units, traces.counts, len(traces.t)) == ((), (), 0)
         assert written_traces(result_of(s, (), units)) == {}
+
+
+# values on each side of the range in which orjson writes a float as repr
+# does: 0, or a magnitude in [1e-4, 1e16)
+IN_RANGE = [0.0, -0.0, 1e-4, float(np.nextafter(1e16, 0)), 0.1 + 0.2, 123456.789]
+OUT_OF_RANGE = [5e-324, float(np.nextafter(1e-4, 0)), 1e16, 2.9e50, 1e150]
+
+
+@st.composite
+def one_unit_traces(draw) -> UnitTraces:
+    """A one-unit trace of values in orjson's range, but now and then one
+    beyond it, with NaN in ``d_ho`` and ``d_ah`` where the hand is out of
+    sight, but now and then a number there instead."""
+    n = draw(st.integers(0, 12))
+    tame = st.one_of(st.sampled_from(IN_RANGE), st.floats(1e-4, 1e6))
+    columns = [np.array(draw(st.lists(tame, min_size=n, max_size=n)), dtype=float) for _ in range(4)]
+    if n and draw(st.booleans()):
+        wild = st.one_of(st.sampled_from(OUT_OF_RANGE), st.floats(allow_nan=False, allow_infinity=False))
+        columns[draw(st.integers(0, 3))][draw(st.integers(0, n - 1))] = draw(wild)
+    hand = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    absent = draw(st.one_of(st.just(np.nan), st.sampled_from([np.inf, 1.0, *OUT_OF_RANGE])))
+    columns[2][~hand] = columns[3][~hand] = absent
+    unit = OperationUnit(0, Interval(0.0, 1.0), Interval(1.0, 2.0), Interval(2.0, 3.0), hotspot_id=0)
+    return UnitTraces((unit,), (n,), *columns, hand)
+
+
+def repr_text(trace: UnitTraces) -> str:
+    lines = ["t,d_ao,d_ho,d_ah"]
+    for t, ao, ho, ah, hand in zip(trace.t.tolist(), trace.d_ao.tolist(), trace.d_ho.tolist(),
+                                   trace.d_ah.tolist(), trace.hand.tolist()):
+        lines.append(",".join([repr(t), repr(ao), *((repr(ho), repr(ah)) if hand else ("", ""))]))
+    return "\n".join(lines) + "\n"
+
+
+class TestTraceText:
+    @settings(max_examples=300, deadline=None)
+    @given(one_unit_traces())
+    def test_orjson_text_is_the_repr_text_or_none(self, trace):
+        want = repr_text(trace)
+        assert cli._repr_trace_text(trace) == want
+        got = cli._orjson_trace_text(trace)
+        # orjson writes every trace with rows whose absent hand reads NaN and
+        # whose values lie in the range where it writes them as repr does
+        shown = np.concatenate((trace.t, trace.d_ao, trace.d_ho[trace.hand], trace.d_ah[trace.hand]))
+        in_range = all(v == 0 or 1e-4 <= abs(v) < 1e16 for v in shown.tolist())
+        absent_nan = np.isnan(trace.d_ho[~trace.hand]).all() and np.isnan(trace.d_ah[~trace.hand]).all()
+        assert (got is not None) == (len(trace.t) > 0 and in_range and absent_nan)
+        assert got in (None, want)
+
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("value", IN_RANGE + OUT_OF_RANGE)
+    def test_orjson_writes_the_values_of_its_range(self, value, column):
+        columns = [np.array([1.5, 2.5]) for _ in range(4)]
+        columns[column][1] = value
+        unit = OperationUnit(0, Interval(0.0, 1.0), Interval(1.0, 2.0), Interval(2.0, 3.0), hotspot_id=0)
+        trace = UnitTraces((unit,), (2,), *columns, np.array([True, True]))
+        assert cli._orjson_trace_text(trace) == (repr_text(trace) if value in IN_RANGE else None)
 
 
 points_lists = st.lists(st.lists(coords, min_size=2, max_size=2), min_size=1, max_size=300)

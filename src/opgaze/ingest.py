@@ -14,10 +14,11 @@ explicit null / empty cell, never (0, 0).
 Sidecars: step labels as ``start_t,end_t,step_id`` CSV and difficulty
 ratings as ``step_id,rater_id,role,score`` CSV.
 
-Frames are parsed straight into the Session's columns.  Plain frame text,
-as ``write_session`` writes it, is decoded by orjson; any other, and plain
-text whose values fail a check, is read line by line (JSONL) or row by row
-(CSV), which gives the error and its line.  Rejected inputs
+Frames are parsed straight into the Session's columns by one reader.
+Plain frame text, as ``write_session`` writes it, is decoded into rows by
+orjson; any other, and plain text whose values fail a check, into
+line-numbered rows, line by line (JSONL) or row by row (CSV), which gives
+the error and its line.  Rejected inputs
 never produce a Session: any malformed line (bytes that are not UTF-8, JSON
 nested past the recursion limit and a CSV cell over the field size limit
 included), duplicate or non-monotonic timestamp, contact-without-hand
@@ -40,7 +41,7 @@ import math
 import operator
 import re
 from pathlib import Path
-from typing import IO, Callable, Iterable, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -236,7 +237,9 @@ def parse_session(
     """Parse one session file (or open stream) in the given format."""
     stream, src = _open_session(source, format)
     with stream:
-        header, columns = (_parse_jsonl if format == JSONL else _parse_csv)(stream, src)
+        header, header_line = _read_header(stream, src, format)
+        text = stream.read()
+    columns = _plain_columns(text, src, format) or _read_columns(text, header_line + 1, src, format)
     if not len(columns["times"]):
         raise ParseError("no frames in session", source=src)
     return Session(header["id"], header["operator"], header["ordinal"],
@@ -290,74 +293,42 @@ def _read_header(stream: IO[str], src: str, format: str) -> tuple[dict, int]:
     raise ParseError("empty file: missing session header", source=src)
 
 
-def _parse_jsonl(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
-    header, header_line = _read_header(stream, src, JSONL)
-    text = stream.read()
-    return header, _plain_frame_columns(text, src) or _json_frame_columns(text, header_line + 1, src)
-
-
-def _plain_frame_columns(text: str, src: str) -> Optional[dict[str, np.ndarray]]:
-    """The Session columns of the JSONL frame lines ``text``, decoded by
-    orjson, if every line is plain and the columns pass every check; else
-    None, and :func:`_json_frame_columns` decides.
-
-    A plain line is ASCII (so UTF-8, without a BOM) and holds exactly 12
-    ``"``: the six ``FRAME_FIELDS`` keys need all of them, so an object
-    holding those keys has no string value and no other or repeated key,
-    where a value ``json`` would reject could hide.  Where orjson accepts
-    such a line, its values are those of ``json``.
-    """
+def _plain_columns(text: str, src: str, format: str) -> Optional[dict[str, np.ndarray]]:
+    """The Session columns of the frame text ``text``, decoded by orjson, if
+    the text is ASCII (so UTF-8, without a BOM) and plain in its format, and
+    the columns pass every check; else None, and :func:`_read_columns`
+    decides."""
     if not text.isascii():
         return None
-    import orjson  # here, so that a process reading no JSONL frame does not load it
-
-    lines = [line for line in map(str.strip, text.split("\n")) if line]
-    if set(map(str.count, lines, itertools.repeat('"'))) - {12}:
+    rows = (_plain_jsonl_rows if format == JSONL else _plain_csv_rows)(text)
+    if rows is None:
         return None
     try:
-        rows = list(map(_FRAME_VALUES, map(orjson.loads, lines)))
-    except (ValueError, KeyError, TypeError):  # orjson's refusal, or not an object of the six fields
-        return None
-    try:
-        # a frame's line is read only for an error, which sends the text to json
+        # a frame's line is read only for an error, which sends the text to _read_columns
         return _frame_columns(_columns(rows), range(len(rows)), src)
     except ParseError:
         return None
 
 
-def _json_frame_columns(text: str, first_line: int, src: str) -> dict[str, np.ndarray]:
-    """The Session columns of the JSONL frame lines ``text``, whose first
-    is line ``first_line``, decoded one line at a time by ``json``; a bad
-    line is a ParseError on its line."""
-    rows: list[tuple] = []
-    lines: list[int] = []
+def _plain_jsonl_rows(text: str) -> Optional[list]:
+    """The frame rows of the JSONL frame lines ``text``, if every line is
+    plain and orjson decodes it to an object holding the six fields; else
+    None.
+
+    A plain line holds exactly 12 ``"``: the six ``FRAME_FIELDS`` keys need
+    all of them, so an object holding those keys has no string value and no
+    other or repeated key, where a value ``json`` would reject could hide.
+    Where orjson accepts such a line, its values are those of ``json``.
+    """
+    import orjson  # here, so that a process reading no frames does not load it
+
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
+    if set(map(str.count, lines, itertools.repeat('"'))) - {12}:
+        return None
     try:
-        for lineno, line in enumerate(text.split("\n"), start=first_line):
-            line = check_line(line, lineno, src).strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(f"malformed JSON: {json_error(exc)}", line=lineno, source=src)
-            if not isinstance(obj, dict):
-                raise ParseError("frame must be an object", line=lineno, source=src)
-            try:
-                rows.append(_FRAME_VALUES(obj))
-            except KeyError:
-                missing = [k for k in FRAME_FIELDS if k not in obj]
-                raise ParseError(f"frame missing fields: {missing}", line=lineno, source=src)
-            lines.append(lineno)
-    except ParseError:
-        _frame_columns(_columns(rows), lines, src)  # an earlier frame's error comes first
-        raise
-    return _frame_columns(_columns(rows), lines, src)
-
-
-def _parse_csv(stream: IO[str], src: str) -> tuple[dict, dict[str, np.ndarray]]:
-    header, _ = _read_header(stream, src, CSV)
-    text = stream.read()
-    return header, _plain_csv_columns(text, src) or _csv_columns(text, src)
+        return list(map(_FRAME_VALUES, map(orjson.loads, lines)))
+    except (ValueError, KeyError, TypeError):  # orjson's refusal, or not an object of the six fields
+        return None
 
 
 # A plain CSV frame text holds none of these: a quote, a line end the csv
@@ -368,20 +339,19 @@ _NOT_PLAIN_CSV = '"\r\0[]{}n'
 _INTEGER_MINUS_ZERO = re.compile(r"-0(?![.eE])")
 
 
-def _plain_csv_columns(text: str, src: str) -> Optional[dict[str, np.ndarray]]:
-    """The Session columns of the CSV frame text ``text`` (the column
-    header line, then the frame rows), decoded by orjson as one JSON array
-    of rows, if the text is plain and the columns pass every check; else
-    None, and :func:`_csv_columns` decides.
+def _plain_csv_rows(text: str) -> Optional[list]:
+    """The frame rows of the CSV frame text ``text`` (the column header
+    line, then the frame rows), decoded by orjson as one JSON array of rows,
+    if the text is plain; else None.
 
-    Plain text is ASCII, holds no character of ``_NOT_PLAIN_CSV`` and no
-    integer ``-0``, starts with the column header, has no line longer than
-    the csv module's field limit, and decodes to rows of six values: each
-    line then holds six cells, each a JSON number, ``true``, ``false`` or
-    empty (null), with no blank line between them.  Where a cell is a JSON
-    number, ``float()`` of the stripped cell is its value.
+    Plain text holds no character of ``_NOT_PLAIN_CSV`` and no integer
+    ``-0``, starts with the column header, has no line longer than the csv
+    module's field limit, and decodes to rows of six values: each line then
+    holds six cells, each a JSON number, ``true``, ``false`` or empty
+    (null), with no blank line between them.  Where a cell is a JSON number,
+    ``float()`` of the stripped cell is its value.
     """
-    if not text.isascii() or any(c in text for c in _NOT_PLAIN_CSV) or _INTEGER_MINUS_ZERO.search(text):
+    if any(c in text for c in _NOT_PLAIN_CSV) or _INTEGER_MINUS_ZERO.search(text):
         return None
     columns, _, body = text.partition("\n")
     body = body.rstrip()
@@ -394,44 +364,69 @@ def _plain_csv_columns(text: str, src: str) -> Optional[dict[str, np.ndarray]]:
     cells = body.replace("\n", "],[").replace(",,,", ",null,null,").replace(",,", ",null,")
     try:
         rows = orjson.loads("[[" + cells + "]]")
-        if set(map(len, rows)) != {len(FRAME_FIELDS)}:
-            return None
-        # a frame's line is read only for an error, which sends the text to csv_rows
-        return _frame_columns(_columns(rows), range(len(rows)), src)
-    except ValueError:  # orjson's refusal, or the ParseError of a value that fails a check
+    except ValueError:
         return None
+    return rows if set(map(len, rows)) == {len(FRAME_FIELDS)} else None
 
 
-def _csv_columns(text: str, src: str) -> dict[str, np.ndarray]:
-    """The Session columns of the CSV frame text ``text``, whose first line
-    is line 2, read row by row by ``csv_rows``; a bad row is a ParseError on
-    its line."""
-    reader = csv_rows(io.StringIO(text, newline=""), src, first_line=2)
-    _, columns = next(reader, (2, None))
-    if columns is None:
-        raise ParseError("missing column header", source=src)
-    if [c.strip() for c in columns] != list(FRAME_FIELDS):
-        raise ParseError(f"column header must be {','.join(FRAME_FIELDS)}", line=2, source=src)
-
-    rows: list[list[str]] = []
+def _read_columns(text: str, first_line: int, src: str, format: str) -> dict[str, np.ndarray]:
+    """The Session columns of the frame text ``text``, whose first line is
+    line ``first_line``, read line by line (JSONL) or row by row (CSV); a bad
+    line is a ParseError on its line."""
+    rows: list[Sequence[object]] = []
     lines: list[int] = []
+    read, convert = (_jsonl_rows, _frame_columns) if format == JSONL else (_csv_rows, _csv_frame_columns)
     try:
-        for lineno, row in reader:
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != len(FRAME_FIELDS):
-                raise ParseError(f"expected {len(FRAME_FIELDS)} cells, got {len(row)}",
-                                 line=lineno, source=src)
+        for lineno, row in read(text, first_line, src):
             rows.append(row)
             lines.append(lineno)
     except ParseError:
-        _csv_frame_columns(rows, lines, src)  # an earlier frame's error comes first
+        convert(_columns(rows), lines, src)  # an earlier frame's error comes first
         raise
-    return _csv_frame_columns(rows, lines, src)
+    return convert(_columns(rows), lines, src)
 
 
-def _csv_frame_columns(rows: list[list[str]], lines: list[int], src: str) -> dict[str, np.ndarray]:
-    t, ax, ay, hx, hy, touch = ([cell.strip() for cell in col] for col in _columns(rows))
+def _jsonl_rows(text: str, first_line: int, src: str) -> Iterator[tuple[int, tuple]]:
+    """``(line, values)`` of each JSONL frame line that is not blank, decoded
+    by ``json``; a bad line is a ParseError on its line."""
+    for lineno, line in enumerate(text.split("\n"), start=first_line):
+        line = check_line(line, lineno, src).strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"malformed JSON: {json_error(exc)}", line=lineno, source=src)
+        if not isinstance(obj, dict):
+            raise ParseError("frame must be an object", line=lineno, source=src)
+        try:
+            values = _FRAME_VALUES(obj)
+        except KeyError:
+            missing = [k for k in FRAME_FIELDS if k not in obj]
+            raise ParseError(f"frame missing fields: {missing}", line=lineno, source=src)
+        yield lineno, values
+
+
+def _csv_rows(text: str, first_line: int, src: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` of each CSV frame row that is not blank, read by
+    ``csv_rows`` after the column header; a bad row is a ParseError on its
+    line."""
+    reader = csv_rows(io.StringIO(text, newline=""), src, first_line)
+    _, columns = next(reader, (first_line, None))
+    if columns is None:
+        raise ParseError("missing column header", source=src)
+    if [c.strip() for c in columns] != list(FRAME_FIELDS):
+        raise ParseError(f"column header must be {','.join(FRAME_FIELDS)}", line=first_line, source=src)
+    for lineno, row in reader:
+        if not any(map(str.strip, row)):
+            continue
+        if len(row) != len(FRAME_FIELDS):
+            raise ParseError(f"expected {len(FRAME_FIELDS)} cells, got {len(row)}", line=lineno, source=src)
+        yield lineno, row
+
+
+def _csv_frame_columns(cells: Sequence[Sequence[str]], lines: list[int], src: str) -> dict[str, np.ndarray]:
+    t, ax, ay, hx, hy, touch = ([cell.strip() for cell in col] for col in cells)
     touch_word = (np.array([c not in ("true", "false") for c in touch], dtype=bool),
                   lambda i: f"touch must be 'true' or 'false', got {touch[i]!r}")
     raw = (t, ax, ay, [c or None for c in hx], [c or None for c in hy], [c == "true" for c in touch])

@@ -10,7 +10,10 @@ steps; some carry a step sidecar.  On every cohort:
 - every JSON output is strict JSON (no ``NaN`` or ``Infinity``);
 - ``analyze`` writes the same bytes at ``--jobs`` 1 and 2;
 - ``compare`` and ``correlate`` on the result exit 0, 1 or 2;
-- nothing is written outside ``--out``.
+- nothing is written outside ``--out``;
+- the sessions written as JSONL, as JSONL that is not ASCII, as CSV and as
+  CSV with CRLF line ends give the same exit code and the same tree, but for
+  the ``source`` of each ``summary.json`` entry.
 """
 
 from __future__ import annotations
@@ -162,3 +165,46 @@ def test_analyze_and_the_studies_keep_their_contracts(cohort):
         for path in written:
             if path.suffix == ".json" and path.is_file():
                 strict_json(path)
+
+
+# name -> (session file format, line end); the line ends of the second and
+# the fourth send every session's frame text to the line-by-line readers
+WRITTEN_AS = {
+    "jsonl": ("jsonl", "\n"),
+    "jsonl_not_ascii": ("jsonl", "\u00a0\n"),
+    "csv": ("csv", "\n"),
+    "csv_crlf": ("csv", "\r\n"),
+}
+
+
+def summary_without_sources(out: Path) -> dict:
+    """``summary.json`` under ``out``, each ``source`` dropped and cut out of
+    the failure messages."""
+    summary = strict_json(out / "summary.json")
+    for entry in summary["sessions"]:
+        del entry["source"]
+    summary["failures"] = [failure["error"].replace(failure["source"], "<source>")
+                           for failure in summary["failures"]]
+    return summary
+
+
+@settings(max_examples=30, deadline=None)
+@given(cohort=cohorts())
+def test_analyze_gives_one_tree_for_every_session_file_format(cohort):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        codes, trees, summaries = {}, {}, {}
+        for name, (fmt, line_end) in WRITTEN_AS.items():
+            paths = write_cohort([(s, fmt, labeled) for s, _, labeled in cohort], root / name)
+            for path in paths.values():
+                path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
+            out = root / name / "out"
+            codes[name] = main(["analyze", str(root / name / "sessions"), "--out", str(out),
+                                "--jobs", "1"])
+            trees[name] = {p.relative_to(out): p.read_bytes()
+                           for p in files_under(out) if p.name != "summary.json"}
+            summaries[name] = summary_without_sources(out)
+        assert len(set(codes.values())) == 1, codes
+        for name in WRITTEN_AS:
+            assert trees[name] == trees["jsonl"], name
+            assert summaries[name] == summaries["jsonl"], name

@@ -9,7 +9,9 @@ early-shift ratio, and one JSONL pair with position noise.  The digest
 covers every file written, inputs included.  A change that alters outputs
 on purpose updates the digests here and says why.  Each case runs again
 with the ``csv_rows`` loop of CSV frame text and the ``repr`` loop of trace
-files made to fail: its bytes come from orjson.
+files made to fail: its bytes come from orjson.  It runs once more with the
+orjson paths of frame text and of trace files made to refuse: its bytes
+come from the line-by-line readers and from ``repr``.
 """
 
 from __future__ import annotations
@@ -91,4 +93,14 @@ def test_seeded_run_takes_the_orjson_paths(tmp_path, monkeypatch, case):
 
     monkeypatch.setattr(ingest, "csv_rows", refused)
     monkeypatch.setattr(cli, "_repr_trace_text", refused)
+    assert run_case(tmp_path / "run", case) == GOLDEN[case][2]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_seeded_run_takes_the_judge_paths(tmp_path, monkeypatch, case):
+    # every session's frame text is read line by line or row by row, and
+    # every trace file is written by repr; the forked workers of --jobs 2
+    # inherit the patches
+    monkeypatch.setattr(ingest, "_plain_columns", lambda *args: None)
+    monkeypatch.setattr(cli, "_orjson_trace_text", lambda *args: None)
     assert run_case(tmp_path / "run", case) == GOLDEN[case][2]

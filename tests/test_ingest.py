@@ -101,7 +101,7 @@ class TestParseJsonl:
         def refuse(*args):
             raise AssertionError("the json line loop decoded a plain file")
 
-        monkeypatch.setattr(ingest, "_json_frame_columns", refuse)
+        monkeypatch.setattr(ingest, "_jsonl_rows", refuse)
         assert parse_session(path) == want
         with pytest.raises(AssertionError, match="json line loop"):
             parse_session(jsonl('{"t": NaN, "ax": 0, "ay": 0, "hx": null, "hy": null, "touch": false}'))

@@ -7,27 +7,28 @@ object on line 1 followed by one frame object per line::
     {"t": 0.0, "ax": 12.0, "ay": 3.5, "hx": null, "hy": null, "touch": false}
 
 CSV (for spreadsheet-born data) carries the identical header object in a
-leading ``#`` comment line, then columns ``t,ax,ay,hx,hy,touch`` with empty
-``hx``/``hy`` cells for an out-of-sight hand.  A missing hand is always an
-explicit null / empty cell, never (0, 0).
+leading ``#`` comment line, then columns ``t,ax,ay,hx,hy,touch``.  A cell,
+stripped, holds the value its text holds in JSONL: a number, ``true`` or
+``false``; an empty ``hx``/``hy`` cell is null, an out-of-sight hand, never
+(0, 0); any other cell is text, which no check passes.
 
-Sidecars: step labels as ``start_t,end_t,step_id`` CSV and difficulty
-ratings as ``step_id,rater_id,role,score`` CSV.
+Sidecars: step labels as ``start_t,end_t,step_id`` CSV, whose times are
+read as frame cells are, and difficulty ratings as
+``step_id,rater_id,role,score`` CSV.
 
 Frames are parsed straight into the Session's columns by one reader.
 Plain frame text, as ``write_session`` writes it, is decoded into rows by
 orjson; any other, and plain text whose values fail a check, into
 line-numbered rows, line by line (JSONL) or row by row (CSV), which gives
-the error and its line.  Rejected inputs
-never produce a Session: any malformed line (bytes that are not UTF-8, JSON
-nested past the recursion limit and a CSV cell over the field size limit
-included), duplicate or non-monotonic timestamp, contact-without-hand
-frame, value that is not a number (in JSON a bool or a string included),
-non-finite value (an integer too large for a float included), time
-above ``TIME_MAX``, coordinate beyond ``COORD_MAX`` or rate above
-``RATE_MAX`` raises :class:`ParseError` with the number of the earliest
-offending line, as a line-by-line check would.  A CSV row's line is the
-line it starts on.
+the error and its line.  Rejected inputs never produce a Session: any
+malformed line (bytes that are not UTF-8, JSON nested past the recursion
+limit and a CSV cell over the field size limit included), duplicate or
+non-monotonic timestamp, contact-without-hand frame, value that is not a
+number (a bool or a string included), non-finite value (an integer too
+large for a float included), time above ``TIME_MAX``, coordinate beyond
+``COORD_MAX`` or rate above ``RATE_MAX`` raises :class:`ParseError` with
+the number of the earliest offending line, as a line-by-line check would.
+A CSV row's line is the line it starts on.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ import itertools
 import json
 import math
 import operator
-import re
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,53 +79,52 @@ ID_MAX_BYTES = 200
 TIME_MAX = 1e150
 
 
-def _as_float(value: object, text: bool = False) -> Optional[float]:
-    """``float(value)`` of a JSON number (an int or a float, not a bool), or
-    with ``text`` of a string; None when it is not a number, inf when it
-    overflows."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number or text and isinstance(value, str)):
+def _as_float(value: object) -> Optional[float]:
+    """``float(value)`` of a JSON number (an int or a float, not a bool);
+    None when it is not a number, inf when it overflows."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         return None
     try:
         return float(value)
-    except ValueError:
-        return None
     except OverflowError:  # an int too large for a float
         return math.inf
 
 
-def _not_finite(value: object, what: str, text: bool = False) -> str:
-    return f"{what} is not {'a number' if _as_float(value, text) is None else 'finite'}: {value!r}"
+def _bad_number(value: object, what: str) -> str:
+    """The message of a bad ``what`` value: not a number, not finite, or else beyond ``COORD_MAX``."""
+    out = _as_float(value)
+    if out is not None and math.isfinite(out):
+        return f"|{what}| exceeds {COORD_MAX:g}: {value!r}"
+    return f"{what} is not {'a number' if out is None else 'finite'}: {value!r}"
 
 
-def _bad_coordinate(value: object, what: str, text: bool = False) -> str:
-    out = _as_float(value, text)
+def _finite(value: object, what: str) -> float:
+    out = _as_float(value)
     if out is None or not math.isfinite(out):
-        return _not_finite(value, what, text)
-    return f"|{what}| exceeds {COORD_MAX:g}: {value!r}"
-
-
-def _finite(value: object, what: str, text: bool = False) -> float:
-    out = _as_float(value, text)
-    if out is None or not math.isfinite(out):
-        raise ValueError(_not_finite(value, what, text))
+        raise ValueError(_bad_number(value, what))
     return out
 
 
-def _floats(values: Sequence[object], text: bool, absent: Optional[np.ndarray] = None) -> np.ndarray:
-    """``_as_float`` of each value as an array; NaN where it is absent or not a number."""
-    if absent is not None and absent.any():
-        out = np.full(len(values), np.nan)
-        out[~absent] = _floats(list(itertools.compress(values, (~absent).tolist())), text)
-        return out
-    # float() takes a bool or a string too, so JSON values go this fast way
-    # only when each is an int or a float
-    if text or {int, float}.issuperset(map(type, values)):
+def _floats(values: Sequence[object]) -> np.ndarray:
+    """``_as_float`` of each value as an array; NaN where it is None or not a number."""
+    # numpy takes a bool or a string too, so values go this fast way only
+    # when each is an int, a float or None (NaN)
+    if {int, float, type(None)}.issuperset(map(type, values)):
         try:
-            return np.fromiter(map(float, values), dtype=float, count=len(values))
-        except (TypeError, ValueError, OverflowError):
+            return np.array(values, dtype=float)
+        except OverflowError:  # an int too large for a float
             pass
-    return np.array([_as_float(v, text) for v in values], dtype=float)  # None -> NaN
+    return np.array([_as_float(v) for v in values], dtype=float)  # None -> NaN
+
+
+def _json_cell(cell: str) -> object:
+    """A stripped CSV cell as JSON reads it: the int, float or bool that it
+    decodes to, or else its text."""
+    try:
+        value = json.loads(cell)
+    except (ValueError, RecursionError):
+        return cell
+    return value if type(value) in (int, float, bool) else cell
 
 
 def check_rate(value: object, what: str) -> float:
@@ -171,35 +170,29 @@ def _parse_header(obj: object, lineno: int, src: str) -> dict:
     }
 
 
-Check = tuple[np.ndarray, Callable[[int], str]]
-
-
 def _columns(rows: Sequence[Sequence[object]]) -> Sequence[Sequence[object]]:
     return tuple(zip(*rows)) or ((),) * len(FRAME_FIELDS)
 
 
-def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: str,
-                   *checks_before: Check, text: bool = False) -> dict[str, np.ndarray]:
+def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: str) -> dict[str, np.ndarray]:
     """Check raw frame values column by column and convert them.
 
-    ``raw`` holds the ``FRAME_FIELDS`` columns as read, with None for an
-    absent hand; ``lines`` the line of each frame.  A number is a JSON
-    number, or with ``text`` a string that ``float()`` reads.  A check is a
-    mask over all frames and the error message for one frame; each line is
-    checked in list order.  Returns the Session columns.
+    ``raw`` holds the ``FRAME_FIELDS`` columns as JSON values, with None for
+    an absent hand; ``lines`` the line of each frame.  A check is a mask over
+    all frames and the error message for one frame; each line is checked in
+    list order.  Returns the Session columns.
     """
     t_raw, ax_raw, ay_raw, hx_raw, hy_raw, touch_raw = raw
     hx_none, hy_none = (np.array([v is None for v in col], dtype=bool) for col in (hx_raw, hy_raw))
-    t, ax, ay = (_floats(col, text) for col in raw[:3])
-    hx, hy = _floats(hx_raw, text, hx_none), _floats(hy_raw, text, hy_none)
+    t, ax, ay, hx, hy = map(_floats, raw[:5])
     touch_bool = np.array([type(v) is bool for v in touch_raw], dtype=bool)
     touching = np.array([v is True for v in touch_raw], dtype=bool)
     out_of_order = np.zeros(len(t), dtype=bool)
     out_of_order[1:] = t[1:] <= t[:-1]
 
-    def coordinate(values: np.ndarray, raw_col: Sequence[object], what: str, present=True) -> Check:
+    def coordinate(values: np.ndarray, raw_col: Sequence[object], what: str, present=True) -> tuple:
         # NaN and infinities fail the comparison as well
-        return ~(np.abs(values) <= COORD_MAX) & present, lambda i: _bad_coordinate(raw_col[i], what, text)
+        return ~(np.abs(values) <= COORD_MAX) & present, lambda i: _bad_number(raw_col[i], what)
 
     def order_message(i: int) -> str:
         cur, prev = float(t[i]), float(t[i - 1])
@@ -207,8 +200,7 @@ def _frame_columns(raw: Sequence[Sequence[object]], lines: Sequence[int], src: s
                 else f"non-monotonic timestamp: t={cur} after t={prev}")
 
     checks = [
-        *checks_before,
-        (~np.isfinite(t), lambda i: _not_finite(t_raw[i], "t", text)),
+        (~np.isfinite(t), lambda i: _bad_number(t_raw[i], "t")),
         (t < 0, lambda i: f"t must be >= 0, got {float(t[i])}"),
         (t > TIME_MAX, lambda i: f"t exceeds {TIME_MAX:g}: {t_raw[i]!r}"),
         coordinate(ax, ax_raw, "ax"),
@@ -335,8 +327,6 @@ def _plain_jsonl_rows(text: str) -> Optional[list]:
 # module reads that is not ``\n``, NUL, a JSON container, and the ``n`` of
 # ``null``, ``nan`` and ``inf``.
 _NOT_PLAIN_CSV = '"\r\0[]{}n'
-# an integer -0 cell, which float() reads as -0.0 and JSON as the int 0
-_INTEGER_MINUS_ZERO = re.compile(r"-0(?![.eE])")
 
 
 def _plain_csv_rows(text: str) -> Optional[list]:
@@ -344,14 +334,14 @@ def _plain_csv_rows(text: str) -> Optional[list]:
     line, then the frame rows), decoded by orjson as one JSON array of rows,
     if the text is plain; else None.
 
-    Plain text holds no character of ``_NOT_PLAIN_CSV`` and no integer
-    ``-0``, starts with the column header, has no line longer than the csv
-    module's field limit, and decodes to rows of six values: each line then
-    holds six cells, each a JSON number, ``true``, ``false`` or empty
-    (null), with no blank line between them.  Where a cell is a JSON number,
-    ``float()`` of the stripped cell is its value.
+    Plain text holds no character of ``_NOT_PLAIN_CSV``, starts with the
+    column header, has no line longer than the csv module's field limit, and
+    decodes to rows of six values: each line then holds six cells, each a
+    JSON number, ``true``, ``false`` or empty (null), with no blank line
+    between them.  Each value is then the one :func:`_csv_rows` reads, as
+    orjson reads a JSON number as ``json`` does, within a float's range.
     """
-    if any(c in text for c in _NOT_PLAIN_CSV) or _INTEGER_MINUS_ZERO.search(text):
+    if any(c in text for c in _NOT_PLAIN_CSV):
         return None
     columns, _, body = text.partition("\n")
     body = body.rstrip()
@@ -375,15 +365,14 @@ def _read_columns(text: str, first_line: int, src: str, format: str) -> dict[str
     line is a ParseError on its line."""
     rows: list[Sequence[object]] = []
     lines: list[int] = []
-    read, convert = (_jsonl_rows, _frame_columns) if format == JSONL else (_csv_rows, _csv_frame_columns)
     try:
-        for lineno, row in read(text, first_line, src):
+        for lineno, row in (_jsonl_rows if format == JSONL else _csv_rows)(text, first_line, src):
             rows.append(row)
             lines.append(lineno)
     except ParseError:
-        convert(_columns(rows), lines, src)  # an earlier frame's error comes first
+        _frame_columns(_columns(rows), lines, src)  # an earlier frame's error comes first
         raise
-    return convert(_columns(rows), lines, src)
+    return _frame_columns(_columns(rows), lines, src)
 
 
 def _jsonl_rows(text: str, first_line: int, src: str) -> Iterator[tuple[int, tuple]]:
@@ -407,10 +396,11 @@ def _jsonl_rows(text: str, first_line: int, src: str) -> Iterator[tuple[int, tup
         yield lineno, values
 
 
-def _csv_rows(text: str, first_line: int, src: str) -> Iterator[tuple[int, list[str]]]:
-    """``(line, cells)`` of each CSV frame row that is not blank, read by
-    ``csv_rows`` after the column header; a bad row is a ParseError on its
-    line."""
+def _csv_rows(text: str, first_line: int, src: str) -> Iterator[tuple[int, list]]:
+    """``(line, values)`` of each CSV frame row that is not blank, read by
+    ``csv_rows`` after the column header: each stripped cell as
+    :func:`_json_cell` reads it, and an empty hand cell as None; a bad row
+    is a ParseError on its line."""
     reader = csv_rows(io.StringIO(text, newline=""), src, first_line)
     _, columns = next(reader, (first_line, None))
     if columns is None:
@@ -422,15 +412,8 @@ def _csv_rows(text: str, first_line: int, src: str) -> Iterator[tuple[int, list[
             continue
         if len(row) != len(FRAME_FIELDS):
             raise ParseError(f"expected {len(FRAME_FIELDS)} cells, got {len(row)}", line=lineno, source=src)
-        yield lineno, row
-
-
-def _csv_frame_columns(cells: Sequence[Sequence[str]], lines: list[int], src: str) -> dict[str, np.ndarray]:
-    t, ax, ay, hx, hy, touch = ([cell.strip() for cell in col] for col in cells)
-    touch_word = (np.array([c not in ("true", "false") for c in touch], dtype=bool),
-                  lambda i: f"touch must be 'true' or 'false', got {touch[i]!r}")
-    raw = (t, ax, ay, [c or None for c in hx], [c or None for c in hy], [c == "true" for c in touch])
-    return _frame_columns(raw, lines, src, touch_word, text=True)
+        t, ax, ay, hx, hy, touch = (_json_cell(c.strip()) for c in row)
+        yield lineno, (t, ax, ay, hx if hx != "" else None, hy if hy != "" else None, touch)
 
 
 def detect_format(path: Union[str, Path]) -> str:
@@ -488,7 +471,7 @@ def load_step_labels(path: Union[str, Path]) -> tuple[StepLabel, ...]:
     placed: list[tuple[int, str]] = []  # (line, step_id)
 
     def make(line: int, start_t: str, end_t: str, step_id: str) -> StepLabel:
-        label = StepLabel(_finite(start_t, "start_t", True), _finite(end_t, "end_t", True), step_id)
+        label = StepLabel(_finite(_json_cell(start_t), "start_t"), _finite(_json_cell(end_t), "end_t"), step_id)
         # the earlier labels it overlaps end after its start and start before
         # its end: the run [lo, hi) of the sorted labels
         lo, hi = bisect.bisect_right(ends, label.start_t), bisect.bisect_left(starts, label.end_t)

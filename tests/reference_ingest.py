@@ -9,8 +9,10 @@ integers too large for a float: ``_finite`` reports them as not finite, and
 a line that fails to decode for any ``ValueError`` is malformed JSON (and
 one nested past the recursion limit is "nested too deeply"), a
 time must not exceed ``TIME_MAX`` and a coordinate must lie within
-``COORD_MAX``.  A JSONL frame's numbers must be JSON numbers (an int or a
-float, not a bool or a string).  A CSV row's line is the line it starts on, as
+``COORD_MAX``.  A frame's numbers must be JSON numbers (an int or a float,
+not a bool or a string).  A CSV cell, stripped, is the int, float or bool
+``json.loads`` decodes it to, or else its text; an empty ``hx`` or ``hy``
+cell is null.  A CSV row's line is the line it starts on, as
 ``csv.reader.line_num`` counts lines, so a quoted cell may span lines; a row
 the csv module rejects (a cell over its field limit, say) is malformed CSV
 on that line.
@@ -32,15 +34,23 @@ from opgaze.ingest import COORD_MAX, FRAME_FIELDS, TIME_MAX, ParseError, _parse_
 from opgaze.session import FrameRecord, Point2, StepLabel
 
 
-def _finite(value, what, lineno, src, text):
-    # a JSON number is an int or a float, not a bool; a CSV cell is text
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number or text and isinstance(value, str)):
+def _json_cell(cell):
+    """A CSV cell as a JSONL file would hold it: the int, float or bool that
+    ``json.loads`` decodes the stripped cell to, or else the stripped text."""
+    cell = cell.strip()
+    try:
+        value = json.loads(cell)
+    except (ValueError, RecursionError):
+        return cell
+    return value if type(value) in (int, float, bool) else cell
+
+
+def _finite(value, what, lineno, src):
+    # a JSON number is an int or a float, not a bool
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{what} is not a number: {value!r}", line=lineno, source=src)
     try:
         out = float(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{what} is not a number: {value!r}", line=lineno, source=src)
     except OverflowError:
         raise ParseError(f"{what} is not finite: {value!r}", line=lineno, source=src)
     if not math.isfinite(out):
@@ -48,27 +58,27 @@ def _finite(value, what, lineno, src, text):
     return out
 
 
-def _coordinate(value, what, lineno, src, text):
-    out = _finite(value, what, lineno, src, text)
+def _coordinate(value, what, lineno, src):
+    out = _finite(value, what, lineno, src)
     if abs(out) > COORD_MAX:
         raise ParseError(f"|{what}| exceeds {COORD_MAX:g}: {value!r}", line=lineno, source=src)
     return out
 
 
-def _frame_from_fields(row, lineno, src, text):
-    t = _finite(row["t"], "t", lineno, src, text)
+def _frame_from_fields(row, lineno, src):
+    t = _finite(row["t"], "t", lineno, src)
     if t < 0:
         raise ParseError(f"t must be >= 0, got {t}", line=lineno, source=src)
     if t > TIME_MAX:
         raise ParseError(f"t exceeds {TIME_MAX:g}: {row['t']!r}", line=lineno, source=src)
-    ax = _coordinate(row["ax"], "ax", lineno, src, text)
-    ay = _coordinate(row["ay"], "ay", lineno, src, text)
+    ax = _coordinate(row["ax"], "ax", lineno, src)
+    ay = _coordinate(row["ay"], "ay", lineno, src)
     hx, hy = row["hx"], row["hy"]
     if (hx is None) != (hy is None):
         raise ParseError("hx and hy must be null together", line=lineno, source=src)
     hand = None
     if hx is not None:
-        hand = Point2(_coordinate(hx, "hx", lineno, src, text), _coordinate(hy, "hy", lineno, src, text))
+        hand = Point2(_coordinate(hx, "hx", lineno, src), _coordinate(hy, "hy", lineno, src))
     touch = row["touch"]
     if not isinstance(touch, bool):
         raise ParseError(f"touch must be a boolean, got {touch!r}", line=lineno, source=src)
@@ -124,7 +134,7 @@ def _parse_jsonl(stream: IO[str], src: str):
         missing = [k for k in FRAME_FIELDS if k not in obj]
         if missing:
             raise ParseError(f"frame missing fields: {missing}", line=lineno, source=src)
-        frames.append(_frame_from_fields(obj, lineno, src, text=False))
+        frames.append(_frame_from_fields(obj, lineno, src))
         _check_monotonic(frames, lineno, src)
     if header is None:
         raise ParseError("empty file: missing session header", source=src)
@@ -168,19 +178,11 @@ def _parse_csv(stream: IO[str], src: str):
         if len(row) != len(FRAME_FIELDS):
             raise ParseError(f"expected {len(FRAME_FIELDS)} cells, got {len(row)}",
                              line=lineno, source=src)
-        t, ax, ay, hx, hy, touch = (cell.strip() for cell in row)
-        if touch not in ("true", "false"):
-            raise ParseError(f"touch must be 'true' or 'false', got {touch!r}",
-                             line=lineno, source=src)
-        fields = {
-            "t": t,
-            "ax": ax,
-            "ay": ay,
-            "hx": hx if hx else None,
-            "hy": hy if hy else None,
-            "touch": touch == "true",
-        }
-        frames.append(_frame_from_fields(fields, lineno, src, text=True))
+        fields = dict(zip(FRAME_FIELDS, map(_json_cell, row)))
+        for key in ("hx", "hy"):
+            if fields[key] == "":
+                fields[key] = None
+        frames.append(_frame_from_fields(fields, lineno, src))
         _check_monotonic(frames, lineno, src)
     return header, frames
 
@@ -205,8 +207,8 @@ def load_step_labels(path):
                 continue
             if len(cells) != 3:
                 raise ParseError("expected start_t,end_t,step_id", line=lineno, source=src)
-            start_t = _finite(cells[0], "start_t", lineno, src, text=True)
-            end_t = _finite(cells[1], "end_t", lineno, src, text=True)
+            start_t = _finite(_json_cell(cells[0]), "start_t", lineno, src)
+            end_t = _finite(_json_cell(cells[1]), "end_t", lineno, src)
             try:
                 label = StepLabel(start_t, end_t, cells[2])
             except ValueError as exc:

@@ -106,6 +106,22 @@ class TestParseJsonl:
         with pytest.raises(AssertionError, match="json line loop"):
             parse_session(jsonl('{"t": NaN, "ax": 0, "ay": 0, "hx": null, "hy": null, "touch": false}'))
 
+    def test_small_exponents_in_plain_csv_are_decoded_by_orjson(self, monkeypatch):
+        # a value in each decade from 1e-9 to 1e-5 is written with a negative
+        # exponent, as repr writes it; none may send the text to the csv judge
+        values = [1.5e-05, 3e-06, 7.25e-07, 1e-08, 3e-09]
+        rows = [f"{0.5 * i!r},{v!r},{-v!r},{v!r},{2 * v!r},{str(i % 2 == 0).lower()}"
+                for i, v in enumerate(values)]
+        text = "#" + HEADER + "\nt,ax,ay,hx,hy,touch\n" + "\n".join(rows) + "\n"
+
+        def refuse(*args):
+            raise AssertionError("the csv judge decoded plain text")
+
+        monkeypatch.setattr(ingest, "_read_columns", refuse)
+        s = parse_session(io.StringIO(text), format="csv")
+        assert s.attention_xy.tolist() == [[v, -v] for v in values]
+        assert s.hand_xy.tolist() == [[v, 2 * v] for v in values]
+
 
 class TestHugeNumbers:
     """A JSON integer too large for a float is a line-numbered ParseError.
@@ -282,8 +298,8 @@ class TestTimeBound:
         text = self._text(t, fmt)
         with pytest.raises(ParseError) as exc:
             parse_session(io.StringIO(text), format=fmt)
-        raw = t if fmt == "jsonl" else repr(t)  # a CSV cell is read as text
-        assert str(exc.value) == f"stream:{3 if fmt == 'jsonl' else 4}: t exceeds 1e+150: {raw!r}"
+        # a CSV cell is read as JSON reads it, so the message names the same value
+        assert str(exc.value) == f"stream:{3 if fmt == 'jsonl' else 4}: t exceeds 1e+150: {t!r}"
         with pytest.raises(ParseError) as want:
             reference_ingest.parse(io.StringIO(text), fmt)
         assert str(want.value) == str(exc.value)
@@ -399,7 +415,7 @@ class TestParserEscapes:
         rows = '"0.1\n",1,1,,,false\n0.2,1,1,,,false\n0.3,1,1,,,maybe\n'
         with pytest.raises(ParseError) as exc:
             parse_session(io.StringIO(self.CSV_HEAD + rows), format="csv")
-        assert str(exc.value) == "stream:6: touch must be 'true' or 'false', got 'maybe'"
+        assert str(exc.value) == "stream:6: touch must be a boolean, got 'maybe'"
         s = parse_session(io.StringIO(self.CSV_HEAD + rows.replace("maybe", "false")), format="csv")
         assert s.times.tolist() == [0.1, 0.2, 0.3]
 

@@ -6,7 +6,8 @@ coordinate beyond it is rejected on its line.  Fuzzing: frame lines built from a
 give a Session or a line-numbered ParseError, never another exception.
 Differential: the column parser agrees with the line-by-line reference
 parser in ``reference_ingest`` -- equal columns, bit for bit (-0.0 is not
-0.0), or the same error line and message.
+0.0), or the same error line and message.  One grammar: a CSV cell gives
+the value, or the error, that the same text gives in a JSONL file.
 """
 
 from __future__ import annotations
@@ -298,16 +299,18 @@ def test_jsonl_frame_lines_match_reference(text):
 
 # --- CSV frame text: plain text is decoded by orjson as one JSON array ----------
 
-# numerals whose value float() and orjson must agree on, or that JSON reads
-# another way (-0 is the int 0, where float() reads -0.0) or refuses
+# numerals whose value json and orjson must agree on in a CSV cell as in a
+# JSONL line (-0 is the int 0, -0.0 the float), or that both refuse
 CSV_NUMERALS = [*EDGE_NUMERALS, "-0", "-0.0", "-0e0", "-0E1", "0", "-1", "1e-05", "1e400", "-1e400"]
 csv_numerals = st.one_of(*[tame_numerals] * 3, st.sampled_from(CSV_NUMERALS), numerals)
-# cell text that float() reads and JSON does not, or that neither reads as a number
+# cell text that is a JSON number only once unquoted or stripped, or no JSON
+# number at all though float() reads some of it
 CSV_ODDITIES = [" 1.5 ", "\t2\t", "+1", ".5", "1.", "1_0", "0x10", "null", "nan", "inf", "-inf",
                 "true", "false", "[1]", "{}", "", "  ", '"1.5"', '"1,5"', '"2\n3"', "\ufeff1.5",
                 "\uff11.\uff15", "1.5\x0b", "1" + "5" * 300]
 # cells that a lowered field limit of 200 is below, and whose value is tame
 LONG_CELLS = ["0." + "5" * 300, " " * 300 + "2.5"]
+# the last, a cell that closes a row's JSON array early, is not false
 TOUCH_CELLS = ["true", "false", " true ", "TRUE", "1", "", "null", '"false"']
 CSV_CHANGES = ("cell", "long cell", "touch", "blank hand cell", "one hand cell", "empty row",
                "blank line", "cell count")
@@ -396,13 +399,81 @@ def test_a_cell_over_a_lowered_field_limit_is_refused_on_its_line(cell):
 
 
 @pytest.mark.parametrize("cell", ["-0", "-0e0", "-0.0", "0"])
-def test_a_minus_zero_cell_keeps_its_sign(cell):
-    # JSON reads -0 as the int 0, which would lose the sign float() keeps
+def test_a_minus_zero_cell_reads_as_json_reads_it(cell):
+    # JSON reads -0 as the int 0, so only a float -0 keeps its sign, as in JSONL
     text = f"#{json.dumps(HEADER)}\n{','.join(FIELDS)}\n{cell},1,2,,,false\n0.5,{cell},{cell},{cell},{cell},true\n"
     s = parse_session(io.StringIO(text), format="csv")
-    assert np.signbit(s.times[0]) == cell.startswith("-")
-    assert np.signbit(s.attention_xy[1]).tolist() == [cell.startswith("-")] * 2
+    negative = cell in ("-0e0", "-0.0")
+    assert np.signbit(s.times[0]) == negative
+    assert np.signbit(s.attention_xy[1]).tolist() == [negative] * 2
     _assert_matches_reference(text, "csv")
+
+
+# --- one grammar: a CSV cell holds the value the same text holds in JSONL --------
+
+ONE_FRAME = {"t": "0.5", "ax": "1.0", "ay": "2.0", "hx": "3.0", "hy": "4.0", "touch": "false"}
+
+
+def _files_with(field, text):
+    """A JSONL and a CSV file of three frames whose second holds ``text`` as
+    ``field``: on line 3 of the JSONL file and on line 4 of the CSV one."""
+    first, last = dict(ONE_FRAME, t="0.0"), dict(ONE_FRAME, t="1.0")
+    rows = [first, dict(ONE_FRAME, **{field: text}), last]
+    jsonl = [json.dumps(HEADER), *("{" + ", ".join(f'"{k}": {row[k]}' for k in FIELDS) + "}" for row in rows)]
+    csv_lines = ["#" + json.dumps(HEADER), ",".join(FIELDS), *(",".join(row[k] for k in FIELDS) for row in rows)]
+    return "\n".join(jsonl) + "\n", "\n".join(csv_lines) + "\n"
+
+
+def _message(err):
+    """A ParseError's message without its source and line."""
+    return str(err).split(": ", 1)[1]
+
+
+@pytest.mark.parametrize("numeral", sorted(set(CSV_NUMERALS) | {"true", "false"}))
+def test_a_csv_cell_reads_as_the_same_text_in_jsonl(numeral):
+    for field in FIELDS:
+        jsonl, csv_file = _files_with(field, numeral)
+        want, got = _outcome(parse_session, jsonl, "jsonl"), _outcome(parse_session, csv_file, "csv")
+        if isinstance(want, ParseError):
+            assert isinstance(got, ParseError), (field, want)
+            assert (got.line, _message(got)) == (want.line + 1, _message(want)), field
+            continue
+        assert isinstance(got, Session), (field, got)
+        for column in ("times", "attention_xy", "hand_xy"):
+            _assert_same_bits(getattr(got, column), getattr(want, column))
+        assert got.touching_mask.tolist() == want.touching_mask.tolist()
+        _assert_matches_reference(csv_file, "csv")
+
+
+@pytest.mark.parametrize("oddity", CSV_ODDITIES)
+def test_a_csv_cell_that_is_no_json_number_is_refused_as_its_text(oddity):
+    cell = next(csv.reader(io.StringIO(oddity, newline="")), [""])[0].strip()  # as the csv module reads it
+    try:
+        value = json.loads(cell)
+    except ValueError:
+        value = cell
+    for field in ("t", "ax", "ay", "hx", "hy"):
+        if cell == "" and field in ("hx", "hy"):
+            continue  # an empty hand cell is null
+        jsonl, csv_file = _files_with(field, oddity)
+        got = _outcome(parse_session, csv_file, "csv")
+        if type(value) in (int, float):
+            # a JSON number once stripped: the value JSONL holds for the stripped text
+            want = _outcome(parse_session, _files_with(field, cell)[0], "jsonl")
+            assert type(got) is type(want), field
+            if isinstance(want, Session):
+                assert got == want
+            else:
+                assert (got.line, _message(got)) == (want.line + 1, _message(want))
+        else:
+            assert isinstance(got, ParseError), field
+            assert str(got) == f"stream:4: {field} is not a number: {value if type(value) is bool else cell!r}"
+        _assert_matches_reference(csv_file, "csv")
+
+
+@pytest.mark.parametrize("cell", TOUCH_CELLS)
+def test_a_touch_cell_matches_reference(cell):
+    _assert_matches_reference(_files_with("touch", cell)[1], "csv")
 
 
 PLAIN_LINE = '{"t": %s, "ax": 1.0, "ay": 2.0, "hx": null, "hy": null, "touch": false}'

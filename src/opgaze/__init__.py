@@ -24,7 +24,7 @@ _EXPORTS = {
         "FeatureParams", "attention_hand_correlation", "attention_lead_lag",
         "build_distance_series", "classify_gaze_pattern", "classify_shift_kind",
         "compensate_offset", "count_sign_changes", "early_shift_ratio", "feature_vector",
-        "kinematics", "sign_series", "trailing_positive_run", "unit_traces",
+        "kinematics", "sign_series", "trace_features", "trailing_positive_run", "unit_traces",
     ),
     "hotspot": (
         "ClusterParams", "TouchDistribution", "cluster_touches", "extract_touches",

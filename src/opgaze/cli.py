@@ -87,7 +87,7 @@ _LAZY = (
     "validate_session",
     # analyze_session makes the one unit_traces call of a session; nothing here
     # calls build_distance_series, which perfbench/tracer.py wraps by this name
-    "FeatureParams", "build_distance_series", "feature_vector", "unit_traces",
+    "FeatureParams", "build_distance_series", "feature_vector", "trace_features", "unit_traces",
     "ClusterParams", "cluster_touches", "extract_touches", "touch_distribution",
     "touch_distribution_plot_data", "touching_points",
     "SegmentationParams", "segment_units",
@@ -303,18 +303,15 @@ class SessionResult:
 
 def analyze_session(s: Session, config: RunConfig) -> SessionResult:
     """Run the full per-session pipeline in memory: one distance pass over
-    the units, whose views give the features."""
+    the units, and one feature pass over its columns."""
     _bind()
     touches = extract_touches(s)
     params = config.cluster.resolve([s])
     hotspots = tuple(cluster_touches(touches, params))
     units = tuple(segment_units(s, config.segmentation, hotspots))
     traces = unit_traces(s, units, hotspots)
-    views = iter(traces.per_unit())
-    fvs = tuple(
-        feature_vector(s, ou, None if ou.hotspot_id is None else next(views), config.features)
-        for ou in units
-    )
+    traced = iter(trace_features(s, traces, config.features))
+    fvs = tuple(feature_vector(ou, None if ou.hotspot_id is None else next(traced)) for ou in units)
     return SessionResult(
         session=s,
         resolved_eps=params.spatial_eps,
@@ -587,6 +584,8 @@ def _parse_features(stream: IO[str], src: str) -> list[dict[str, object]]:
     if set(FEATURES_HEADER) - set(header):
         raise ParseError("not a features.csv (missing columns)", source=src)
     rows: list[dict[str, object]] = []
+    # the line of each unit's row: a second row would count the unit twice
+    first_line: dict[tuple[str, int], int] = {}
     for line, cells in reader:
         if not cells:
             continue
@@ -598,6 +597,10 @@ def _parse_features(stream: IO[str], src: str) -> list[dict[str, object]]:
         except ValueError:
             raise ParseError(f"ou_index is not an integer: {raw['ou_index']!r}",
                              line=line, source=src) from None
+        first = first_line.setdefault((raw["session_id"], ou_index), line)
+        if first != line:
+            raise ParseError(f"session {raw['session_id']!r} unit {ou_index} repeats line {first}",
+                             line=line, source=src)
         row: dict[str, object] = {
             "session_id": raw["session_id"],
             "ou_index": ou_index,

@@ -16,13 +16,16 @@ From those this module derives:
 
 and assembles them into a :class:`FeatureVector` per unit.  Degenerate
 units never abort: fields that cannot be computed come back None with a
-reason code.
+reason code.  :func:`trace_features` computes them for all of a session's
+units at once, over one array per period cut into segments; each
+per-series function here runs the same code on one segment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +40,9 @@ _NO_HOTSPOT = (
     "corr_attention_hand", "attention_lead_lag", "early_shift_ratio", "gaze_pattern", "shift_kind",
 )
 _ORIGIN = Hotspot(0, Point2(0.0, 0.0), 0, 0.0, 0.0, ())
+# per period: its kinematics group, then its columns in the order kinematics() gives them
+_KINEMATICS_COLUMNS = tuple((f"{p}_kinematics", f"{p}_sign_changes", f"{p}_mean_speed", f"{p}_dist_var")
+                            for p in ("gazing", "approaching", "operating"))
 
 DEFAULT_SIGN_DEADBAND = 0.0
 DEFAULT_LAG_THRESHOLD = 0.2
@@ -138,12 +144,11 @@ def unit_traces(
     """The "OU" traces of every unit with a hotspot, computed in one pass.
 
     This is the one place that picks a unit's frames and computes its
-    distances.  ``analyze`` calls it once per session: each unit's
-    :func:`feature_vector` reads its view of the result
-    (:meth:`UnitTraces.per_unit`), and the trace files are written from it;
-    :func:`build_distance_series` traces its one unit.  A unit's rows are
-    the frames of its whole range but stray contacts, and HO is 0 while the
-    hotspot is touched.  The rows need no series checks: a unit's frames
+    distances.  ``analyze`` calls it once per session: :func:`trace_features`
+    takes every unit's features from the result, and the trace files are
+    written from it; :func:`build_distance_series` traces its one unit.  A
+    unit's rows are the frames of its whole range but stray contacts, and HO
+    is 0 while the hotspot is touched.  The rows need no series checks: a unit's frames
     are in time order, and ``Session.times`` is strictly increasing.  Every
     coordinate that reaches the pipeline through the parser is finite with
     |v| <= ``ingest.COORD_MAX`` = 1e50, and a hotspot centroid is a mean of
@@ -190,15 +195,15 @@ def compensate_offset(d: DistanceSeries) -> DistanceSeries:
     has an exact minimum of 0."""
     if len(d) == 0:
         raise ValueError("cannot compensate an empty series")
-    # finite v >= m >= 0 gives a finite v - m >= 0: no check is needed
-    values = d.values - float(np.min(d.values))
+    values = _compensated(d.values, _whole(len(d)))
     values.flags.writeable = False
     return d._derive(d.times, values)
 
 
 def sign_series(speed: np.ndarray, deadband: float = 0.0) -> np.ndarray:
     """Direction of each increment: +1 above the deadband, -1 below its
-    negative, else 0."""
+    negative, else 0.  Each sign is its increment's own, so the signs of a
+    concatenation of segments are the segments' signs."""
     signs = np.zeros(len(speed), dtype=int)
     signs[speed > deadband] = 1
     signs[speed < -deadband] = -1
@@ -208,8 +213,7 @@ def sign_series(speed: np.ndarray, deadband: float = 0.0) -> np.ndarray:
 def count_sign_changes(signs: np.ndarray) -> int:
     """Number of reversals between + and -; zeros are transparent, so a
     plateau between opposite motions still counts as one reversal."""
-    moving = signs[signs != 0]
-    return int(np.count_nonzero(moving[1:] != moving[:-1]))
+    return int(_sign_changes(signs, _whole(len(signs)))[0])
 
 
 def kinematics(
@@ -229,15 +233,7 @@ def kinematics(
     """
     if len(d_star) == 0:
         raise ValueError("kinematics needs a nonempty series")
-    variance = float(np.mean((d_star.values - float(np.mean(d_star.values))) ** 2))
-    if len(d_star) < 2:
-        return {"sign_changes": None, "mean_speed": None, "dist_var": variance}
-    speed = np.diff(d_star.values)
-    return {
-        "sign_changes": float(count_sign_changes(sign_series(speed, deadband))),
-        "mean_speed": float(np.mean(np.abs(speed))) * sample_rate_hz,
-        "dist_var": variance,
-    }
+    return _kinematics(d_star.values, _whole(len(d_star)), deadband, sample_rate_hz)[0]
 
 
 def trailing_positive_run(d_star: DistanceSeries, deadband: float = 0.0) -> float:
@@ -246,17 +242,7 @@ def trailing_positive_run(d_star: DistanceSeries, deadband: float = 0.0) -> floa
     Zeros break the run: a pause at the end is not a continuous increase.
     0.0 for series with fewer than two samples.
     """
-    if len(d_star) < 2:
-        return 0.0
-    signs = sign_series(np.diff(d_star.values), deadband)
-    k = 0
-    for sgn in signs[::-1]:
-        if sgn != 1:
-            break
-        k += 1
-    if k == 0:
-        return 0.0
-    return float(d_star.times[-1] - d_star.times[len(d_star) - 1 - k])
+    return float(_trailing_positive_runs(d_star.times, d_star.values, _whole(len(d_star)), deadband)[0])
 
 
 def early_shift_ratio(
@@ -271,12 +257,9 @@ def early_shift_ratio(
     None (undefined) for operating periods shorter than ``min_operating``
     seconds; otherwise in [0, 1].
     """
-    if dur_operating < min_operating:
-        return None
-    if dur_operating <= 0:
-        return None
-    run = trailing_positive_run(d_ao_operating, deadband)
-    return min(run / dur_operating, 1.0)
+    d = d_ao_operating
+    return _early_shift_ratios(d.times, d.values, _whole(len(d)), (dur_operating,), deadband,
+                               min_operating)[0]
 
 
 def classify_shift_kind(
@@ -297,13 +280,8 @@ def classify_gaze_pattern(
     """"search" when the attention-hotspot distance reverses direction at
     least ``search_freq_min`` times per second over the gazing period;
     otherwise (including degenerate periods) "shift"."""
-    if len(d_ao_gazing) < 3:
-        return "shift"
-    span = d_ao_gazing.span
-    if span <= 0:
-        return "shift"
-    changes = count_sign_changes(sign_series(np.diff(d_ao_gazing.values), deadband))
-    return "search" if changes / span >= search_freq_min else "shift"
+    d = d_ao_gazing
+    return _gaze_patterns(d.times, d.values, _whole(len(d)), deadband, search_freq_min)[0]
 
 
 def _pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
@@ -317,17 +295,7 @@ def _pearson(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
     ys = np.asarray(y, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError(f"pearson needs two equal-length vectors, got {xs.shape} and {ys.shape}")
-    n = len(xs)
-    if n < 3:
-        return None
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    sx = float(np.sqrt(np.sum(dx * dx)))
-    sy = float(np.sqrt(np.sum(dy * dy)))
-    if sx == 0.0 or sy == 0.0:
-        return None
-    r = float(np.sum(dx * dy) / (sx * sy))
-    return max(-1.0, min(1.0, r))
+    return _correlations(xs, ys, _whole(len(xs)))[0]
 
 
 def attention_hand_correlation(
@@ -338,8 +306,6 @@ def attention_hand_correlation(
     series."""
     # a series' times are strictly increasing, so each is unique
     _, ia, ib = np.intersect1d(d_ao.times, d_ho.times, assume_unique=True, return_indices=True)
-    if len(ia) < 3:
-        return None
     return _pearson(d_ao.values[ia], d_ho.values[ib])
 
 
@@ -357,102 +323,313 @@ def attention_lead_lag(
     approach.  Positive = attention leads.  None when either series never
     crosses.
     """
-    t_attention = _arrival_time(d_ao_star, lag_threshold)
-    t_hand = _arrival_time(d_ho_star, lag_threshold)
-    if t_attention is None or t_hand is None:
-        return None
-    return t_hand - t_attention
+    a, h = d_ao_star, d_ho_star
+    return _lead_lags(a.times, a.values, _whole(len(a)), h.times, h.values, _whole(len(h)),
+                      lag_threshold)[0]
 
 
-def _arrival_time(d_star: DistanceSeries, threshold_fraction: float) -> Optional[float]:
-    if len(d_star) == 0:
-        return None
-    peak = float(np.max(d_star.values))
-    if peak <= 0:
-        return None
-    threshold = threshold_fraction * peak
-    below = d_star.values < threshold
-    if not below[-1]:
-        return None
-    # first index from which the series stays below the threshold
-    idx = len(below) - 1
-    while idx > 0 and below[idx - 1]:
-        idx -= 1
-    return float(d_star.times[idx])
+@dataclass(frozen=True)
+class TraceFeatures:
+    """The features one unit's trace gives (:func:`trace_features`).
+
+    ``row`` holds them as keyword arguments of :class:`FeatureVector`:
+    the distance, kinematics and synergy scalars that are defined, the
+    two classifications and ``undefined``, the reasons for the rest.
+    """
+
+    unit: OperationUnit
+    row: Mapping[str, object]
 
 
-def feature_vector(
-    s: Session,
-    ou: OperationUnit,
-    trace: Optional[UnitTraces],
-    params: FeatureParams = FeatureParams(),
-) -> FeatureVector:
+def trace_features(
+    s: Session, traces: UnitTraces, params: FeatureParams = FeatureParams()
+) -> tuple[TraceFeatures, ...]:
+    """The features of every unit of ``traces``, in one pass over its
+    columns; ``analyze`` calls it once per session.
+
+    Each unit's G, H, O and GH windows are found at once, and each period's
+    windows are gathered into one array.  The minima, the compensated values
+    and their steps, the signs, the reversal counts, the trailing runs and
+    the arrival times are then computed over each array in segments.  Each
+    mean or sum is one ``np.add.reduce`` on a window's contiguous view, so
+    it has the bits ``np.mean`` gives the window alone.  Every public
+    per-series function of this module is the one-segment call of the same
+    code, so a unit's features are those of its series alone.
+    """
+    if not traces.units:
+        return ()
+    units, t, d_ao, hand = traces.units, traces.t, traces.d_ao, traces.hand
+    starts = _offsets(traces.counts)  # unit k's rows are starts[k]:starts[k + 1]
+    # the first row of each unit at or after each of its bounds, after the
+    # closed end of O: a searchsorted in each unit's rows, which are in time order
+    at = np.repeat([(ou.gazing.start, ou.approaching.start, ou.operating.start, ou.operating.end)
+                    for ou in units], traces.counts, axis=0)
+    before = t[:, None] < at
+    before[:, 3] = t <= at[:, 3]
+    before = np.concatenate((np.zeros((1, 4), dtype=np.intp), np.cumsum(before, axis=0)))
+    # the periods are contiguous: G is g:h, H is h:o, O is o:o_end and GH is g:o
+    g, h, o, o_end = (starts[:-1, None] + before[starts[1:]] - before[starts[:-1]]).T
+    ao = {}
+    for period, lo, hi in (("G", g, h), ("H", h, o), ("O", o, o_end), ("GH", g, o)):
+        rows, offsets = _windows(lo, hi)
+        ao[period] = t[rows], d_ao[rows], offsets
+    # the frames with the hand in sight; hand_before[i] of them precede row i
+    hand_before = _offsets(hand)
+    hand_t, hand_ao, hand_ho = t[hand], d_ao[hand], traces.d_ho[hand]
+    ho_gh, ho_gh_offsets = _windows(hand_before[g], hand_before[o])
+
+    deadband = params.sign_deadband
+    kins = (_kinematics(_compensated(v, offsets), offsets, deadband, s.sample_rate_hz)
+            for _, v, offsets in (ao["G"], ao["H"], ao["O"]))
+    o_times, o_values, o_offsets = ao["O"]
+    corrs = _correlations(hand_ao, hand_ho, hand_before[starts])
+    gh_times, gh_values, gh_offsets = ao["GH"]
+    lags = _lead_lags(gh_times, _compensated(gh_values, gh_offsets), gh_offsets,
+                      hand_t[ho_gh], _compensated(hand_ho[ho_gh], ho_gh_offsets), ho_gh_offsets,
+                      params.lag_threshold)
+    durations = [ou.operating.duration for ou in units]
+    earlies = _early_shift_ratios(o_times, _compensated(o_values, o_offsets), o_offsets, durations,
+                                  deadband, params.min_operating_for_early_shift)
+    no_approach = (_lengths(gh_offsets) == 0) | (_lengths(ho_gh_offsets) == 0)
+    per_unit = zip(units, zip(*kins), _lengths(o_offsets).tolist(), _means(o_values, o_offsets), corrs,
+                   _lengths(hand_before[starts]).tolist(), no_approach.tolist(), lags, earlies,
+                   durations, _gaze_patterns(*ao["G"], deadband, params.search_freq_min))
+
+    out = []
+    for ou, unit_kins, n_o, o_mean, corr, n_hand, no_approach, lag, early, dur_o, pattern in per_unit:
+        row: dict[str, object] = {}
+        undefined: dict[str, str] = {}
+        for names, kin in zip(_KINEMATICS_COLUMNS, unit_kins):
+            if kin is None:
+                undefined[names[0]] = "empty_period"
+                continue
+            row.update(zip(names[1:], kin.values()))
+            if kin["sign_changes"] is None:
+                undefined[names[1]] = "series_too_short"
+
+        if n_o == 0:
+            undefined["operating_mean_dist"] = "empty_period"
+            early = None
+        else:
+            row["operating_mean_dist"] = o_mean
+
+        if corr is None:
+            # the hand rows are the frames the AO and HO series have in common
+            undefined["corr_attention_hand"] = "insufficient_samples" if n_hand < 3 else "zero_variance"
+
+        if no_approach:
+            undefined["attention_lead_lag"] = "empty_approach_series"
+        elif lag is None:
+            undefined["attention_lead_lag"] = "no_threshold_crossing"
+
+        if early is None:
+            short = dur_o < params.min_operating_for_early_shift
+            reason = "operating_below_min_duration" if short else "empty_period"
+            undefined["early_shift_ratio"] = undefined["shift_kind"] = reason
+        row.update(corr_attention_hand=corr, attention_lead_lag=lag, early_shift_ratio=early,
+                   gaze_pattern=pattern, shift_kind=classify_shift_kind(early, params.early_shift_min),
+                   undefined=undefined)
+        out.append(TraceFeatures(ou, row))
+    return tuple(out)
+
+
+def feature_vector(ou: OperationUnit, traced: Optional[TraceFeatures]) -> FeatureVector:
     """All features of one unit; never aborts on degenerate units.
 
-    ``trace`` is the unit's one-unit trace (:meth:`UnitTraces.per_unit`),
-    or None for a unit without a hotspot.
+    ``traced`` is the unit's entry of :func:`trace_features`, or None for a
+    unit without a hotspot.  This joins it to the unit's keys and period
+    durations.
     """
     dur_g, dur_h, dur_o, ratio_g, ratio_h, ratio_o = period_durations(ou)
-    row: dict[str, object] = dict(
+    keys = dict(
         ou_index=ou.index, step_id=ou.step_id,
         dur_gazing=dur_g, dur_approaching=dur_h, dur_operating=dur_o,
         ratio_gazing=ratio_g, ratio_approaching=ratio_h, ratio_operating=ratio_o,
     )
-    if trace is None:
-        return FeatureVector(**row, hotspot_id=None, gaze_pattern="shift", shift_kind="undefined",
+    if traced is None:
+        return FeatureVector(**keys, hotspot_id=None, gaze_pattern="shift", shift_kind="undefined",
                              undefined=dict.fromkeys(_NO_HOTSPOT, "no_hotspot"))
-    if trace.units != (ou,):
-        raise ValueError(f"the trace is not unit {ou.index}'s own")
+    if traced.unit != ou:
+        raise ValueError(f"the trace features are not unit {ou.index}'s own")
+    return FeatureVector(**keys, hotspot_id=ou.hotspot_id, **traced.row)
 
-    undefined: dict[str, str] = {}
-    # every period lies inside the unit and the frame rule does not depend
-    # on the period, so a window of the whole-unit series is a direct build
-    ao_ou, ho_ou = trace.series("AO"), trace.series("HO")
-    ao_g, ao_h, ao_o, ao_gh = (ao_ou.window(*period_bounds(ou, p)) for p in ("G", "H", "O", "GH"))
-    ho_gh = ho_ou.window(*period_bounds(ou, "GH"))
 
-    for key, series in (("gazing", ao_g), ("approaching", ao_h), ("operating", ao_o)):
-        if len(series) == 0:
-            undefined[f"{key}_kinematics"] = "empty_period"
-            continue
-        kin = kinematics(compensate_offset(series), params.sign_deadband,
-                         sample_rate_hz=s.sample_rate_hz)
-        row.update((f"{key}_{name}", value) for name, value in kin.items())
-        if kin["sign_changes"] is None:
-            undefined[f"{key}_sign_changes"] = "series_too_short"
+# --- segments ------------------------------------------------------------------
+#
+# A segmented array is a flat array and the offsets of its segments:
+# segment k is values[offsets[k]:offsets[k + 1]], and the segments, some
+# maybe empty, fill the array in order.  Each function below gives one
+# result per segment.
 
-    if len(ao_o):
-        row["operating_mean_dist"] = float(np.mean(ao_o.values))
-    else:
-        undefined["operating_mean_dist"] = "empty_period"
 
-    corr = attention_hand_correlation(ao_ou, ho_ou)
-    if corr is None:
-        # the HO times are a subset of the AO times, so HO's length is the
-        # number of common samples
-        undefined["corr_attention_hand"] = "insufficient_samples" if len(ho_ou) < 3 else "zero_variance"
+def _offsets(counts: Sequence[int]) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
 
-    if len(ao_gh) == 0 or len(ho_gh) == 0:
-        lag = None
-        undefined["attention_lead_lag"] = "empty_approach_series"
-    else:
-        lag = attention_lead_lag(
-            compensate_offset(ao_gh), compensate_offset(ho_gh), params.lag_threshold
-        )
-        if lag is None:
-            undefined["attention_lead_lag"] = "no_threshold_crossing"
 
-    early = early_shift_ratio(
-        compensate_offset(ao_o), dur_o, params.sign_deadband, params.min_operating_for_early_shift,
-    ) if len(ao_o) else None
-    if early is None:
-        short = dur_o < params.min_operating_for_early_shift
-        reason = "operating_below_min_duration" if short else "empty_period"
-        undefined["early_shift_ratio"] = undefined["shift_kind"] = reason
+def _lengths(offsets: np.ndarray) -> np.ndarray:
+    return offsets[1:] - offsets[:-1]
 
-    return FeatureVector(
-        **row, hotspot_id=ou.hotspot_id, corr_attention_hand=corr, attention_lead_lag=lag,
-        early_shift_ratio=early,
-        gaze_pattern=classify_gaze_pattern(ao_g, params.sign_deadband, params.search_freq_min),
-        shift_kind=classify_shift_kind(early, params.early_shift_min), undefined=undefined,
-    )
+
+def _whole(n: int) -> np.ndarray:
+    """The offsets of an array of ``n`` values taken as one segment."""
+    return np.array([0, n], dtype=np.intp)
+
+
+def _windows(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the rows lo[k]:hi[k], one window after another, and
+    the offsets of the windows among them."""
+    lengths = hi - lo
+    offsets = _offsets(lengths)
+    return np.arange(offsets[-1]) + np.repeat(lo - offsets[:-1], lengths), offsets
+
+
+def _reduceat(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray, empty: object) -> np.ndarray:
+    """``ufunc`` reduced over each segment, ``empty`` for an empty one.
+
+    For the minimum and maximum the grouping does not matter, so this gives
+    the bits of a reduction of each segment alone; a sum would not.
+    """
+    out = np.full(len(offsets) - 1, empty, dtype=values.dtype)
+    full = offsets[1:] > offsets[:-1]
+    out[full] = ufunc.reduceat(values, offsets[:-1][full])
+    return out
+
+
+def _sums(values: np.ndarray, offsets: np.ndarray) -> list[np.float64]:
+    """Each segment's sum, as one ``np.add.reduce`` on its contiguous view,
+    whose pairwise order is that of ``np.sum`` and ``np.mean`` on the
+    segment alone (``np.add.reduceat`` adds in another order)."""
+    bounds = offsets.tolist()
+    return [np.add.reduce(values[i:j]) for i, j in zip(bounds, bounds[1:])]
+
+
+def _means(values: np.ndarray, offsets: np.ndarray) -> list[float]:
+    """Each segment's mean with the bits of ``np.mean``; NaN when empty."""
+    return [float(total) / n if n else math.nan
+            for total, n in zip(_sums(values, offsets), _lengths(offsets).tolist())]
+
+
+def _compensated(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each segment less its minimum (:func:`compensate_offset`)."""
+    minima = _reduceat(np.minimum, values, offsets, math.nan)
+    # finite v >= m >= 0 gives a finite v - m >= 0: no check is needed
+    return values - np.repeat(minima, _lengths(offsets))
+
+
+def _steps(values: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps v[i + 1] - v[i] within each segment, and their offsets: a
+    segment of n values has max(n - 1, 0) steps."""
+    steps = values[1:] - values[:-1]
+    inner = offsets[1:-1]
+    across = inner[(inner > 0) & (inner < len(values))] - 1  # last of one segment to first of a later
+    keep = np.ones(len(steps), dtype=bool)
+    keep[across] = False
+    return steps[keep], _offsets(np.maximum(_lengths(offsets) - 1, 0))
+
+
+def _sign_changes(signs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each segment's :func:`count_sign_changes`."""
+    segment = np.repeat(np.arange(len(offsets) - 1), _lengths(offsets))
+    moving = signs != 0
+    signs, segment = signs[moving], segment[moving]
+    flips = (signs[1:] != signs[:-1]) & (segment[1:] == segment[:-1])
+    return np.bincount(segment[1:][flips], minlength=len(offsets) - 1)
+
+
+def _trailing_true(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The length of each segment's trailing run of True."""
+    last_false = _reduceat(np.maximum, np.where(mask, -1, np.arange(len(mask))), offsets, -1)
+    return np.where(last_false >= offsets[:-1], offsets[1:] - 1 - last_false, _lengths(offsets))
+
+
+def _kinematics(
+    values: np.ndarray, offsets: np.ndarray, deadband: float, sample_rate_hz: float
+) -> list[Optional[dict[str, Optional[float]]]]:
+    """Each segment's :func:`kinematics`; None for an empty one."""
+    lengths = _lengths(offsets)
+    centered = values - np.repeat(_means(values, offsets), lengths)
+    variances = _means(centered ** 2, offsets)
+    speed, speed_offsets = _steps(values, offsets)
+    speeds = _means(np.abs(speed), speed_offsets)
+    changes = _sign_changes(sign_series(speed, deadband), speed_offsets).tolist()
+    return [None if n == 0
+            else {"sign_changes": None, "mean_speed": None, "dist_var": var} if n < 2
+            else {"sign_changes": float(c), "mean_speed": v * sample_rate_hz, "dist_var": var}
+            for n, c, v, var in zip(lengths.tolist(), changes, speeds, variances)]
+
+
+def _trailing_positive_runs(
+    times: np.ndarray, values: np.ndarray, offsets: np.ndarray, deadband: float
+) -> np.ndarray:
+    """Each segment's :func:`trailing_positive_run`."""
+    steps, step_offsets = _steps(values, offsets)
+    run = _trailing_true(sign_series(steps, deadband) == 1, step_offsets)
+    last = offsets[1:][run > 0] - 1
+    out = np.zeros(len(run))
+    out[run > 0] = times[last] - times[last - run[run > 0]]
+    return out
+
+
+def _early_shift_ratios(
+    times: np.ndarray, values: np.ndarray, offsets: np.ndarray, durations: Sequence[float],
+    deadband: float, min_operating: float,
+) -> list[Optional[float]]:
+    """Each segment's :func:`early_shift_ratio`, over its duration."""
+    runs = _trailing_positive_runs(times, values, offsets, deadband).tolist()
+    return [None if dur < min_operating or dur <= 0 else min(run / dur, 1.0)
+            for run, dur in zip(runs, durations)]
+
+
+def _gaze_patterns(
+    times: np.ndarray, values: np.ndarray, offsets: np.ndarray, deadband: float,
+    search_freq_min: float,
+) -> list[str]:
+    """Each segment's :func:`classify_gaze_pattern`."""
+    steps, step_offsets = _steps(values, offsets)
+    changes = _sign_changes(sign_series(steps, deadband), step_offsets)
+    lo, hi = offsets[:-1], offsets[1:]
+    search = np.zeros(len(lo), dtype=bool)
+    long = np.flatnonzero(hi - lo >= 3)
+    span = times[hi[long] - 1] - times[lo[long]]
+    moving = long[span > 0]
+    search[moving] = changes[moving] / span[span > 0] >= search_freq_min
+    return ["search" if x else "shift" for x in search.tolist()]
+
+
+def _correlations(x: np.ndarray, y: np.ndarray, offsets: np.ndarray) -> list[Optional[float]]:
+    """Each segment's Pearson correlation of ``x`` and ``y`` (:func:`_pearson`);
+    None under three samples or for a constant series."""
+    lengths = _lengths(offsets)
+    dx, dy = (v - np.repeat(_means(v, offsets), lengths) for v in (x, y))
+    out: list[Optional[float]] = []
+    for n, sxx, syy, sxy in zip(lengths.tolist(), _sums(dx * dx, offsets), _sums(dy * dy, offsets),
+                                _sums(dx * dy, offsets)):
+        sx, sy = float(np.sqrt(sxx)), float(np.sqrt(syy))
+        if n < 3 or sx == 0.0 or sy == 0.0:
+            out.append(None)
+        else:
+            out.append(max(-1.0, min(1.0, float(sxy / (sx * sy)))))
+    return out
+
+
+def _arrival_times(
+    times: np.ndarray, values: np.ndarray, offsets: np.ndarray, threshold_fraction: float
+) -> list[Optional[float]]:
+    """Each segment's first time from which it stays below
+    ``threshold_fraction`` x its maximum; None if it ends above, or its
+    maximum is not positive."""
+    peaks = _reduceat(np.maximum, values, offsets, 0.0)
+    run = _trailing_true(values < threshold_fraction * np.repeat(peaks, _lengths(offsets)), offsets)
+    arrived = (peaks > 0) & (run > 0)
+    first = np.where(arrived, offsets[1:] - run, 0)
+    return [float(times[i]) if ok else None for i, ok in zip(first.tolist(), arrived.tolist())]
+
+
+def _lead_lags(
+    a_times: np.ndarray, a_values: np.ndarray, a_offsets: np.ndarray,
+    h_times: np.ndarray, h_values: np.ndarray, h_offsets: np.ndarray, lag_threshold: float,
+) -> list[Optional[float]]:
+    """Each segment pair's :func:`attention_lead_lag`."""
+    return [None if a is None or h is None else h - a
+            for a, h in zip(_arrival_times(a_times, a_values, a_offsets, lag_threshold),
+                            _arrival_times(h_times, h_values, h_offsets, lag_threshold))]

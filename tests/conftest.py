@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from opgaze import DistanceSeries, FeatureParams, FeatureVector, FrameRecord, Hotspot, Point2, Session
-from opgaze.features import feature_vector, unit_traces
+from opgaze.features import feature_vector, trace_features, unit_traces
 from opgaze.session import OperationUnit
 
 
@@ -65,10 +65,10 @@ def unit_features(
     whichever hotspot its ``hotspot_id`` names; None gives the features of a
     unit without a hotspot."""
     if hotspot is None:
-        return feature_vector(s, ou, None, params)
+        return feature_vector(ou, None)
     ou = dataclasses.replace(ou, hotspot_id=hotspot.id)
-    (trace,) = unit_traces(s, (ou,), {hotspot.id: hotspot}).per_unit()
-    return feature_vector(s, ou, trace, params)
+    (traced,) = trace_features(s, unit_traces(s, (ou,), {hotspot.id: hotspot}), params)
+    return feature_vector(ou, traced)
 
 
 def series(values: Sequence[float], rate: float = 10.0, kind: str = "AO", t0: float = 0.0) -> DistanceSeries:

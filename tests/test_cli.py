@@ -1335,6 +1335,29 @@ class TestCompareAndCorrelate:
         err = capsys.readouterr().err
         assert f"{features}:2: {message}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["compare", "correlate"])
+    @pytest.mark.parametrize("repeat", [
+        lambda header, row: row,
+        # the key is the unit's number, however it is written, whatever the other cells hold
+        lambda header, row: [f"0{cell}" if name == "ou_index" else "7.0" if name == "dur_gazing" else cell
+                             for name, cell in zip(header, row)],
+    ])
+    def test_repeated_unit_row_is_an_input_error_on_its_line(self, corpus, analyzed, tmp_path, capsys,
+                                                             command, repeat):
+        # a repeated row was once counted twice, moving every mean it was in,
+        # and the command still exited 0
+        def edit(rows):
+            header, first = rows[0], rows[1]
+            return [header, first, *rows[2:], repeat(header, first)]
+
+        features = self._edited(analyzed, tmp_path, edit)
+        n_lines = len(features.read_text().splitlines())
+        session_id, ou_index = (features.read_text().splitlines()[1].split(",")[i] for i in (0, 1))
+        assert self._study(command, features, corpus, tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{features}:{n_lines}: session {session_id!r} unit {ou_index} repeats line 2"]
+        assert not (tmp_path / command).exists()
+
     def test_feature_cell_at_the_bound_is_read(self, corpus, analyzed, tmp_path):
         features = self._edited(analyzed, tmp_path, lambda rows: [
             rows[0], *(self._set("operating_mean_speed", "2.83e150")(rows[0], row) for row in rows[1:])])

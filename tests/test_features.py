@@ -30,7 +30,7 @@ from opgaze import (
     sign_series,
     trailing_positive_run,
 )
-from opgaze.features import unit_traces
+from opgaze.features import trace_features, unit_traces
 
 from conftest import frame, make_session, series, unit_features
 
@@ -350,10 +350,10 @@ class TestFeatureVector:
     def test_trace_of_another_unit_is_rejected(self, fixture_unit):
         s, u = fixture_unit
         u = dataclasses.replace(u, hotspot_id=0)
-        (trace,) = unit_traces(s, (u,), (hotspot_at(10.0, 20.0),)).per_unit()
-        assert feature_vector(s, u, trace).undefined == {}
+        (traced,) = trace_features(s, unit_traces(s, (u,), (hotspot_at(10.0, 20.0),)))
+        assert feature_vector(u, traced).undefined == {}
         with pytest.raises(ValueError, match="not unit 5's own"):
-            feature_vector(s, dataclasses.replace(u, index=5), trace)
+            feature_vector(dataclasses.replace(u, index=5), traced)
 
     def test_no_hotspot_degrades_gracefully(self, fixture_unit):
         s, u = fixture_unit
